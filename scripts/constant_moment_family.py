@@ -54,8 +54,7 @@ def run(out: Path, n: int) -> None:
         m = instantaneous_moments(res.signal, mean_freq=OMEGA_BAR_DEFAULT)
         ext = ellipse_extract(res.signal)
         rates = ellipse_rates(ext.ellipse)
-        d = bandwidth_decompose(res.signal, ext.ellipse, rates,
-                                ext.normal, ext.planar, omega=m.omega)
+        d = bandwidth_decompose(ext, rates, m)
         est = multitaper_joint_spectrum(
             RealSignal3(res.signal.samples.real), tapers
         )

@@ -45,10 +45,6 @@ from .moments import (
     global_moments_time,
     instantaneous_moments,
     joint_analytic_spectrum,
-    joint_bandwidth_sq,
-    joint_bandwidth_sq_alt,
-    joint_instantaneous_frequency,
-    joint_second_central,
 )
 from .spectrum import JointSpectrum, TaperSet, multitaper_joint_spectrum, slepian_tapers
 from .synth import (
@@ -96,10 +92,6 @@ __all__ = [
     "global_moments_time",
     "instantaneous_moments",
     "joint_analytic_spectrum",
-    "joint_bandwidth_sq",
-    "joint_bandwidth_sq_alt",
-    "joint_instantaneous_frequency",
-    "joint_second_central",
     "JointSpectrum",
     "TaperSet",
     "multitaper_joint_spectrum",

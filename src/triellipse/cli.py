@@ -87,7 +87,6 @@ class RunConfig:
     n_tapers: int = 3
     pad_factor: int = 8
     bearing: float = 0.0
-    seed: int = 0
     precision: int = 12
 
     def __post_init__(self) -> None:
@@ -184,17 +183,16 @@ def analyze_signal(x: RealSignal3, config: RunConfig = RunConfig()) -> AnalysisR
     xp = analytic_transform(x)
     ext = ellipse_extract(xp, eps_lin=config.eps_lin, eps_circ=config.eps_circ)
     rates = ellipse_rates(ext.ellipse)
-    moments = instantaneous_moments(xp, scheme=config.scheme, eps_pow=config.eps_pow)
-    decomp = bandwidth_decompose(
-        xp, ext.ellipse, rates, ext.normal, ext.planar,
-        scheme=config.scheme, omega=moments.omega,
+    g_spec = global_moments_spectral(xp)
+    moments = instantaneous_moments(
+        xp, scheme=config.scheme, mean_freq=g_spec.mean_freq, eps_pow=config.eps_pow
     )
+    decomp = bandwidth_decompose(ext, rates, moments)
     n = x.n_samples
     k = max(int(np.ceil(config.trim * n)), max(8, n // 20))
     k = min(k, (n - 2) // 2)
     interior = slice(k, n - k)
-    g_time = global_moments_time(xp, moments, interior)
-    g_spec = global_moments_spectral(xp)
+    g_time = global_moments_time(moments, interior)
     flagged = (
         moments.edge
         | moments.unreliable
@@ -262,7 +260,7 @@ def _run_analyze(args) -> int:
             scheme=args.scheme, trim=args.trim, eps_lin=args.eps_lin,
             eps_circ=args.eps_circ, eps_pow=args.eps_pow, taper_p=args.taper_p,
             n_tapers=args.tapers, pad_factor=args.pad, bearing=args.bearing,
-            seed=args.seed, precision=args.precision,
+            precision=args.precision,
         )
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
@@ -419,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--eps-lin", dest="eps_lin", type=float, default=EPS_LIN_DEFAULT)
     pa.add_argument("--eps-circ", dest="eps_circ", type=float, default=EPS_CIRC_DEFAULT)
     pa.add_argument("--eps-pow", dest="eps_pow", type=float, default=EPS_POW_DEFAULT)
-    pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--precision", type=int, default=12)
     pa.add_argument("--out", default="triellipse_out", help="output directory")
     pa.set_defaults(func=_run_analyze)

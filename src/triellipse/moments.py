@@ -25,17 +25,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import AnalyticSignal3, differentiate, edge_mask
-from .ellipse import EllipseRates, EllipseSeries, NormalSeries, PlanarProjection
+from .ellipse import EllipseRates, EllipseSeries, ExtractionResult
 
 __all__ = [
     "MomentsSeries",
     "BandwidthDecomposition",
     "GlobalMoments",
     "EffectivePrecession",
-    "joint_instantaneous_frequency",
-    "joint_second_central",
-    "joint_bandwidth_sq",
-    "joint_bandwidth_sq_alt",
     "instantaneous_moments",
     "bandwidth_decompose",
     "effective_precession",
@@ -63,10 +59,12 @@ class MomentsSeries:
 
     ``upsilon2`` is the quotient form (nonnegative by construction);
     ``upsilon2_alt`` is the algebraically equivalent power-ratio form kept
-    as a cross-check.  ``mean_freq`` records the global mean frequency
-    used in ``sigma2``.  ``unreliable`` flags samples whose power is below
-    ``eps_pow`` times the peak power; ``edge`` flags the wrap-around
-    region of the discrete analytic transform.
+    as a cross-check.  ``derivative`` is the ``(n, 3)`` time derivative of
+    the analytic signal that every moment was computed from, reused by
+    :func:`bandwidth_decompose`.  ``mean_freq`` records the global mean
+    frequency used in ``sigma2``.  ``unreliable`` flags samples whose
+    power is below ``eps_pow`` times the peak power; ``edge`` flags the
+    wrap-around region of the discrete analytic transform.
     """
 
     omega: np.ndarray
@@ -74,6 +72,7 @@ class MomentsSeries:
     upsilon2: np.ndarray
     upsilon2_alt: np.ndarray
     power: np.ndarray
+    derivative: np.ndarray
     mean_freq: float
     edge: np.ndarray
     unreliable: np.ndarray
@@ -116,82 +115,6 @@ class EffectivePrecession(NamedTuple):
     unreliable: np.ndarray
 
 
-def _power_and_flags(xp: AnalyticSignal3, eps_pow: float):
-    power = xp.power
-    peak = float(power.max(initial=0.0))
-    if peak == 0.0:
-        raise ValueError("zero signal: instantaneous moments are undefined")
-    unreliable = power < eps_pow * peak
-    safe = np.where(power > 0, power, 1.0)
-    return power, safe, unreliable
-
-
-def joint_instantaneous_frequency(
-    xp: AnalyticSignal3, scheme: str = "central4", eps_pow: float = EPS_POW_DEFAULT
-) -> np.ndarray:
-    """Joint instantaneous frequency, radians per time unit.
-
-    Power-weighted average of the per-component phase rates; rejects an
-    identically zero signal.  Samples with power below ``eps_pow`` times
-    the peak are computed anyway but should be treated as unreliable (see
-    :func:`instantaneous_moments` for the flagged variant).
-    """
-    power, safe, _ = _power_and_flags(xp, eps_pow)
-    xd = differentiate(xp, scheme)
-    num = np.sum(np.conj(xp.samples) * xd, axis=1).imag
-    return np.where(power > 0, num / safe, 0.0)
-
-
-def joint_second_central(
-    xp: AnalyticSignal3,
-    mean_freq: float,
-    scheme: str = "central4",
-    eps_pow: float = EPS_POW_DEFAULT,
-) -> np.ndarray:
-    """Joint instantaneous second central moment about ``mean_freq``.
-
-    Nonnegative by construction: the squared normalized departure of the
-    signal's rate of change from uniform rotation at the fixed global mean
-    frequency.
-    """
-    power, safe, _ = _power_and_flags(xp, eps_pow)
-    xd = differentiate(xp, scheme)
-    dev = xd - 1j * mean_freq * xp.samples
-    num = np.sum(np.abs(dev) ** 2, axis=1)
-    return np.where(power > 0, num / safe, 0.0)
-
-
-def joint_bandwidth_sq(
-    xp: AnalyticSignal3, scheme: str = "central4", eps_pow: float = EPS_POW_DEFAULT
-) -> np.ndarray:
-    """Squared joint instantaneous bandwidth (quotient form, nonnegative)."""
-    power, safe, _ = _power_and_flags(xp, eps_pow)
-    xd = differentiate(xp, scheme)
-    omega = np.where(
-        power > 0, np.sum(np.conj(xp.samples) * xd, axis=1).imag / safe, 0.0
-    )
-    dev = xd - 1j * omega[:, None] * xp.samples
-    return np.where(power > 0, np.sum(np.abs(dev) ** 2, axis=1) / safe, 0.0)
-
-
-def joint_bandwidth_sq_alt(
-    xp: AnalyticSignal3, scheme: str = "central4", eps_pow: float = EPS_POW_DEFAULT
-) -> np.ndarray:
-    """Squared bandwidth as derivative power ratio minus squared frequency.
-
-    Algebraically identical to :func:`joint_bandwidth_sq`; can go
-    marginally negative through round-off, which is why the quotient form
-    is the primary one.
-    """
-    power, safe, _ = _power_and_flags(xp, eps_pow)
-    xd = differentiate(xp, scheme)
-    omega = np.where(
-        power > 0, np.sum(np.conj(xp.samples) * xd, axis=1).imag / safe, 0.0
-    )
-    ratio = np.where(power > 0, np.sum(np.abs(xd) ** 2, axis=1) / safe, 0.0)
-    return ratio - omega**2
-
-
 def instantaneous_moments(
     xp: AnalyticSignal3,
     scheme: str = "central4",
@@ -200,11 +123,16 @@ def instantaneous_moments(
 ) -> MomentsSeries:
     """Compute omega, sigma2, and upsilon2 with reliability flags.
 
-    ``mean_freq`` defaults to the Fourier-domain global mean frequency, so
+    Rejects an identically zero signal.  ``mean_freq`` defaults to the Fourier-domain global mean frequency, so
     the power-weighted time average of the returned ``omega`` against the
     spectral value is a genuine cross-validation rather than circular.
     """
-    power, safe, unreliable = _power_and_flags(xp, eps_pow)
+    power = xp.power
+    peak = float(power.max(initial=0.0))
+    if peak == 0.0:
+        raise ValueError("zero signal: instantaneous moments are undefined")
+    unreliable = power < eps_pow * peak
+    safe = np.where(power > 0, power, 1.0)
     if mean_freq is None:
         mean_freq = global_moments_spectral(xp).mean_freq
     xd = differentiate(xp, scheme)
@@ -224,6 +152,7 @@ def instantaneous_moments(
         upsilon2=upsilon2,
         upsilon2_alt=upsilon2_alt,
         power=power,
+        derivative=xd,
         mean_freq=float(mean_freq),
         edge=edge_mask(xp.n_samples),
         unreliable=unreliable,
@@ -232,24 +161,19 @@ def instantaneous_moments(
 
 
 def bandwidth_decompose(
-    xp: AnalyticSignal3,
-    series: EllipseSeries,
-    rates: EllipseRates,
-    normals: NormalSeries,
-    planar: PlanarProjection,
-    scheme: str = "central4",
-    omega: np.ndarray | None = None,
+    ext: ExtractionResult, rates: EllipseRates, moments: MomentsSeries
 ) -> BandwidthDecomposition:
     """Split the squared instantaneous bandwidth into its geometric terms.
 
-    All inputs must come from the same signal.  ``omega`` may be supplied
-    to reuse a precomputed instantaneous frequency.  Degenerate samples
-    are flagged; terms are still evaluated wherever they are finite.
+    ``ext`` and ``rates`` describe the ellipse of the signal whose
+    ``moments`` are given; the instantaneous frequency, the power and the
+    derivative are read from ``moments``, so the terms share its
+    derivative scheme.  Degenerate samples are flagged; terms are still
+    evaluated wherever they are finite.
     """
-    if omega is None:
-        omega = joint_instantaneous_frequency(xp, scheme)
-    power, safe, _ = _power_and_flags(xp, EPS_POW_DEFAULT)
-    xd = differentiate(xp, scheme)
+    series = ext.ellipse
+    power, omega = moments.power, moments.omega
+    safe = np.where(power > 0, power, 1.0)
 
     lam2 = series.lam**2
     denom = np.clip(1.0 - lam2, 1e-300, None)
@@ -258,10 +182,10 @@ def bandwidth_decompose(
     term_deformation = 0.25 * rates.dlambda**2 / denom
     term_precession = lam2 * (omega - rates.omega_phi) ** 2 / denom
 
-    proj = np.sum(normals.n_hat * xd, axis=1)
+    proj = np.sum(ext.normal.n_hat * moments.derivative, axis=1)
     term_normal = np.where(power > 0, np.abs(proj) ** 2 / safe, 0.0)
 
-    xt = planar.x_tilde
+    xt = ext.planar.x_tilde
     pt_power = np.sum(np.abs(xt) ** 2, axis=1)
     pt_safe = np.where(pt_power > 0, pt_power, 1.0)
     coeff = -rates.omega_alpha * np.sin(series.beta)
@@ -309,9 +233,7 @@ def effective_precession(
 
 
 def global_moments_time(
-    xp: AnalyticSignal3,
-    moments: MomentsSeries,
-    interior: slice | None = None,
+    moments: MomentsSeries, interior: slice | None = None
 ) -> GlobalMoments:
     """Global moments from power-weighted time integrals.
 

@@ -1,9 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from triellipse.cli import main, read_dataset, DataFormatError
+import triellipse
+from triellipse import RealSignal3, make_random_modulated
+from triellipse.cli import analyze_signal, main, read_dataset, DataFormatError
 
 
 def run(*argv):
@@ -192,3 +195,20 @@ def test_short_record_is_numerical_failure(tmp_path, capsys):
     write_csv(f, range(4), np.random.default_rng(0).normal(size=(4, 3)))
     assert run("analyze", f, "--out", tmp_path / "o") == 3
     assert "at least" in capsys.readouterr().err
+
+
+def test_analyze_takes_one_derivative_and_one_spectral_pass(monkeypatch):
+    calls = dict.fromkeys(("differentiate", "global_moments_spectral"), 0)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "triellipse"]
+    for name in calls:
+        original = getattr(triellipse, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    analyze_signal(RealSignal3(make_random_modulated(512, 0).samples.real))
+    assert calls == {"differentiate": 1, "global_moments_spectral": 1}

@@ -3,26 +3,19 @@ import pytest
 
 from triellipse import (
     AnalyticSignal3,
-    bandwidth_decompose,
     edge_mask,
     effective_precession,
-    ellipse_extract,
-    ellipse_rates,
     ellipse_synthesize,
     EllipseSeries,
     global_moments_spectral,
     global_moments_time,
     instantaneous_moments,
     joint_analytic_spectrum,
-    joint_bandwidth_sq,
-    joint_bandwidth_sq_alt,
-    joint_instantaneous_frequency,
-    joint_second_central,
     make_random_modulated,
     make_smooth_path,
 )
 
-from conftest import circular_signal, demo_series
+from conftest import circular_signal, demo_series, full_decomposition
 
 
 def test_omega_constant_for_fixed_ellipse():
@@ -30,7 +23,7 @@ def test_omega_constant_for_fixed_ellipse():
     # below the 1e-8 contract
     rate = 0.02
     xp = ellipse_synthesize(demo_series(n=1024, phi_rate=rate))
-    omega = joint_instantaneous_frequency(xp)
+    omega = instantaneous_moments(xp).omega
     i = ~edge_mask(1024)
     assert np.abs(omega[i] - rate).max() < 1e-8 * rate
 
@@ -38,20 +31,20 @@ def test_omega_constant_for_fixed_ellipse():
 def test_sigma2_zero_at_true_mean():
     # exact-bin periodic signal: the spectral derivative is exact there
     xp, omega0 = circular_signal(n=256, k=16)
-    s2 = joint_second_central(xp, mean_freq=omega0, scheme="spectral")
+    s2 = instantaneous_moments(xp, scheme="spectral", mean_freq=omega0).sigma2
     assert np.abs(s2).max() < 1e-10
 
 
 def test_sigma2_is_delta_squared_for_shifted_mean():
     xp, omega0 = circular_signal(n=256, k=16)
     delta = 0.05
-    s2 = joint_second_central(xp, mean_freq=omega0 + delta, scheme="spectral")
+    s2 = instantaneous_moments(xp, scheme="spectral", mean_freq=omega0 + delta).sigma2
     assert np.abs(s2 - delta**2).max() < 1e-10
 
 
 def test_bandwidth_zero_for_constant_geometry():
     xp = ellipse_synthesize(demo_series(n=512))
-    u2 = joint_bandwidth_sq(xp)
+    u2 = instantaneous_moments(xp).upsilon2
     i = ~edge_mask(512)
     assert np.abs(u2[i]).max() < 1e-10
 
@@ -59,7 +52,8 @@ def test_bandwidth_zero_for_constant_geometry():
 def test_bandwidth_forms_agree():
     for seed in range(5):
         xp = make_random_modulated(1024, seed)
-        diff = np.abs(joint_bandwidth_sq(xp) - joint_bandwidth_sq_alt(xp))
+        m = instantaneous_moments(xp)
+        diff = np.abs(m.upsilon2 - m.upsilon2_alt)
         assert diff.max() < 1e-10
 
 
@@ -81,26 +75,16 @@ def test_sigma2_nonnegative_everywhere():
 def test_zero_signal_rejected():
     xp = AnalyticSignal3(np.zeros((64, 3), dtype=complex))
     with pytest.raises(ValueError):
-        joint_instantaneous_frequency(xp)
+        instantaneous_moments(xp, mean_freq=0.0)
     with pytest.raises(ValueError):
         instantaneous_moments(xp)
     with pytest.raises(ValueError):
         joint_analytic_spectrum(xp)
 
 
-def _full_decomposition(xp, mean_freq=None):
-    m = instantaneous_moments(xp, mean_freq=mean_freq)
-    ext = ellipse_extract(xp)
-    rates = ellipse_rates(ext.ellipse)
-    d = bandwidth_decompose(
-        xp, ext.ellipse, rates, ext.normal, ext.planar, omega=m.omega
-    )
-    return m, ext, rates, d
-
-
 def test_decomposition_zero_for_constant_geometry():
     xp = ellipse_synthesize(demo_series(n=512, phi_rate=0.02))
-    m, _, _, d = _full_decomposition(xp, mean_freq=0.02)
+    m, _, _, d = full_decomposition(xp, mean_freq=0.02)
     i = ~edge_mask(512)
     for term in (d.term_amplitude, d.term_deformation, d.term_precession, d.term_normal):
         assert np.abs(term[i]).max() < 1e-10
@@ -109,7 +93,7 @@ def test_decomposition_zero_for_constant_geometry():
 def test_decomposition_reconstructs_bandwidth():
     series, _ = make_smooth_path(2048, 2048.0)
     xp = ellipse_synthesize(series)
-    m, _, _, d = _full_decomposition(xp, mean_freq=0.025)
+    m, _, _, d = full_decomposition(xp, mean_freq=0.025)
     i = ~edge_mask(2048)
     resid = np.abs(d.total[i] - m.upsilon2[i]).max() / m.upsilon2[i].max()
     assert resid < 1e-4
@@ -118,7 +102,7 @@ def test_decomposition_reconstructs_bandwidth():
 def test_bounds_hold_on_random_signals():
     for seed in range(5):
         xp = make_random_modulated(1024, seed)
-        m, _, _, d = _full_decomposition(xp)
+        m, _, _, d = full_decomposition(xp)
         i = ~edge_mask(1024)
         assert np.max(d.total[i] - d.bound[i]) < 1e-8
         assert np.max(d.term_normal[i] - d.bound_normal[i]) < 1e-8
@@ -136,7 +120,7 @@ def test_effective_precession_planar_reduces_to_theta_rate():
         alpha=0.3, beta=1.0,
     )
     xp = ellipse_synthesize(series)
-    m, ext, rates, _ = _full_decomposition(xp, mean_freq=0.03)
+    m, ext, rates, _ = full_decomposition(xp, mean_freq=0.03)
     ep = effective_precession(ext.ellipse, rates, m.omega)
     i = ~edge_mask(n)
     assert np.abs(ep.value[i] - w_t).max() < 1e-6
@@ -146,7 +130,7 @@ def test_effective_precession_planar_reduces_to_theta_rate():
 def test_effective_precession_residual_smooth_path():
     series, _ = make_smooth_path(4096, 4096.0)
     xp = ellipse_synthesize(series)
-    m, ext, rates, _ = _full_decomposition(xp, mean_freq=0.025)
+    m, ext, rates, _ = full_decomposition(xp, mean_freq=0.025)
     ep = effective_precession(ext.ellipse, rates, m.omega)
     i = ~edge_mask(4096)
     assert np.abs(ep.residual[i]).max() < 1e-6
@@ -165,7 +149,7 @@ def test_bivariate_reduction_constant_plane():
         phi=0.03 * t, alpha=0.7, beta=1.1,
     )
     xp = ellipse_synthesize(series)
-    m, ext, rates, d = _full_decomposition(xp, mean_freq=0.03)
+    m, ext, rates, d = full_decomposition(xp, mean_freq=0.03)
     i = ~edge_mask(n)
     assert d.term_normal[i].max() < 1e-10
     e = ext.ellipse
@@ -182,7 +166,7 @@ def test_bivariate_reduction_constant_plane():
 def test_global_time_exact_bin():
     xp, omega0 = circular_signal(n=256, k=16)
     m = instantaneous_moments(xp, mean_freq=omega0, scheme="spectral")
-    g = global_moments_time(xp, m)
+    g = global_moments_time(m)
     assert abs(g.mean_freq - omega0) < 1e-10
 
 
@@ -218,7 +202,7 @@ def test_time_vs_spectral_identity_windowed():
     gs = global_moments_spectral(xp)
     m = instantaneous_moments(xp, mean_freq=gs.mean_freq)
     k = 205
-    gt = global_moments_time(xp, m, slice(k, 2048 - k))
+    gt = global_moments_time(m, slice(k, 2048 - k))
     assert abs(gt.mean_freq - gs.mean_freq) / gs.mean_freq < 1e-3
     assert abs(gt.second_central - gs.second_central) / gs.second_central < 1e-3
 

@@ -39,9 +39,7 @@ def test_mode_designated_term_dominates(mode):
     m = instantaneous_moments(res.signal, mean_freq=OMEGA_BAR_DEFAULT)
     ext = ellipse_extract(res.signal)
     rates = ellipse_rates(ext.ellipse)
-    d = bandwidth_decompose(
-        res.signal, ext.ellipse, rates, ext.normal, ext.planar, omega=m.omega
-    )
+    d = bandwidth_decompose(ext, rates, m)
     i = ~edge_mask(800)
     frac = getattr(d, res.designated_term)[i] / d.total[i]
     assert frac.min() > 0.99
@@ -58,7 +56,7 @@ def test_modes_share_global_moments():
     for mode in VARYING_MODES:
         res = make_reference_signal(SynthSpec(n_samples=800, mode=mode))
         m = instantaneous_moments(res.signal, mean_freq=OMEGA_BAR_DEFAULT)
-        g = global_moments_time(res.signal, m, slice(80, 720))
+        g = global_moments_time(m, slice(80, 720))
         moments.append((g.mean_freq, g.second_central))
     freqs, seconds = np.array(moments).T
     assert (freqs.max() - freqs.min()) / freqs.mean() < 1e-3

@@ -68,6 +68,16 @@ class Dataset:
     dt: float
 
 
+def _check_taper_settings(taper_p: float, n_tapers: int, pad_factor: int) -> None:
+    """Reject taper and zero-pad settings the multitaper estimate cannot use."""
+    if n_tapers < 1:
+        raise ValueError(f"--tapers must be at least 1, got {n_tapers}")
+    if n_tapers > int(round(2 * taper_p - 1)):
+        raise ValueError("--tapers must not exceed 2*taper_p - 1")
+    if pad_factor < 1:
+        raise ValueError(f"--pad must be at least 1, got {pad_factor}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs for the analysis pipeline.
@@ -95,8 +105,7 @@ class RunConfig:
         for name in ("eps_lin", "eps_circ", "eps_pow"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.n_tapers > int(round(2 * self.taper_p - 1)):
-            raise ValueError("n_tapers must not exceed 2*taper_p - 1")
+        _check_taper_settings(self.taper_p, self.n_tapers, self.pad_factor)
 
 
 @dataclass(frozen=True)
@@ -355,8 +364,10 @@ def _run_synth(args) -> int:
 
 
 def _run_spectrum(args) -> int:
-    if args.tapers > int(round(2 * args.taper_p - 1)):
-        raise DataFormatError("--tapers must not exceed 2*taper_p - 1")
+    try:
+        _check_taper_settings(args.taper_p, args.tapers, args.pad)
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from None
     ds = read_dataset(args.input, columns=args.columns.split(","), dt=args.dt)
     sig = RealSignal3(ds.channels, dt=ds.dt)
     tapers = slepian_tapers(sig.n_samples, args.taper_p, args.tapers)
@@ -395,8 +406,10 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
                    help="override the sample interval inferred from the time column")
     p.add_argument("--taper-p", dest="taper_p", type=float, default=2.0,
                    help="taper time-bandwidth product")
-    p.add_argument("--tapers", type=int, default=3, help="number of tapers")
-    p.add_argument("--pad", type=int, default=8, help="spectrum zero-pad factor")
+    p.add_argument("--tapers", type=int, default=3,
+                   help="number of tapers, from 1 to 2*taper_p - 1")
+    p.add_argument("--pad", type=int, default=8,
+                   help="spectrum zero-pad factor, at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:

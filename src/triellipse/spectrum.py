@@ -3,10 +3,12 @@
 Discrete prolate spheroidal sequences (Slepian tapers) are computed from
 the symmetric tridiagonal operator whose eigenvectors coincide with the
 DPSS -- O(n) memory and numerically stable, as opposed to the dense
-Toeplitz concentration matrix.  The joint spectrum estimate averages the
-per-taper eigenspectra of each signal component, sums over components,
-restricts to positive frequencies with one-sided doubling, and normalizes
-to unit integral.
+Toeplitz concentration matrix.  Each taper's in-band concentration is its
+exact Rayleigh quotient against the sinc Toeplitz kernel (Slepian 1978),
+evaluated from the taper's autocorrelation.  The joint spectrum estimate
+averages the per-taper one-sided eigenspectra of each signal component,
+taken one taper at a time with a real FFT, sums over components, applies
+one-sided doubling, and normalizes to unit integral.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ class TaperSet:
     """Orthonormal Slepian tapers with their in-band concentrations.
 
     ``tapers`` has shape (k, n), rows ordered by decreasing concentration.
+    ``concentrations`` are the exact fractions of each taper's energy in
+    ``|f| <= p / n``: Rayleigh quotients against the sinc Toeplitz kernel.
     Only the first ``2 p - 1`` tapers are admitted: beyond that the
     concentration drops quickly and the eigenspectra stop being useful.
     """
@@ -55,13 +59,20 @@ class JointSpectrum:
     moments: GlobalMoments
 
 
-def _in_band_concentration(taper: np.ndarray, half_bandwidth: float) -> float:
-    """Fraction of the taper's spectral energy inside |f| <= W, by quadrature."""
-    n = taper.size
-    m = max(64 * n, 4096)
-    h = np.abs(np.fft.fft(taper, n=m)) ** 2
-    f = np.fft.fftfreq(m)
-    return float(h[np.abs(f) <= half_bandwidth].sum() / h.sum())
+def _concentrations(tapers: np.ndarray, half_bandwidth: float) -> np.ndarray:
+    """Exact in-band energy fractions of the (k, n) taper rows.
+
+    The Rayleigh quotient ``v' A v / v' v`` with ``A[i, j] = sin(2 pi W (i - j))
+    / (pi (i - j))`` depends on ``v`` only through its autocorrelation, which a
+    zero-padded length-2n real FFT gives for every row at once.
+    """
+    n = tapers.shape[1]
+    acf = np.fft.irfft(np.abs(np.fft.rfft(tapers, n=2 * n, axis=1)) ** 2, n=2 * n, axis=1)
+    lags = np.arange(1, n)
+    kernel = np.empty(n)
+    kernel[0] = 2.0 * half_bandwidth
+    kernel[1:] = 2.0 * np.sin(2.0 * np.pi * half_bandwidth * lags) / (np.pi * lags)
+    return acf[:, :n] @ kernel / acf[:, 0]
 
 
 def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | None = None) -> TaperSet:
@@ -82,8 +93,9 @@ def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | 
     -------
     TaperSet
         Mutually orthonormal rows, each normalized so its first nonzero
-        element is positive; concentrations evaluated by quadrature of
-        in-band spectral energy and strictly decreasing.
+        element is positive; concentrations are the exact Rayleigh
+        quotients against the sinc kernel of half bandwidth ``p / n`` and
+        strictly decreasing.
     """
     if n_samples < 64:
         raise ValueError(f"need at least 64 samples for tapers, got {n_samples}")
@@ -106,8 +118,11 @@ def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | 
         lead = row[np.flatnonzero(row)[0]]
         if lead < 0:
             row *= -1.0
-    conc = np.array([_in_band_concentration(t, w) for t in tapers])
-    return TaperSet(tapers=tapers, time_bandwidth=float(time_bandwidth), concentrations=conc)
+    return TaperSet(
+        tapers=tapers,
+        time_bandwidth=float(time_bandwidth),
+        concentrations=_concentrations(tapers, w),
+    )
 
 
 def multitaper_joint_spectrum(
@@ -116,11 +131,14 @@ def multitaper_joint_spectrum(
     """Multitaper estimate of the joint analytic spectrum of a real record.
 
     For each taper and each component, an eigenspectrum is the squared
-    magnitude of the zero-padded DFT of the tapered component; the
-    estimate averages eigenspectra over tapers, sums over components,
-    keeps positive frequencies with one-sided doubling, and normalizes to
-    unit integral.  Padding refines the grid without changing the
-    resolution, which stays at the taper bandwidth ``2 pi p / n``.
+    magnitude of the zero-padded one-sided real DFT (``rfft`` of length
+    ``pad_factor * n``) of the tapered component.  Tapers are applied one
+    at a time into a single accumulator, so memory stays O(pad_factor * n)
+    whatever the taper count.  The estimate averages eigenspectra over
+    tapers, sums over components, applies one-sided doubling, and
+    normalizes to unit integral.  Padding (``pad_factor >= 1``) refines
+    the grid without changing the resolution, which stays at the taper
+    bandwidth ``2 pi p / n``.
     """
     n = x.n_samples
     if tapers.tapers.shape[1] != n:
@@ -129,13 +147,14 @@ def multitaper_joint_spectrum(
         )
     if not np.any(x.samples):
         raise ValueError("zero-energy record: spectrum is undefined")
+    if pad_factor < 1:
+        raise ValueError(f"pad_factor must be at least 1, got {pad_factor}")
     m = int(pad_factor) * n
-    # (k, n, 3) tapered copies -> eigenspectra, averaged over k, summed over c
-    tapered = tapers.tapers[:, :, None] * x.samples[None, :, :]
-    spec = np.fft.fft(tapered, n=m, axis=1)
-    raw = np.mean(np.sum(np.abs(spec) ** 2, axis=2), axis=0)
-
-    half = raw[: m // 2 + 1].copy()
+    half = np.zeros(m // 2 + 1)
+    for taper in tapers.tapers:
+        spec = np.fft.rfft(taper[:, None] * x.samples, n=m, axis=0)
+        half += np.sum(np.abs(spec) ** 2, axis=1)
+    half /= len(tapers.tapers)
     if m % 2 == 0:
         half[1:-1] *= 2.0
     else:

@@ -6,7 +6,7 @@ import pytest
 
 import triellipse
 from triellipse import RealSignal3, make_random_modulated
-from triellipse.cli import analyze_signal, main, read_dataset, DataFormatError
+from triellipse.cli import RunConfig, analyze_signal, main, read_dataset, DataFormatError
 
 
 def run(*argv):
@@ -188,6 +188,23 @@ def test_bad_taper_config_is_input_error(reference_csv, tmp_path, capsys):
     assert run("spectrum", reference_csv, "--tapers", "4", "--taper-p", "2",
                "--out", tmp_path / "o") == 2
     assert "tapers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectrum"])
+@pytest.mark.parametrize("flag, value", [("--pad", "0"), ("--pad", "-2"), ("--tapers", "0")])
+def test_taper_or_pad_below_one_is_input_error(
+    reference_csv, tmp_path, capsys, command, flag, value
+):
+    out = tmp_path / "o"
+    assert run(command, reference_csv, flag, value, "--out", out) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_config_rejects_taper_or_pad_below_one():
+    for field in ("n_tapers", "pad_factor"):
+        with pytest.raises(ValueError):
+            RunConfig(**{field: 0})
 
 
 def test_short_record_is_numerical_failure(tmp_path, capsys):

@@ -20,6 +20,15 @@ def test_tapers_orthonormal_and_concentrated():
     assert (np.diff(ts.concentrations) < 0).all()
 
 
+@pytest.mark.parametrize("n, p, k", [(800, 2.0, 3), (512, 2.5, 4), (999, 3.0, 5)])
+def test_concentrations_match_scipy_ratios(n, p, k):
+    ts = slepian_tapers(n, p, k)
+    _, ratios = scipy.signal.windows.dpss(n, p, k, return_ratios=True)
+    assert np.abs(ts.concentrations - ratios).max() < 1e-12
+    assert (ts.concentrations > 0.9).all()
+    assert (np.diff(ts.concentrations) < 0).all()
+
+
 def test_taper_sign_change_counts():
     ts = slepian_tapers(800, 2.0, 3)
     for k, taper in enumerate(ts.tapers):
@@ -100,3 +109,52 @@ def test_zero_energy_rejected():
     ts = slepian_tapers(256, 2.0, 3)
     with pytest.raises(ValueError):
         multitaper_joint_spectrum(RealSignal3(np.zeros((256, 3))), ts)
+
+
+def test_pad_factor_below_one_rejected(rng):
+    ts = slepian_tapers(256, 2.0, 3)
+    x = RealSignal3(rng.normal(size=(256, 3)))
+    for pad in (0, -2):
+        with pytest.raises(ValueError, match="pad_factor"):
+            multitaper_joint_spectrum(x, ts, pad_factor=pad)
+
+
+@pytest.mark.parametrize("n, pad", [(256, 8), (257, 3)])
+def test_multitaper_matches_full_fft_reference(rng, n, pad):
+    x = RealSignal3(rng.normal(size=(n, 3)) + np.cos(0.2 * np.arange(n))[:, None])
+    ts = slepian_tapers(n, 2.0, 3)
+    est = multitaper_joint_spectrum(x, ts, pad_factor=pad)
+
+    # the two-sided eigenspectra of every taper and component at once
+    m = pad * n
+    spec = np.fft.fft(ts.tapers[:, :, None] * x.samples[None, :, :], n=m, axis=1)
+    raw = np.mean(np.sum(np.abs(spec) ** 2, axis=2), axis=0)
+    half = raw[: m // 2 + 1].copy()
+    if m % 2 == 0:
+        half[1:-1] *= 2.0
+    else:
+        half[1:] *= 2.0
+    freqs = 2.0 * np.pi * np.arange(half.size) / (m * x.dt)
+    ref = half / (np.trapezoid(half, freqs) / (2.0 * np.pi))
+
+    assert np.array_equal(est.freqs, freqs)
+    assert np.abs(est.values - ref).max() < 1e-12 * ref.max()
+
+
+def test_fft_work_is_pinned(rng, monkeypatch):
+    # one rfft/irfft pair of length 2n for all concentrations, then one
+    # one-sided rfft of length pad*n per taper over the three components
+    points = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _fn=original, **kwargs):
+            out = _fn(*args, **kwargs)
+            points.append(out.size)
+            return out
+
+        monkeypatch.setattr(np.fft, name, counted)
+    n, k, pad = 1000, 3, 8
+    ts = slepian_tapers(n, 2.0, k)
+    multitaper_joint_spectrum(RealSignal3(rng.normal(size=(n, 3))), ts, pad_factor=pad)
+    assert sum(points) == k * (n + 1) + k * 2 * n + k * 3 * (pad * n // 2 + 1)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,7 +49,7 @@ from .moments import (
     global_moments_time,
     instantaneous_moments,
 )
-from .spectrum import multitaper_joint_spectrum, slepian_tapers
+from .spectrum import MIN_TAPER_SAMPLES, multitaper_joint_spectrum, slepian_tapers
 from .synth import MODES, OMEGA_BAR_DEFAULT, UPSILON_DEFAULT, SynthSpec, make_reference_signal
 
 __all__ = ["main", "Dataset", "RunConfig", "read_dataset", "analyze_signal"]
@@ -78,14 +79,19 @@ def _check_taper_settings(taper_p: float, n_tapers: int, pad_factor: int) -> Non
         raise ValueError(f"--pad must be at least 1, got {pad_factor}")
 
 
+def _check_precision(precision: int) -> None:
+    if precision < 0:
+        raise ValueError(f"--precision must be at least 0, got {precision}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs for the analysis pipeline.
 
     ``trim`` is the edge fraction excluded from summary statistics (the
-    fixed wrap-around edge flag applies regardless); ``precision`` sets
-    the number of significant digits in emitted tables, making repeated
-    runs byte-identical.
+    fixed wrap-around edge flag applies regardless); ``precision`` (at
+    least 0) sets the digits after the point of every ``%e`` value in
+    emitted tables, making repeated runs byte-identical.
     """
 
     scheme: str = "central4"
@@ -106,6 +112,7 @@ class RunConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         _check_taper_settings(self.taper_p, self.n_tapers, self.pad_factor)
+        _check_precision(self.precision)
 
 
 @dataclass(frozen=True)
@@ -129,20 +136,82 @@ def read_dataset(
     """Parse a CSV record, with row/column context on failure.
 
     ``columns`` names the time column and the three channels, in that
-    order, matching the file header.  The time grid must be strictly
-    increasing and uniform to a relative tolerance of 1e-6; ``dt``
-    overrides the inferred spacing.
+    order, matching the file header.  Every value in those columns must
+    be a finite number.  The time grid must be strictly increasing and
+    uniform to a relative tolerance of 1e-6; ``dt`` overrides the
+    inferred spacing.
     """
     if len(columns) != 4:
         raise DataFormatError(
             f"--columns needs exactly 4 names (time plus 3 channels), got {len(columns)}"
         )
-    rows: list[list[str]] = []
+    try:
+        data = _parse_fast(path, columns)
+    except (ValueError, csv.Error):
+        data = _parse_rows(path, columns)
+    time = data[:, 0]
+    steps = np.diff(time)
+    if time.size < 2 or np.any(steps <= 0):
+        raise DataFormatError(f"{path}: time column must be strictly increasing")
+    step = float(np.median(steps))
+    if np.max(np.abs(steps - step)) > 1e-6 * step:
+        r = int(np.argmax(np.abs(steps - step)))
+        raise DataFormatError(
+            f"{path}: non-uniform sampling at row {r + 3} "
+            f"(step {steps[r]:g} vs median {step:g})"
+        )
+    return Dataset(
+        time=time,
+        channels=data[:, 1:4],
+        names=tuple(columns[1:]),
+        dt=float(dt) if dt is not None else step,
+    )
+
+
+def _records(fh):
+    """Stripped fields of each CSV record that is neither empty nor a ``#`` comment."""
+    for raw in csv.reader(fh):
+        if raw and not raw[0].lstrip().startswith("#"):
+            yield [c.strip() for c in raw]
+
+
+def _parse_fast(path, columns: Sequence[str]) -> np.ndarray:
+    """Parse the body with one ``np.loadtxt`` call, or raise ``ValueError``.
+
+    The header is found by the same rules as :func:`_parse_rows`.  Every
+    body field must then be a plain number (no quotes, no inline ``#``),
+    every row must have the same field count, at least the header's, and
+    every used value must be finite.  Anything else raises, and the
+    caller runs :func:`_parse_rows`, which accepts the same inputs with
+    the same values and owns every error message.
+    """
     with open(path, newline="") as fh:
-        for raw in csv.reader(fh):
-            if not raw or raw[0].lstrip().startswith("#"):
-                continue
-            rows.append([c.strip() for c in raw])
+        header = next(_records(fh), None)
+        if header is None:
+            raise ValueError("no header")
+        idx = [header.index(name) for name in columns]
+        # _records' rule on unquoted lines; a quoted field fails np.loadtxt
+        body = [
+            line for line in fh
+            if line not in ("\n", "\r\n", "\r") and not line.lstrip().startswith("#")
+        ]
+    if not body:
+        raise ValueError("no data rows")
+    data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    if data.shape[1] < len(header):
+        raise ValueError("rows shorter than the header")
+    # row-major like _parse_rows: the layout sets numpy's summation order,
+    # and so the last bits of every output
+    data = np.ascontiguousarray(data[:, idx])
+    if not np.isfinite(data).all():
+        raise ValueError("non-finite value")
+    return data
+
+
+def _parse_rows(path, columns: Sequence[str]) -> np.ndarray:
+    """Parse row by row; raise :class:`DataFormatError` naming the first bad row."""
+    with open(path, newline="") as fh:
+        rows = list(_records(fh))
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     header, body = rows[0], rows[1:]
@@ -162,29 +231,19 @@ def read_dataset(
             )
         for c, j in enumerate(idx):
             try:
-                data[r, c] = float(row[j])
+                value = float(row[j])
             except ValueError:
                 raise DataFormatError(
                     f"{path}: row {r + 2}, column {columns[c]!r}: "
                     f"cannot parse {row[j]!r} as a number"
                 ) from None
-    time = data[:, 0]
-    steps = np.diff(time)
-    if time.size < 2 or np.any(steps <= 0):
-        raise DataFormatError(f"{path}: time column must be strictly increasing")
-    step = float(np.median(steps))
-    if np.max(np.abs(steps - step)) > 1e-6 * step:
-        r = int(np.argmax(np.abs(steps - step)))
-        raise DataFormatError(
-            f"{path}: non-uniform sampling at row {r + 3} "
-            f"(step {steps[r]:g} vs median {step:g})"
-        )
-    return Dataset(
-        time=time,
-        channels=data[:, 1:4],
-        names=tuple(columns[1:]),
-        dt=float(dt) if dt is not None else step,
-    )
+            if not math.isfinite(value):
+                raise DataFormatError(
+                    f"{path}: row {r + 2}, column {columns[c]!r}: "
+                    f"non-finite value {row[j]!r}"
+                )
+            data[r, c] = value
+    return data
 
 
 def analyze_signal(x: RealSignal3, config: RunConfig = RunConfig()) -> AnalysisResult:
@@ -222,18 +281,33 @@ def _interior_mask(n: int, interior: slice) -> np.ndarray:
     return mask
 
 
+# rows formatted per write: large enough to amortise the per-call cost,
+# small enough that memory does not grow with the table
+_BLOCK_ROWS = 256
+
+
 def _write_table(path: Path, header: list[str], cols: list[np.ndarray], precision: int):
-    fmt = f"{{:.{precision}e}}"
+    """Write equal-length columns as CSV: bools as 0/1, others as ``%.{precision}e``.
+
+    One ``%``-format per row is applied to a block of rows at a time, so
+    only one block is ever held as text.
+    """
+    row = ",".join("%d" if c.dtype == bool else f"%.{precision}e" for c in cols) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(
-                ",".join(
-                    str(int(v)) if isinstance(v, (bool, np.bool_)) else fmt.format(v)
-                    for v in row
-                )
-                + "\n"
+        for start in range(0, len(cols[0]), _BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in cols])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _json_text(summary: dict) -> str:
+    """Serialise a summary; a non-finite value raises ``ValueError`` naming its key."""
+    for key in sorted(summary):
+        if not math.isfinite(summary[key]):
+            raise ValueError(
+                f"summary value {key!r} is not finite ({summary[key]}); no output written"
             )
+    return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _summary_dict(res: AnalysisResult, config: RunConfig) -> dict:
@@ -251,15 +325,20 @@ def _summary_dict(res: AnalysisResult, config: RunConfig) -> dict:
         "n_samples": res.signal.n_samples,
         "dt": res.signal.dt,
     }
+    n = res.signal.n_samples
+    if n < MIN_TAPER_SAMPLES:
+        print(
+            f"note: {n} samples is below the {MIN_TAPER_SAMPLES} the tapers need; "
+            "multitaper fields omitted from summary.json",
+            file=sys.stderr,
+        )
+        return summary
     # raw-DFT moments of a non-windowed finite record carry leakage bias;
     # the tapered estimate is the robust reference for such inputs
-    try:
-        tapers = slepian_tapers(res.signal.n_samples, config.taper_p, config.n_tapers)
-        est = multitaper_joint_spectrum(res.signal, tapers, pad_factor=config.pad_factor)
-        summary["mean_freq_multitaper"] = est.moments.mean_freq
-        summary["second_central_multitaper"] = est.moments.second_central
-    except ValueError:
-        pass
+    tapers = slepian_tapers(n, config.taper_p, config.n_tapers)
+    est = multitaper_joint_spectrum(res.signal, tapers, pad_factor=config.pad_factor)
+    summary["mean_freq_multitaper"] = est.moments.mean_freq
+    summary["second_central_multitaper"] = est.moments.second_central
     return summary
 
 
@@ -278,6 +357,8 @@ def _run_analyze(args) -> int:
     if config.bearing != 0.0:
         sig = rotate_frame(sig, rot_z(-np.deg2rad(config.bearing)))
     res = analyze_signal(sig, config)
+    summary = _summary_dict(res, config)
+    summary_text = _json_text(summary)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -309,8 +390,7 @@ def _run_analyze(args) -> int:
         [ds.time, nrm.n_hat[:, 0], nrm.n_hat[:, 1], nrm.n_hat[:, 2]],
         config.precision,
     )
-    summary = _summary_dict(res, config)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (out / "summary.json").write_text(summary_text)
 
     gt, gs = res.global_time, res.global_spectral
     print(f"n={res.signal.n_samples} dt={res.signal.dt:g} excluded={res.excluded}")
@@ -333,6 +413,7 @@ def _run_synth(args) -> int:
             n_samples=args.n, mode=args.mode,
             omega_bar=args.omega_bar, upsilon=args.upsilon,
         )
+        _check_precision(args.precision)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
     res = make_reference_signal(spec)
@@ -366,29 +447,28 @@ def _run_synth(args) -> int:
 def _run_spectrum(args) -> int:
     try:
         _check_taper_settings(args.taper_p, args.tapers, args.pad)
+        _check_precision(args.precision)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
     ds = read_dataset(args.input, columns=args.columns.split(","), dt=args.dt)
     sig = RealSignal3(ds.channels, dt=ds.dt)
     tapers = slepian_tapers(sig.n_samples, args.taper_p, args.tapers)
     est = multitaper_joint_spectrum(sig, tapers, pad_factor=args.pad)
+    norm = float(np.trapezoid(est.values, est.freqs) / (2 * np.pi))
+    summary_text = _json_text({
+        "mean_freq_spectral": est.moments.mean_freq,
+        "second_central_spectral": est.moments.second_central,
+        "normalization": norm,
+        "taper_p": args.taper_p,
+        "n_tapers": args.tapers,
+    })
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_table(
         out / "spectrum.csv", ["freq_rad", "freq_cycles", "s_x"],
         [est.freqs, est.freqs * sig.dt / (2 * np.pi), est.values], args.precision,
     )
-    norm = float(np.trapezoid(est.values, est.freqs) / (2 * np.pi))
-    summary = {
-        "mean_freq_spectral": est.moments.mean_freq,
-        "second_central_spectral": est.moments.second_central,
-        "normalization": norm,
-        "taper_p": args.taper_p,
-        "n_tapers": args.tapers,
-    }
-    (out / "spectrum_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    (out / "spectrum_summary.json").write_text(summary_text)
     print(
         f"spectral mean freq {est.moments.mean_freq:.6g} rad "
         f"({est.moments.mean_freq / (2 * np.pi) * sig.dt:.6g} cyc/sample), "

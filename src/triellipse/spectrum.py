@@ -22,11 +22,15 @@ from .analytic import RealSignal3
 from .moments import GlobalMoments, spectral_moments
 
 __all__ = [
+    "MIN_TAPER_SAMPLES",
     "TaperSet",
     "JointSpectrum",
     "slepian_tapers",
     "multitaper_joint_spectrum",
 ]
+
+#: Shortest record the Slepian tapers, and so the multitaper estimate, accept.
+MIN_TAPER_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | 
     Parameters
     ----------
     n_samples : int
-        Taper length; at least 64.
+        Taper length; at least ``MIN_TAPER_SAMPLES`` (64).
     time_bandwidth : float
         Time-bandwidth product p; the half bandwidth is ``p / n_samples``
         in cycles per sample.
@@ -97,8 +101,10 @@ def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | 
         quotients against the sinc kernel of half bandwidth ``p / n`` and
         strictly decreasing.
     """
-    if n_samples < 64:
-        raise ValueError(f"need at least 64 samples for tapers, got {n_samples}")
+    if n_samples < MIN_TAPER_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_TAPER_SAMPLES} samples for tapers, got {n_samples}"
+        )
     k_max = int(round(2 * time_bandwidth - 1))
     if n_tapers is None:
         n_tapers = k_max

@@ -229,3 +229,54 @@ def test_analyze_takes_one_derivative_and_one_spectral_pass(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     analyze_signal(RealSignal3(make_random_modulated(512, 0).samples.real))
     assert calls == {"differentiate": 1, "global_moments_spectral": 1}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_is_input_error(tmp_path, capsys, value):
+    f = tmp_path / "nonfinite.csv"
+    rows = [f"{i},{np.cos(0.3 * i)},{np.sin(0.3 * i)},0.1" for i in range(80)]
+    rows[50] = f"50,0.5,{value},0.1"
+    f.write_text("t,x,y,z\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    assert run("analyze", f, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "row 52, column 'y'" in err and "non-finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "synth", "spectrum"])
+def test_negative_precision_is_input_error(reference_csv, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    source = ["--mode", "amplitude"] if command == "synth" else [reference_csv]
+    assert run(command, *source, "--precision", "-1", "--out", out) == 2
+    assert "--precision" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="precision"):
+        RunConfig(precision=-1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["analyze", "spectrum"])
+def test_overflowing_record_is_numerical_failure(reference_csv, tmp_path, capsys, command):
+    ds = read_dataset(reference_csv)
+    f = tmp_path / "huge.csv"
+    write_csv(f, ds.time, ds.channels * 1e200)
+    out = tmp_path / "o"
+    assert run(command, f, "--out", out) == 3
+    assert "summary value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_record_below_taper_minimum_omits_multitaper_fields(tmp_path, capsys):
+    f = tmp_path / "short.csv"
+    t = np.arange(40)
+    xyz = np.stack([np.cos(0.3 * t), np.sin(0.3 * t), 0.2 * np.cos(0.3 * t + 1.0)], axis=1)
+    write_csv(f, t, xyz + 0.01 * np.random.default_rng(0).normal(size=xyz.shape))
+    out = tmp_path / "o"
+    assert run("analyze", f, "--out", out) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "multitaper fields omitted" in err[0]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_samples"] == 40 and "energy" in summary
+    assert "mean_freq_multitaper" not in summary
+    assert "second_central_multitaper" not in summary

@@ -21,11 +21,8 @@ from triellipse import (
     UPSILON_DEFAULT,
     RealSignal3,
     SynthSpec,
-    bandwidth_decompose,
+    decompose_analytic,
     edge_mask,
-    ellipse_extract,
-    ellipse_rates,
-    instantaneous_moments,
     make_reference_signal,
     multitaper_joint_spectrum,
     slepian_tapers,
@@ -51,10 +48,7 @@ def run(out: Path, n: int) -> None:
 
     for mode in MODES:
         res = make_reference_signal(SynthSpec(n_samples=n, mode=mode))
-        m = instantaneous_moments(res.signal, mean_freq=OMEGA_BAR_DEFAULT)
-        ext = ellipse_extract(res.signal)
-        rates = ellipse_rates(ext.ellipse)
-        d = bandwidth_decompose(ext, rates, m)
+        m, _, _, d = decompose_analytic(res.signal, mean_freq=OMEGA_BAR_DEFAULT)
         est = multitaper_joint_spectrum(
             RealSignal3(res.signal.samples.real), tapers
         )

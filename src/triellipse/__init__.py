@@ -7,8 +7,8 @@ rates, computes the joint instantaneous frequency / second central moment
 / bandwidth (whose power-weighted time averages reproduce the Fourier
 moments of the energy-averaged spectrum), splits the squared bandwidth
 into its four geometric contributions, and estimates the joint spectrum
-with Slepian multitapers.  A CLI (``triellipse``) exposes the pipeline on
-CSV records.
+with Slepian multitapers.  :mod:`triellipse.pipeline` chains these steps
+once; a CLI (``triellipse``) exposes it on CSV records.
 """
 
 from .analytic import (
@@ -46,6 +46,7 @@ from .moments import (
     instantaneous_moments,
     joint_analytic_spectrum,
 )
+from .pipeline import RunConfig, analyze_signal, decompose_analytic
 from .spectrum import JointSpectrum, TaperSet, multitaper_joint_spectrum, slepian_tapers
 from .synth import (
     MODES,
@@ -92,6 +93,9 @@ __all__ = [
     "global_moments_time",
     "instantaneous_moments",
     "joint_analytic_spectrum",
+    "RunConfig",
+    "analyze_signal",
+    "decompose_analytic",
     "JointSpectrum",
     "TaperSet",
     "multitaper_joint_spectrum",

@@ -1,17 +1,17 @@
 """Command-line front end: analyze, synth, and spectrum subcommands.
 
-``analyze`` ingests a three-component CSV record, optionally rotates the
-horizontal frame by a bearing, runs the full pipeline (analytic signal,
-ellipse extraction, rates, instantaneous moments, bandwidth
-decomposition), and writes a per-sample table, a JSON summary with both
-the time-domain and Fourier-domain global moments, and unit-sphere track
-files for the signal direction and the ellipse-plane normal.  ``synth``
-writes the reference signals as CSV plus a ground-truth sidecar;
-``spectrum`` writes the multitaper joint-spectrum estimate.
+I/O only: CSV parsing, the summary and table writers, and argparse; the
+analysis is :func:`triellipse.pipeline.analyze_signal`.  ``analyze``
+writes a per-sample table, a JSON summary with both the time-domain and
+Fourier-domain global moments, and unit-sphere track files for the
+signal direction and the ellipse-plane normal.  ``synth`` writes the
+reference signals as CSV plus a ground-truth sidecar; ``spectrum`` writes
+the multitaper joint-spectrum estimate.
 
 Input CSV: header row (default columns ``t,x,y,z``), comma separated,
 ``#`` comment lines ignored, uniform time grid.  Exit codes: 0 success,
-2 input error, 3 numerical failure.
+2 input error, 3 numerical failure.  Floating-point warnings are counted
+into one note on standard error.
 """
 
 from __future__ import annotations
@@ -21,38 +21,20 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+import warnings
+from collections import Counter
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .analytic import AnalyticSignal3, RealSignal3, analytic_transform
-from .ellipse import (
-    EPS_CIRC_DEFAULT,
-    EPS_LIN_DEFAULT,
-    EllipseRates,
-    EllipseSeries,
-    NormalSeries,
-    ellipse_extract,
-    ellipse_rates,
-    rot_z,
-    rotate_frame,
-)
-from .moments import (
-    EPS_POW_DEFAULT,
-    BandwidthDecomposition,
-    GlobalMoments,
-    MomentsSeries,
-    bandwidth_decompose,
-    global_moments_spectral,
-    global_moments_time,
-    instantaneous_moments,
-)
+from .analytic import RealSignal3
+from .pipeline import AnalysisResult, RunConfig, analyze_signal
 from .spectrum import MIN_TAPER_SAMPLES, multitaper_joint_spectrum, slepian_tapers
 from .synth import MODES, OMEGA_BAR_DEFAULT, UPSILON_DEFAULT, SynthSpec, make_reference_signal
 
-__all__ = ["main", "Dataset", "RunConfig", "read_dataset", "analyze_signal"]
+__all__ = ["main", "Dataset", "read_dataset"]
 
 
 class DataFormatError(ValueError):
@@ -67,67 +49,6 @@ class Dataset:
     channels: np.ndarray
     names: tuple[str, str, str]
     dt: float
-
-
-def _check_taper_settings(taper_p: float, n_tapers: int, pad_factor: int) -> None:
-    """Reject taper and zero-pad settings the multitaper estimate cannot use."""
-    if n_tapers < 1:
-        raise ValueError(f"--tapers must be at least 1, got {n_tapers}")
-    if n_tapers > int(round(2 * taper_p - 1)):
-        raise ValueError("--tapers must not exceed 2*taper_p - 1")
-    if pad_factor < 1:
-        raise ValueError(f"--pad must be at least 1, got {pad_factor}")
-
-
-def _check_precision(precision: int) -> None:
-    if precision < 0:
-        raise ValueError(f"--precision must be at least 0, got {precision}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs for the analysis pipeline.
-
-    ``trim`` is the edge fraction excluded from summary statistics (the
-    fixed wrap-around edge flag applies regardless); ``precision`` (at
-    least 0) sets the digits after the point of every ``%e`` value in
-    emitted tables, making repeated runs byte-identical.
-    """
-
-    scheme: str = "central4"
-    trim: float = 0.1
-    eps_lin: float = EPS_LIN_DEFAULT
-    eps_circ: float = EPS_CIRC_DEFAULT
-    eps_pow: float = EPS_POW_DEFAULT
-    taper_p: float = 2.0
-    n_tapers: int = 3
-    pad_factor: int = 8
-    bearing: float = 0.0
-    precision: int = 12
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.trim < 0.5:
-            raise ValueError("trim fraction must lie in [0, 0.5)")
-        for name in ("eps_lin", "eps_circ", "eps_pow"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        _check_taper_settings(self.taper_p, self.n_tapers, self.pad_factor)
-        _check_precision(self.precision)
-
-
-@dataclass(frozen=True)
-class AnalysisResult:
-    signal: RealSignal3
-    xp: AnalyticSignal3
-    ellipse: EllipseSeries
-    normal: NormalSeries
-    rates: EllipseRates
-    moments: MomentsSeries
-    decomposition: BandwidthDecomposition
-    global_time: GlobalMoments
-    global_spectral: GlobalMoments
-    interior: slice
-    excluded: int
 
 
 def read_dataset(
@@ -246,41 +167,6 @@ def _parse_rows(path, columns: Sequence[str]) -> np.ndarray:
     return data
 
 
-def analyze_signal(x: RealSignal3, config: RunConfig = RunConfig()) -> AnalysisResult:
-    """Run the full pipeline on a real record."""
-    xp = analytic_transform(x)
-    ext = ellipse_extract(xp, eps_lin=config.eps_lin, eps_circ=config.eps_circ)
-    rates = ellipse_rates(ext.ellipse)
-    g_spec = global_moments_spectral(xp)
-    moments = instantaneous_moments(
-        xp, scheme=config.scheme, mean_freq=g_spec.mean_freq, eps_pow=config.eps_pow
-    )
-    decomp = bandwidth_decompose(ext, rates, moments)
-    n = x.n_samples
-    k = max(int(np.ceil(config.trim * n)), max(8, n // 20))
-    k = min(k, (n - 2) // 2)
-    interior = slice(k, n - k)
-    g_time = global_moments_time(moments, interior)
-    flagged = (
-        moments.edge
-        | moments.unreliable
-        | ext.ellipse.degenerate
-        | ext.ellipse.circular
-    )
-    excluded = int(np.sum(flagged | ~_interior_mask(n, interior)))
-    return AnalysisResult(
-        signal=x, xp=xp, ellipse=ext.ellipse, normal=ext.normal, rates=rates,
-        moments=moments, decomposition=decomp, global_time=g_time,
-        global_spectral=g_spec, interior=interior, excluded=excluded,
-    )
-
-
-def _interior_mask(n: int, interior: slice) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[interior] = True
-    return mask
-
-
 # rows formatted per write: large enough to amortise the per-call cost,
 # small enough that memory does not grow with the table
 _BLOCK_ROWS = 256
@@ -342,21 +228,19 @@ def _summary_dict(res: AnalysisResult, config: RunConfig) -> dict:
     return summary
 
 
-def _run_analyze(args) -> int:
+def _config(args) -> RunConfig:
+    """``RunConfig`` of the given flags, defaults for the rest; a bad value is an input error."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     try:
-        config = RunConfig(
-            scheme=args.scheme, trim=args.trim, eps_lin=args.eps_lin,
-            eps_circ=args.eps_circ, eps_pow=args.eps_pow, taper_p=args.taper_p,
-            n_tapers=args.tapers, pad_factor=args.pad, bearing=args.bearing,
-            precision=args.precision,
-        )
+        return RunConfig(**given)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
+
+
+def _run_analyze(args) -> int:
+    config = _config(args)
     ds = read_dataset(args.input, columns=args.columns.split(","), dt=args.dt)
-    sig = RealSignal3(ds.channels, dt=ds.dt)
-    if config.bearing != 0.0:
-        sig = rotate_frame(sig, rot_z(-np.deg2rad(config.bearing)))
-    res = analyze_signal(sig, config)
+    res = analyze_signal(RealSignal3(ds.channels, dt=ds.dt), config)
     summary = _summary_dict(res, config)
     summary_text = _json_text(summary)
 
@@ -381,15 +265,8 @@ def _run_analyze(args) -> int:
     demeaned = res.signal.samples
     norms = np.linalg.norm(demeaned, axis=1)
     xhat = demeaned / np.where(norms > 0, norms, 1.0)[:, None]
-    _write_table(
-        out / "sphere_xhat.csv", ["t", "x", "y", "z"],
-        [ds.time, xhat[:, 0], xhat[:, 1], xhat[:, 2]], config.precision,
-    )
-    _write_table(
-        out / "sphere_nhat.csv", ["t", "x", "y", "z"],
-        [ds.time, nrm.n_hat[:, 0], nrm.n_hat[:, 1], nrm.n_hat[:, 2]],
-        config.precision,
-    )
+    for name, xyz in (("sphere_xhat.csv", xhat), ("sphere_nhat.csv", nrm.n_hat)):
+        _write_table(out / name, ["t", "x", "y", "z"], [ds.time, *xyz.T], config.precision)
     (out / "summary.json").write_text(summary_text)
 
     gt, gs = res.global_time, res.global_spectral
@@ -413,9 +290,9 @@ def _run_synth(args) -> int:
             n_samples=args.n, mode=args.mode,
             omega_bar=args.omega_bar, upsilon=args.upsilon,
         )
-        _check_precision(args.precision)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
+    precision = _config(args).precision
     res = make_reference_signal(spec)
     real = res.signal.samples.real
     if args.noise > 0:
@@ -425,10 +302,7 @@ def _run_synth(args) -> int:
     t = np.arange(spec.n_samples) * spec.dt
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_table(
-        out / f"signal_{args.mode}.csv", ["t", "x", "y", "z"],
-        [t, real[:, 0], real[:, 1], real[:, 2]], args.precision,
-    )
+    _write_table(out / f"signal_{args.mode}.csv", ["t", "x", "y", "z"], [t, *real.T], precision)
     tr, rr = res.truth, res.truth_rates
     _write_table(
         out / f"truth_{args.mode}.csv",
@@ -438,35 +312,31 @@ def _run_synth(args) -> int:
         [t, tr.a, tr.b, tr.kappa, tr.lam, tr.theta_unwrapped, tr.phi_unwrapped,
          tr.alpha_unwrapped, tr.beta, rr.dkappa_rel, rr.dlambda, rr.omega_phi,
          rr.omega_theta, rr.omega_alpha, rr.omega_beta],
-        args.precision,
+        precision,
     )
     print(f"wrote {out / f'signal_{args.mode}.csv'} ({spec.n_samples} rows)")
     return 0
 
 
 def _run_spectrum(args) -> int:
-    try:
-        _check_taper_settings(args.taper_p, args.tapers, args.pad)
-        _check_precision(args.precision)
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
+    config = _config(args)
     ds = read_dataset(args.input, columns=args.columns.split(","), dt=args.dt)
     sig = RealSignal3(ds.channels, dt=ds.dt)
-    tapers = slepian_tapers(sig.n_samples, args.taper_p, args.tapers)
-    est = multitaper_joint_spectrum(sig, tapers, pad_factor=args.pad)
+    tapers = slepian_tapers(sig.n_samples, config.taper_p, config.n_tapers)
+    est = multitaper_joint_spectrum(sig, tapers, pad_factor=config.pad_factor)
     norm = float(np.trapezoid(est.values, est.freqs) / (2 * np.pi))
     summary_text = _json_text({
         "mean_freq_spectral": est.moments.mean_freq,
         "second_central_spectral": est.moments.second_central,
         "normalization": norm,
-        "taper_p": args.taper_p,
-        "n_tapers": args.tapers,
+        "taper_p": config.taper_p,
+        "n_tapers": config.n_tapers,
     })
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_table(
         out / "spectrum.csv", ["freq_rad", "freq_cycles", "s_x"],
-        [est.freqs, est.freqs * sig.dt / (2 * np.pi), est.values], args.precision,
+        [est.freqs, est.freqs * sig.dt / (2 * np.pi), est.values], config.precision,
     )
     (out / "spectrum_summary.json").write_text(summary_text)
     print(
@@ -484,11 +354,11 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
                    help="comma list naming the time column and 3 channels")
     p.add_argument("--dt", type=float, default=None,
                    help="override the sample interval inferred from the time column")
-    p.add_argument("--taper-p", dest="taper_p", type=float, default=2.0,
+    p.add_argument("--taper-p", dest="taper_p", type=float, default=argparse.SUPPRESS,
                    help="taper time-bandwidth product")
-    p.add_argument("--tapers", type=int, default=3,
+    p.add_argument("--tapers", dest="n_tapers", type=int, default=argparse.SUPPRESS,
                    help="number of tapers, from 1 to 2*taper_p - 1")
-    p.add_argument("--pad", type=int, default=8,
+    p.add_argument("--pad", dest="pad_factor", type=int, default=argparse.SUPPRESS,
                    help="spectrum zero-pad factor, at least 1")
 
 
@@ -501,16 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="full per-sample ellipse/moment analysis")
     _add_io_args(pa)
-    pa.add_argument("--bearing", type=float, default=0.0,
+    pa.add_argument("--bearing", type=float, default=argparse.SUPPRESS,
                     help="horizontal rotation in degrees; the first channel of the "
                          "rotated frame points along this bearing")
-    pa.add_argument("--scheme", choices=("central4", "spectral"), default="central4")
-    pa.add_argument("--trim", type=float, default=0.1,
+    pa.add_argument("--scheme", choices=("central4", "spectral"), default=argparse.SUPPRESS)
+    pa.add_argument("--trim", type=float, default=argparse.SUPPRESS,
                     help="edge fraction excluded from summary statistics")
-    pa.add_argument("--eps-lin", dest="eps_lin", type=float, default=EPS_LIN_DEFAULT)
-    pa.add_argument("--eps-circ", dest="eps_circ", type=float, default=EPS_CIRC_DEFAULT)
-    pa.add_argument("--eps-pow", dest="eps_pow", type=float, default=EPS_POW_DEFAULT)
-    pa.add_argument("--precision", type=int, default=12)
+    pa.add_argument("--eps-lin", dest="eps_lin", type=float, default=argparse.SUPPRESS)
+    pa.add_argument("--eps-circ", dest="eps_circ", type=float, default=argparse.SUPPRESS)
+    pa.add_argument("--eps-pow", dest="eps_pow", type=float, default=argparse.SUPPRESS)
+    pa.add_argument("--precision", type=int, default=argparse.SUPPRESS)
     pa.add_argument("--out", default="triellipse_out", help="output directory")
     pa.set_defaults(func=_run_analyze)
 
@@ -524,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--noise", type=float, default=0.0,
                     help="additive Gaussian noise level relative to signal RMS")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--precision", type=int, default=12)
+    ps.add_argument("--precision", type=int, default=argparse.SUPPRESS)
     ps.add_argument("--out", default="triellipse_out", help="output directory")
     ps.set_defaults(func=_run_synth)
 
     pq = sub.add_parser("spectrum", help="multitaper joint-spectrum estimate")
     _add_io_args(pq)
-    pq.add_argument("--precision", type=int, default=12)
+    pq.add_argument("--precision", type=int, default=argparse.SUPPRESS)
     pq.add_argument("--out", default="triellipse_out", help="output directory")
     pq.set_defaults(func=_run_spectrum)
     return parser
@@ -538,17 +408,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except DataFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    counts = Counter()
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def count_floating_point(message, category, *rest):
+            if issubclass(category, RuntimeWarning):
+                counts[str(message)] += 1
+            else:
+                show(message, category, *rest)
+
+        warnings.showwarning = count_floating_point
+        try:
+            code = args.func(args)
+        except (DataFormatError, OSError) as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            code = 2
+        except (ValueError, FloatingPointError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            code = 3
+    if counts:
+        detail = ", ".join(f"{message} ({n})" for message, n in counts.items())
+        print(f"note: {counts.total()} floating-point warnings: {detail}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -151,8 +151,8 @@ class EllipseRates:
     ``omega_phi`` the orbital frequency, ``omega_theta`` the in-plane
     (internal) precession, ``omega_alpha`` the azimuthal (external)
     precession of the plane normal, and ``omega_beta`` the nutation rate.
-    Samples flagged ``degenerate``/``circular`` inherit the flags of the
-    source series; angle rates there are not trustworthy.
+    Angle rates are not trustworthy at samples the source series flags
+    ``degenerate`` or ``circular``.
     """
 
     dkappa_rel: np.ndarray
@@ -161,8 +161,6 @@ class EllipseRates:
     omega_theta: np.ndarray
     omega_alpha: np.ndarray
     omega_beta: np.ndarray
-    degenerate: np.ndarray
-    circular: np.ndarray
 
 
 @dataclass
@@ -332,14 +330,14 @@ def ellipse_extract(
     return ExtractionResult(series, normals, planar)
 
 
-def ellipse_rates(series: EllipseSeries, dt: float | None = None) -> EllipseRates:
+def ellipse_rates(series: EllipseSeries) -> EllipseRates:
     """Finite-difference rates of change of the ellipse parameters.
 
     Central differences on ``log kappa``, ``lambda``, and the unwrapped
-    angle tracks (fourth-order interior, one-sided at the record ends).
-    Flags are propagated from the source series.
+    angle tracks (fourth-order interior, one-sided at the record ends),
+    with the series' own ``dt``.
     """
-    dt = series.dt if dt is None else dt
+    dt = series.dt
     kappa_floor = np.clip(series.kappa, 1e-300, None)
     beta_u = np.unwrap(series.beta)
     return EllipseRates(
@@ -349,8 +347,6 @@ def ellipse_rates(series: EllipseSeries, dt: float | None = None) -> EllipseRate
         omega_theta=finite_diff(series.theta_unwrapped, dt),
         omega_alpha=finite_diff(series.alpha_unwrapped, dt),
         omega_beta=finite_diff(beta_u, dt),
-        degenerate=series.degenerate.copy(),
-        circular=series.circular.copy(),
     )
 
 

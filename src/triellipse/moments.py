@@ -103,8 +103,6 @@ class BandwidthDecomposition:
     total: np.ndarray
     bound: np.ndarray
     bound_normal: np.ndarray
-    degenerate: np.ndarray
-    circular: np.ndarray
 
 
 class EffectivePrecession(NamedTuple):
@@ -168,8 +166,8 @@ def bandwidth_decompose(
     ``ext`` and ``rates`` describe the ellipse of the signal whose
     ``moments`` are given; the instantaneous frequency, the power and the
     derivative are read from ``moments``, so the terms share its
-    derivative scheme.  Degenerate samples are flagged; terms are still
-    evaluated wherever they are finite.
+    derivative scheme.  Terms are evaluated at every sample, including
+    those ``ext.ellipse`` flags degenerate or circular.
     """
     series = ext.ellipse
     power, omega = moments.power, moments.omega
@@ -208,8 +206,6 @@ def bandwidth_decompose(
         total=term_amplitude + term_deformation + term_precession + term_normal,
         bound=bound,
         bound_normal=bound_normal,
-        degenerate=series.degenerate.copy(),
-        circular=series.circular.copy(),
     )
 
 

@@ -149,8 +149,6 @@ def _rates_from_constants(
         omega_theta=arr(omega_theta),
         omega_alpha=arr(omega_alpha),
         omega_beta=arr(omega_beta),
-        degenerate=np.zeros(n, dtype=bool),
-        circular=np.zeros(n, dtype=bool),
     )
 
 
@@ -398,8 +396,6 @@ def make_smooth_path(
         dkappa_rel=dlk, dlambda=dlam,
         omega_phi=carrier + dph, omega_theta=dth,
         omega_alpha=dal, omega_beta=dbe,
-        degenerate=np.zeros(n_samples, dtype=bool),
-        circular=np.zeros(n_samples, dtype=bool),
     )
     return series, rates
 

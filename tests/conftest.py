@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from triellipse import (
-    EllipseSeries,
-    bandwidth_decompose,
-    ellipse_extract,
-    ellipse_rates,
-    ellipse_synthesize,
-    instantaneous_moments,
-    rot_x,
-    rot_z,
-)
+from triellipse import EllipseSeries, ellipse_synthesize, rot_x, rot_z
 
 DEMO_ELLIPSE = dict(a=3.0, b=2.0, theta=np.pi / 3.0, alpha=np.pi / 6.0, beta=np.pi / 4.0)
 
@@ -21,14 +12,6 @@ def demo_series(n=1024, phi_rate=2.0 * np.pi * 0.05):
         a=DEMO_ELLIPSE["a"], b=DEMO_ELLIPSE["b"], theta=DEMO_ELLIPSE["theta"],
         phi=phi_rate * t, alpha=DEMO_ELLIPSE["alpha"], beta=DEMO_ELLIPSE["beta"],
     )
-
-
-def full_decomposition(xp, mean_freq=None):
-    """Moments, extraction, rates and bandwidth split of one analytic signal."""
-    m = instantaneous_moments(xp, mean_freq=mean_freq)
-    ext = ellipse_extract(xp)
-    rates = ellipse_rates(ext.ellipse)
-    return m, ext, rates, bandwidth_decompose(ext, rates, m)
 
 
 def random_rotation(rng):

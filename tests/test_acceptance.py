@@ -14,6 +14,7 @@ from triellipse import (
     RealSignal3,
     SynthSpec,
     analytic_transform,
+    decompose_analytic,
     edge_mask,
     ellipse_extract,
     ellipse_synthesize,
@@ -31,7 +32,7 @@ from triellipse import (
     slepian_tapers,
 )
 
-from conftest import full_decomposition, random_rotation
+from conftest import random_rotation
 
 ONE_RATE_MODES = ("amplitude", "internal_precession", "deformation", "nutation", "azimuth")
 
@@ -75,7 +76,7 @@ def test_c2_constant_moment_quintuple():
     worst_frac = 1.0
     for mode in ONE_RATE_MODES:
         res = make_reference_signal(SynthSpec(n_samples=800, mode=mode))
-        m, ext, rates, d = full_decomposition(res.signal, mean_freq=OMEGA_BAR_DEFAULT)
+        m, ext, rates, d = decompose_analytic(res.signal, mean_freq=OMEGA_BAR_DEFAULT)
         i = ~edge_mask(800)
         worst_om = max(
             worst_om, np.abs(m.omega[i] - OMEGA_BAR_DEFAULT).max() / OMEGA_BAR_DEFAULT
@@ -144,7 +145,7 @@ def test_c5_identity_convergence():
     for n in (512, 1024, 2048, 4096):
         series, _ = make_smooth_path(n, duration, carrier=carrier)
         xp = ellipse_synthesize(series)
-        m, ext, rates, d = full_decomposition(xp, mean_freq=carrier)
+        m, ext, rates, d = decompose_analytic(xp, mean_freq=carrier)
         i = slice(int(0.1 * n), int(0.9 * n))
         e = ext.ellipse
         om_geom = rates.omega_phi + np.sqrt(1.0 - e.lam**2) * (
@@ -171,7 +172,7 @@ def test_c6_inequality_suite():
 
     def scan(xp, mean_freq=None):
         nonlocal worst_51, worst_50, min_sigma2, min_term
-        m, ext, rates, d = full_decomposition(xp, mean_freq=mean_freq)
+        m, ext, rates, d = decompose_analytic(xp, mean_freq=mean_freq)
         i = ~edge_mask(xp.n_samples)
         worst_51 = max(worst_51, np.max(d.total[i] - d.bound[i]))
         worst_50 = max(worst_50, np.max(d.term_normal[i] - d.bound_normal[i]))
@@ -197,13 +198,13 @@ def test_c6_inequality_suite():
 def test_c7_rotation_invariance():
     rng = np.random.default_rng(2024)
     xp = make_random_modulated(1024, 99)
-    m, ext, rates, d = full_decomposition(xp)
+    m, ext, rates, d = decompose_analytic(xp)
     worst = 0.0
     worst_n = 0.0
     for _ in range(50):
         r = random_rotation(rng)
         xr = rotate_frame(xp, r)
-        mr, extr, ratesr, dr = full_decomposition(xr, mean_freq=m.mean_freq)
+        mr, extr, ratesr, dr = decompose_analytic(xr, mean_freq=m.mean_freq)
         worst = max(
             worst,
             np.abs(mr.omega - m.omega).max(),
@@ -227,7 +228,7 @@ def test_c7_rotation_invariance():
 def test_c8_equivalence_oracles():
     series, _ = make_smooth_path(4096, 4096.0)
     xp = ellipse_synthesize(series)
-    m, ext, rates, d = full_decomposition(xp, mean_freq=0.025)
+    m, ext, rates, d = decompose_analytic(xp, mean_freq=0.025)
     i = ~edge_mask(4096)
     planar_gap = np.abs(d.term_normal[i] - d.term_normal_planar[i]).max()
 

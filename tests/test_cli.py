@@ -1,12 +1,25 @@
+import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import triellipse
-from triellipse import RealSignal3, make_random_modulated
-from triellipse.cli import RunConfig, analyze_signal, main, read_dataset, DataFormatError
+import triellipse.cli
+import triellipse.pipeline
+from triellipse import (
+    RealSignal3,
+    RunConfig,
+    analyze_signal,
+    make_random_modulated,
+    rot_z,
+    rotate_frame,
+)
+from triellipse.cli import main, read_dataset, DataFormatError
 
 
 def run(*argv):
@@ -231,6 +244,24 @@ def test_analyze_takes_one_derivative_and_one_spectral_pass(monkeypatch):
     assert calls == {"differentiate": 1, "global_moments_spectral": 1}
 
 
+def test_cli_binds_the_pipeline_objects():
+    assert triellipse.cli.analyze_signal is triellipse.pipeline.analyze_signal
+    assert triellipse.cli.RunConfig is triellipse.pipeline.RunConfig
+
+
+def test_analyze_signal_applies_bearing():
+    x = RealSignal3(make_random_modulated(512, 0).samples.real)
+    got = analyze_signal(x, RunConfig(bearing=30))
+    want = analyze_signal(rotate_frame(x, rot_z(-np.deg2rad(30))))
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if dataclasses.is_dataclass(a):
+            for name, value in vars(a).items():
+                np.testing.assert_array_equal(value, getattr(b, name), f"{field.name}.{name}")
+        else:
+            assert a == b, field.name
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_value_is_input_error(tmp_path, capsys, value):
     f = tmp_path / "nonfinite.csv"
@@ -265,6 +296,44 @@ def test_overflowing_record_is_numerical_failure(reference_csv, tmp_path, capsys
     assert run(command, f, "--out", out) == 3
     assert "summary value" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _child(*argv, prelude=""):
+    """Run ``main(argv)`` in a child process, so its warnings reach its own stderr."""
+    code = "import sys, warnings\nimport triellipse.cli as cli\n" + prelude
+    code += "sys.exit(cli.main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(triellipse.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectrum"])
+def test_overflow_warnings_are_one_note(reference_csv, tmp_path, command):
+    ds = read_dataset(reference_csv)
+    f = tmp_path / "huge.csv"
+    write_csv(f, ds.time, ds.channels * 1e200)
+    proc = _child(command, f, "--out", tmp_path / "o")
+    assert proc.returncode == 3
+    assert "RuntimeWarning" not in proc.stderr
+    notes = [line for line in proc.stderr.splitlines() if line.startswith("note:")]
+    assert len(notes) == 1 and "overflow encountered" in notes[0]
+
+
+def test_other_warnings_pass_through_once(reference_csv, tmp_path):
+    prelude = (
+        "read = cli.read_dataset\n"
+        "def read_twice_warned(*args, **kwargs):\n"
+        "    for _ in range(2):\n"
+        "        warnings.warn('probe', UserWarning)\n"
+        "    return read(*args, **kwargs)\n"
+        "cli.read_dataset = read_twice_warned\n"
+    )
+    proc = _child("analyze", reference_csv, "--out", tmp_path / "o", prelude=prelude)
+    assert proc.returncode == 0
+    assert proc.stderr.count("UserWarning: probe") == 1
+    assert "note:" not in proc.stderr
 
 
 def test_record_below_taper_minimum_omits_multitaper_fields(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from triellipse import (
     AnalyticSignal3,
+    decompose_analytic,
     edge_mask,
     effective_precession,
     ellipse_synthesize,
@@ -15,7 +16,7 @@ from triellipse import (
     make_smooth_path,
 )
 
-from conftest import circular_signal, demo_series, full_decomposition
+from conftest import circular_signal, demo_series
 
 
 def test_omega_constant_for_fixed_ellipse():
@@ -84,7 +85,7 @@ def test_zero_signal_rejected():
 
 def test_decomposition_zero_for_constant_geometry():
     xp = ellipse_synthesize(demo_series(n=512, phi_rate=0.02))
-    m, _, _, d = full_decomposition(xp, mean_freq=0.02)
+    m, _, _, d = decompose_analytic(xp, mean_freq=0.02)
     i = ~edge_mask(512)
     for term in (d.term_amplitude, d.term_deformation, d.term_precession, d.term_normal):
         assert np.abs(term[i]).max() < 1e-10
@@ -93,7 +94,7 @@ def test_decomposition_zero_for_constant_geometry():
 def test_decomposition_reconstructs_bandwidth():
     series, _ = make_smooth_path(2048, 2048.0)
     xp = ellipse_synthesize(series)
-    m, _, _, d = full_decomposition(xp, mean_freq=0.025)
+    m, _, _, d = decompose_analytic(xp, mean_freq=0.025)
     i = ~edge_mask(2048)
     resid = np.abs(d.total[i] - m.upsilon2[i]).max() / m.upsilon2[i].max()
     assert resid < 1e-4
@@ -102,7 +103,7 @@ def test_decomposition_reconstructs_bandwidth():
 def test_bounds_hold_on_random_signals():
     for seed in range(5):
         xp = make_random_modulated(1024, seed)
-        m, _, _, d = full_decomposition(xp)
+        m, _, _, d = decompose_analytic(xp)
         i = ~edge_mask(1024)
         assert np.max(d.total[i] - d.bound[i]) < 1e-8
         assert np.max(d.term_normal[i] - d.bound_normal[i]) < 1e-8
@@ -120,7 +121,7 @@ def test_effective_precession_planar_reduces_to_theta_rate():
         alpha=0.3, beta=1.0,
     )
     xp = ellipse_synthesize(series)
-    m, ext, rates, _ = full_decomposition(xp, mean_freq=0.03)
+    m, ext, rates, _ = decompose_analytic(xp, mean_freq=0.03)
     ep = effective_precession(ext.ellipse, rates, m.omega)
     i = ~edge_mask(n)
     assert np.abs(ep.value[i] - w_t).max() < 1e-6
@@ -130,7 +131,7 @@ def test_effective_precession_planar_reduces_to_theta_rate():
 def test_effective_precession_residual_smooth_path():
     series, _ = make_smooth_path(4096, 4096.0)
     xp = ellipse_synthesize(series)
-    m, ext, rates, _ = full_decomposition(xp, mean_freq=0.025)
+    m, ext, rates, _ = decompose_analytic(xp, mean_freq=0.025)
     ep = effective_precession(ext.ellipse, rates, m.omega)
     i = ~edge_mask(4096)
     assert np.abs(ep.residual[i]).max() < 1e-6
@@ -149,7 +150,7 @@ def test_bivariate_reduction_constant_plane():
         phi=0.03 * t, alpha=0.7, beta=1.1,
     )
     xp = ellipse_synthesize(series)
-    m, ext, rates, d = full_decomposition(xp, mean_freq=0.03)
+    m, ext, rates, d = decompose_analytic(xp, mean_freq=0.03)
     i = ~edge_mask(n)
     assert d.term_normal[i].max() < 1e-10
     e = ext.ellipse

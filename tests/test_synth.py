@@ -6,7 +6,7 @@ from triellipse import (
     UPSILON_DEFAULT,
     SynthSpec,
     analytic_transform,
-    bandwidth_decompose,
+    decompose_analytic,
     edge_mask,
     ellipse_extract,
     ellipse_rates,
@@ -36,10 +36,7 @@ def test_mode_has_constant_moments_at_targets(mode):
 @pytest.mark.parametrize("mode", VARYING_MODES)
 def test_mode_designated_term_dominates(mode):
     res = make_reference_signal(SynthSpec(n_samples=800, mode=mode))
-    m = instantaneous_moments(res.signal, mean_freq=OMEGA_BAR_DEFAULT)
-    ext = ellipse_extract(res.signal)
-    rates = ellipse_rates(ext.ellipse)
-    d = bandwidth_decompose(ext, rates, m)
+    d = decompose_analytic(res.signal, mean_freq=OMEGA_BAR_DEFAULT).decomposition
     i = ~edge_mask(800)
     frac = getattr(d, res.designated_term)[i] / d.total[i]
     assert frac.min() > 0.99

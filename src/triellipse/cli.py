@@ -47,7 +47,6 @@ class Dataset:
 
     time: np.ndarray
     channels: np.ndarray
-    names: tuple[str, str, str]
     dt: float
 
 
@@ -84,7 +83,6 @@ def read_dataset(
     return Dataset(
         time=time,
         channels=data[:, 1:4],
-        names=tuple(columns[1:]),
         dt=float(dt) if dt is not None else step,
     )
 
@@ -228,13 +226,18 @@ def _summary_dict(res: AnalysisResult, config: RunConfig) -> dict:
     return summary
 
 
+# RunConfig fields whose flag has another name; its messages start with the field
+_FLAGS = {"n_tapers": "--tapers", "pad_factor": "--pad", "precision": "--precision"}
+
+
 def _config(args) -> RunConfig:
     """``RunConfig`` of the given flags, defaults for the rest; a bad value is an input error."""
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     try:
         return RunConfig(**given)
     except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
+        name, sep, rest = str(exc).partition(" ")
+        raise DataFormatError(_FLAGS.get(name, name) + sep + rest) from None
 
 
 def _run_analyze(args) -> int:

@@ -167,12 +167,11 @@ class EllipseRates:
 class NormalSeries:
     """Normal vector to the instantaneous ellipse plane.
 
-    ``n = imag(x+) x real(x+)`` has magnitude ``a * b``; ``n_hat`` is the
-    unit normal, held at its last well-defined value across samples
-    flagged ``degenerate`` (near-linear motion).
+    The normal ``imag(x+) x real(x+)`` has magnitude ``mag = a * b``;
+    ``n_hat`` is the unit normal, held at its last well-defined value
+    across samples flagged ``degenerate`` (near-linear motion).
     """
 
-    n: np.ndarray
     n_hat: np.ndarray
     mag: np.ndarray
     degenerate: np.ndarray
@@ -251,7 +250,7 @@ def normal_vector(xp: AnalyticSignal3, eps_lin: float = EPS_LIN_DEFAULT) -> Norm
     with np.errstate(invalid="ignore", divide="ignore"):
         n_hat = np.where((mag > 0)[:, None], n / np.where(mag > 0, mag, 1.0)[:, None], 0.0)
     n_hat = _hold_last(n_hat, ~degenerate & (mag > 0))
-    return NormalSeries(n=n, n_hat=n_hat, mag=mag, degenerate=degenerate)
+    return NormalSeries(n_hat=n_hat, mag=mag, degenerate=degenerate)
 
 
 def ellipse_extract(

@@ -67,15 +67,14 @@ class RunConfig:
         for name in ("eps_lin", "eps_circ", "eps_pow"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        # the messages name the CLI flags that set these fields
         if self.n_tapers < 1:
-            raise ValueError(f"--tapers must be at least 1, got {self.n_tapers}")
+            raise ValueError(f"n_tapers must be at least 1, got {self.n_tapers}")
         if self.n_tapers > int(round(2 * self.taper_p - 1)):
-            raise ValueError("--tapers must not exceed 2*taper_p - 1")
+            raise ValueError("n_tapers must not exceed 2*taper_p - 1")
         if self.pad_factor < 1:
-            raise ValueError(f"--pad must be at least 1, got {self.pad_factor}")
+            raise ValueError(f"pad_factor must be at least 1, got {self.pad_factor}")
         if self.precision < 0:
-            raise ValueError(f"--precision must be at least 0, got {self.precision}")
+            raise ValueError(f"precision must be at least 0, got {self.precision}")
 
 
 class SampleChain(NamedTuple):
@@ -90,15 +89,12 @@ class SampleChain(NamedTuple):
 @dataclass(frozen=True)
 class AnalysisResult:
     signal: RealSignal3
-    xp: AnalyticSignal3
     ellipse: EllipseSeries
     normal: NormalSeries
-    rates: EllipseRates
     moments: MomentsSeries
     decomposition: BandwidthDecomposition
     global_time: GlobalMoments
     global_spectral: GlobalMoments
-    interior: slice
     excluded: int
 
 
@@ -129,7 +125,7 @@ def analyze_signal(x: RealSignal3, config: RunConfig = RunConfig()) -> AnalysisR
         x = rotate_frame(x, rot_z(-np.deg2rad(config.bearing)))
     xp = analytic_transform(x)
     g_spec = global_moments_spectral(xp)
-    moments, ext, rates, decomp = decompose_analytic(xp, config, g_spec.mean_freq)
+    moments, ext, _, decomp = decompose_analytic(xp, config, g_spec.mean_freq)
     n = x.n_samples
     # trim at least the wrap-around edge that moments.edge flags at each end
     k = max(int(np.ceil(config.trim * n)), int(np.count_nonzero(moments.edge)) // 2)
@@ -140,7 +136,7 @@ def analyze_signal(x: RealSignal3, config: RunConfig = RunConfig()) -> AnalysisR
     flagged = moments.edge | moments.unreliable | e.degenerate | e.circular
     excluded = n - int(np.count_nonzero(~flagged[interior]))
     return AnalysisResult(
-        signal=x, xp=xp, ellipse=ext.ellipse, normal=ext.normal, rates=rates,
-        moments=moments, decomposition=decomp, global_time=g_time,
-        global_spectral=g_spec, interior=interior, excluded=excluded,
+        signal=x, ellipse=ext.ellipse, normal=ext.normal, moments=moments,
+        decomposition=decomp, global_time=g_time, global_spectral=g_spec,
+        excluded=excluded,
     )

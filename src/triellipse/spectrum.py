@@ -7,8 +7,10 @@ Toeplitz concentration matrix.  Each taper's in-band concentration is its
 exact Rayleigh quotient against the sinc Toeplitz kernel (Slepian 1978),
 evaluated from the taper's autocorrelation.  The joint spectrum estimate
 averages the per-taper one-sided eigenspectra of each signal component,
-taken one taper at a time with a real FFT, sums over components, applies
-one-sided doubling, and normalizes to unit integral.
+one real FFT per taper and component on the CPUs the process may use,
+sums over components, applies one-sided doubling, and normalizes to unit
+integral.  scipy, needed only for the tridiagonal eigensolve, is imported
+on first use.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from ._parallel import map_ordered
 from .analytic import RealSignal3
 from .moments import GlobalMoments, spectral_moments
 
@@ -79,6 +81,17 @@ def _concentrations(tapers: np.ndarray, half_bandwidth: float) -> np.ndarray:
     return acf[:, :n] @ kernel / acf[:, 0]
 
 
+def eigh_tridiagonal(*args, **kwargs):
+    """``scipy.linalg.eigh_tridiagonal``, with scipy imported on the first call.
+
+    scipy is the slowest import of the package and only the tapers need
+    it, so a run that takes no tapers never loads it.
+    """
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(*args, **kwargs)
+
+
 def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | None = None) -> TaperSet:
     """Compute the first discrete prolate spheroidal sequences.
 
@@ -138,10 +151,13 @@ def multitaper_joint_spectrum(
 
     For each taper and each component, an eigenspectrum is the squared
     magnitude of the zero-padded one-sided real DFT (``rfft`` of length
-    ``pad_factor * n``) of the tapered component.  Tapers are applied one
-    at a time into a single accumulator, so memory stays O(pad_factor * n)
-    whatever the taper count.  The estimate averages eigenspectra over
-    tapers, sums over components, applies one-sided doubling, and
+    ``pad_factor * n``) of the tapered component.  The eigenspectra are
+    independent FFTs, run on the CPUs the process may use (inline for
+    short records).  They are added into one accumulator as they arrive,
+    in taper order and each taper's components as ``(x + y) + z``, so
+    memory stays O(pad_factor * n) whatever the taper count and the result
+    is the same for any CPU count.  The estimate averages eigenspectra
+    over tapers, sums over components, applies one-sided doubling, and
     normalizes to unit integral.  Padding (``pad_factor >= 1``) refines
     the grid without changing the resolution, which stays at the taper
     bandwidth ``2 pi p / n``.
@@ -156,10 +172,16 @@ def multitaper_joint_spectrum(
     if pad_factor < 1:
         raise ValueError(f"pad_factor must be at least 1, got {pad_factor}")
     m = int(pad_factor) * n
+
+    def eigenspectrum(job: tuple[np.ndarray, int]) -> np.ndarray:
+        taper, c = job
+        return np.abs(np.fft.rfft(taper * x.samples[:, c], n=m)) ** 2
+
+    jobs = [(taper, c) for taper in tapers.tapers for c in range(3)]
+    parts = map_ordered(eigenspectrum, jobs, m)
     half = np.zeros(m // 2 + 1)
-    for taper in tapers.tapers:
-        spec = np.fft.rfft(taper[:, None] * x.samples, n=m, axis=0)
-        half += np.sum(np.abs(spec) ** 2, axis=1)
+    for p0, p1, p2 in zip(parts, parts, parts):  # one taper's three components
+        half += (p0 + p1) + p2
     half /= len(tapers.tapers)
     if m % 2 == 0:
         half[1:-1] *= 2.0

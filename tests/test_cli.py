@@ -220,6 +220,17 @@ def test_run_config_rejects_taper_or_pad_below_one():
             RunConfig(**{field: 0})
 
 
+@pytest.mark.parametrize(
+    "given",
+    [{"n_tapers": 0}, {"n_tapers": 4}, {"pad_factor": 0}, {"precision": -1},
+     {"trim": 0.5}, {"eps_lin": 0.0}, {"eps_circ": -1.0}, {"eps_pow": 0.0}],
+)
+def test_run_config_messages_name_the_field(given):
+    (field,) = given
+    with pytest.raises(ValueError, match=f"^{field} "):
+        RunConfig(**given)
+
+
 def test_short_record_is_numerical_failure(tmp_path, capsys):
     f = tmp_path / "tiny.csv"
     write_csv(f, range(4), np.random.default_rng(0).normal(size=(4, 3)))

@@ -6,12 +6,17 @@ writes a per-sample table, a JSON summary with both the time-domain and
 Fourier-domain global moments, and unit-sphere track files for the
 signal direction and the ellipse-plane normal.  ``synth`` writes the
 reference signals as CSV plus a ground-truth sidecar; ``spectrum`` writes
-the multitaper joint-spectrum estimate.
+the multitaper joint-spectrum estimate.  Each command writes all of its
+tables in one :func:`_write_tables` call; above a size crossover their
+rows are formatted by forked processes, one per CPU, and the files are
+the same bytes for any CPU count.
 
 Input CSV: header row (default columns ``t,x,y,z``), comma separated,
 ``#`` comment lines ignored, uniform time grid.  Exit codes: 0 success,
-2 input error, 3 numerical failure.  Floating-point warnings are counted
-into one note on standard error.
+2 input error (a bad file, a bad flag value such as a non-positive
+``--dt``, a non-finite ``--bearing`` or a ``--taper-p`` of half the
+record length or more, or a failed write), 3 numerical failure.
+Floating-point warnings are counted into one note on standard error.
 """
 
 from __future__ import annotations
@@ -20,15 +25,19 @@ import argparse
 import csv
 import json
 import math
+import shutil
 import sys
+import tempfile
 import warnings
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import _parallel
 from .analytic import RealSignal3
 from .pipeline import AnalysisResult, RunConfig, analyze_signal
 from .spectrum import MIN_TAPER_SAMPLES, multitaper_joint_spectrum, slepian_tapers
@@ -58,13 +67,15 @@ def read_dataset(
     ``columns`` names the time column and the three channels, in that
     order, matching the file header.  Every value in those columns must
     be a finite number.  The time grid must be strictly increasing and
-    uniform to a relative tolerance of 1e-6; ``dt`` overrides the
-    inferred spacing.
+    uniform to a relative tolerance of 1e-6; ``dt``, finite and positive,
+    overrides the inferred spacing.
     """
     if len(columns) != 4:
         raise DataFormatError(
             f"--columns needs exactly 4 names (time plus 3 channels), got {len(columns)}"
         )
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise DataFormatError(f"--dt must be finite and positive, got {dt}")
     try:
         data = _parse_fast(path, columns)
     except (ValueError, csv.Error):
@@ -170,18 +181,59 @@ def _parse_rows(path, columns: Sequence[str]) -> np.ndarray:
 _BLOCK_ROWS = 256
 
 
-def _write_table(path: Path, header: list[str], cols: list[np.ndarray], precision: int):
-    """Write equal-length columns as CSV: bools as 0/1, others as ``%.{precision}e``.
+def _write_rows(fh, cols: list[np.ndarray], row: str, start: int, stop: int) -> None:
+    """Write rows ``start:stop`` of the columns, ``row`` %-formatted, one block at a time."""
+    for lo in range(start, stop, _BLOCK_ROWS):
+        block = np.column_stack([c[lo:min(lo + _BLOCK_ROWS, stop)] for c in cols])
+        fh.write(((row * len(block)) % tuple(block.ravel().tolist())).encode())
 
-    One ``%``-format per row is applied to a block of rows at a time, so
-    only one block is ever held as text.
+
+def _write_tables(tables: list[tuple[Path, list[str], list[np.ndarray]]], precision: int):
+    """Write each ``(path, header, columns)`` table as CSV: bools as 0/1, others as ``%.{precision}e``.
+
+    Each row is formatted on its own, with one ``%``-format per row applied
+    to a block of rows at a time, so only one block is ever held as text.
+    ``_parallel.fork_count`` sets how many processes share the rows.  With
+    more than one, each table's rows are split into that many contiguous
+    ranges; forked children format all but the first range of every table
+    into unlinked temp files in the output directory, while this process
+    writes the headers and the first ranges, then appends the children's
+    parts in order.  The files are the same bytes for any process count.
     """
-    row = ",".join("%d" if c.dtype == bool else f"%.{precision}e" for c in cols) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(cols[0]), _BLOCK_ROWS):
-            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in cols])
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    count = _parallel.fork_count(sum(len(cols) * len(cols[0]) for _, _, cols in tables))
+    rows = [
+        ",".join("%d" if c.dtype == bool else f"%.{precision}e" for c in cols) + "\n"
+        for _, _, cols in tables
+    ]
+
+    def bounds(cols, j):
+        n = len(cols[0])
+        return n * j // count, n * (j + 1) // count
+
+    with ExitStack() as stack:
+        outs = [stack.enter_context(open(path, "wb")) for path, _, _ in tables]
+        parts = [
+            [stack.enter_context(tempfile.TemporaryFile(dir=path.parent)) for path, _, _ in tables]
+            for _ in range(1, count)
+        ]
+
+        def write_part(j):
+            for fh, (path, _, cols), row in zip(parts[j - 1], tables, rows):
+                try:
+                    _write_rows(fh, cols, row, *bounds(cols, j))
+                    fh.flush()
+                except Exception as exc:
+                    raise OSError(f"{path}: {exc}") from None
+
+        names = ", ".join(path.name for path, _, _ in tables)
+        with _parallel.forked(write_part, count, f"writing {names}"):
+            for fh, (_, header, cols), row in zip(outs, tables, rows):
+                fh.write((",".join(header) + "\n").encode())
+                _write_rows(fh, cols, row, *bounds(cols, 0))
+        for fh, *own in zip(outs, *parts):
+            for part in own:
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
 
 
 def _json_text(summary: dict) -> str:
@@ -226,23 +278,44 @@ def _summary_dict(res: AnalysisResult, config: RunConfig) -> dict:
     return summary
 
 
-# RunConfig fields whose flag has another name; its messages start with the field
-_FLAGS = {"n_tapers": "--tapers", "pad_factor": "--pad", "precision": "--precision"}
+# RunConfig fields whose flag is not the field name with dashes
+_FLAGS = {"n_tapers": "--tapers", "pad_factor": "--pad"}
 
 
 def _config(args) -> RunConfig:
-    """``RunConfig`` of the given flags, defaults for the rest; a bad value is an input error."""
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    """``RunConfig`` of the given flags, defaults for the rest; a bad value is an input error.
+
+    A ``RunConfig`` message starts with the field name, which becomes the flag.
+    """
+    names = [f.name for f in fields(RunConfig)]
+    given = {name: getattr(args, name) for name in names if hasattr(args, name)}
     try:
         return RunConfig(**given)
     except ValueError as exc:
         name, sep, rest = str(exc).partition(" ")
-        raise DataFormatError(_FLAGS.get(name, name) + sep + rest) from None
+        if name in names:
+            name = _FLAGS.get(name, "--" + name.replace("_", "-"))
+        raise DataFormatError(name + sep + rest) from None
+
+
+def _read_input(args, config: RunConfig) -> Dataset:
+    """The record of ``analyze`` or ``spectrum``; a taper bandwidth it cannot hold is an input error.
+
+    Records too short for tapers take none, so any ``--taper-p`` passes there.
+    """
+    ds = read_dataset(args.input, columns=args.columns.split(","), dt=args.dt)
+    n = len(ds.time)
+    if n >= MIN_TAPER_SAMPLES and config.taper_p >= n / 2:
+        raise DataFormatError(
+            f"--taper-p must be below n/2 = {n / 2:g} for this {n}-sample record "
+            f"(a half bandwidth under 0.5 cycles/sample), got {config.taper_p:g}"
+        )
+    return ds
 
 
 def _run_analyze(args) -> int:
     config = _config(args)
-    ds = read_dataset(args.input, columns=args.columns.split(","), dt=args.dt)
+    ds = _read_input(args, config)
     res = analyze_signal(RealSignal3(ds.channels, dt=ds.dt), config)
     summary = _summary_dict(res, config)
     summary_text = _json_text(summary)
@@ -263,13 +336,15 @@ def _run_analyze(args) -> int:
         d.term_amplitude, d.term_deformation, d.term_precession, d.term_normal,
         m.edge, e.degenerate, e.circular, m.unreliable,
     ]
-    _write_table(out / "analysis.csv", header, cols, config.precision)
-
     demeaned = res.signal.samples
     norms = np.linalg.norm(demeaned, axis=1)
     xhat = demeaned / np.where(norms > 0, norms, 1.0)[:, None]
-    for name, xyz in (("sphere_xhat.csv", xhat), ("sphere_nhat.csv", nrm.n_hat)):
-        _write_table(out / name, ["t", "x", "y", "z"], [ds.time, *xyz.T], config.precision)
+    _write_tables(
+        [(out / "analysis.csv", header, cols)]
+        + [(out / name, ["t", "x", "y", "z"], [ds.time, *xyz.T])
+           for name, xyz in (("sphere_xhat.csv", xhat), ("sphere_nhat.csv", nrm.n_hat))],
+        config.precision,
+    )
     (out / "summary.json").write_text(summary_text)
 
     gt, gs = res.global_time, res.global_spectral
@@ -305,25 +380,24 @@ def _run_synth(args) -> int:
     t = np.arange(spec.n_samples) * spec.dt
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_table(out / f"signal_{args.mode}.csv", ["t", "x", "y", "z"], [t, *real.T], precision)
     tr, rr = res.truth, res.truth_rates
-    _write_table(
-        out / f"truth_{args.mode}.csv",
-        ["t", "a", "b", "kappa", "lambda", "theta", "phi", "alpha", "beta",
-         "dkappa_rel", "dlambda", "omega_phi", "omega_theta", "omega_alpha",
-         "omega_beta"],
-        [t, tr.a, tr.b, tr.kappa, tr.lam, tr.theta_unwrapped, tr.phi_unwrapped,
-         tr.alpha_unwrapped, tr.beta, rr.dkappa_rel, rr.dlambda, rr.omega_phi,
-         rr.omega_theta, rr.omega_alpha, rr.omega_beta],
-        precision,
-    )
+    _write_tables([
+        (out / f"signal_{args.mode}.csv", ["t", "x", "y", "z"], [t, *real.T]),
+        (out / f"truth_{args.mode}.csv",
+         ["t", "a", "b", "kappa", "lambda", "theta", "phi", "alpha", "beta",
+          "dkappa_rel", "dlambda", "omega_phi", "omega_theta", "omega_alpha",
+          "omega_beta"],
+         [t, tr.a, tr.b, tr.kappa, tr.lam, tr.theta_unwrapped, tr.phi_unwrapped,
+          tr.alpha_unwrapped, tr.beta, rr.dkappa_rel, rr.dlambda, rr.omega_phi,
+          rr.omega_theta, rr.omega_alpha, rr.omega_beta]),
+    ], precision)
     print(f"wrote {out / f'signal_{args.mode}.csv'} ({spec.n_samples} rows)")
     return 0
 
 
 def _run_spectrum(args) -> int:
     config = _config(args)
-    ds = read_dataset(args.input, columns=args.columns.split(","), dt=args.dt)
+    ds = _read_input(args, config)
     sig = RealSignal3(ds.channels, dt=ds.dt)
     tapers = slepian_tapers(sig.n_samples, config.taper_p, config.n_tapers)
     est = multitaper_joint_spectrum(sig, tapers, pad_factor=config.pad_factor)
@@ -337,9 +411,10 @@ def _run_spectrum(args) -> int:
     })
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_table(
-        out / "spectrum.csv", ["freq_rad", "freq_cycles", "s_x"],
-        [est.freqs, est.freqs * sig.dt / (2 * np.pi), est.values], config.precision,
+    _write_tables(
+        [(out / "spectrum.csv", ["freq_rad", "freq_cycles", "s_x"],
+          [est.freqs, est.freqs * sig.dt / (2 * np.pi), est.values])],
+        config.precision,
     )
     (out / "spectrum_summary.json").write_text(summary_text)
     print(

@@ -6,6 +6,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,8 +43,9 @@ __all__ = ["RunConfig", "SampleChain", "AnalysisResult", "decompose_analytic", "
 class RunConfig:
     """Knobs for the analysis pipeline.
 
-    ``bearing`` (degrees) rotates the horizontal frame before the
-    analysis, so that the first channel points along it.  ``trim`` is the
+    ``bearing`` (degrees, finite) rotates the horizontal frame before the
+    analysis, so that the first channel points along it.  ``taper_p``, the
+    taper time-bandwidth product, is finite and positive.  ``trim`` is the
     edge fraction excluded from summary statistics (the fixed wrap-around
     edge flag applies regardless); ``precision`` (at least 0) sets the
     digits after the point of every ``%e`` value in emitted tables, making
@@ -67,6 +69,8 @@ class RunConfig:
         for name in ("eps_lin", "eps_circ", "eps_pow"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not (math.isfinite(self.taper_p) and self.taper_p > 0):
+            raise ValueError(f"taper_p must be finite and positive, got {self.taper_p}")
         if self.n_tapers < 1:
             raise ValueError(f"n_tapers must be at least 1, got {self.n_tapers}")
         if self.n_tapers > int(round(2 * self.taper_p - 1)):
@@ -75,6 +79,8 @@ class RunConfig:
             raise ValueError(f"pad_factor must be at least 1, got {self.pad_factor}")
         if self.precision < 0:
             raise ValueError(f"precision must be at least 0, got {self.precision}")
+        if not math.isfinite(self.bearing):
+            raise ValueError(f"bearing must be finite, got {self.bearing}")
 
 
 class SampleChain(NamedTuple):

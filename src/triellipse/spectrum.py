@@ -100,8 +100,8 @@ def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | 
     n_samples : int
         Taper length; at least ``MIN_TAPER_SAMPLES`` (64).
     time_bandwidth : float
-        Time-bandwidth product p; the half bandwidth is ``p / n_samples``
-        in cycles per sample.
+        Time-bandwidth product p, with 0 < p < n_samples / 2; the half
+        bandwidth is ``p / n_samples`` in cycles per sample.
     n_tapers : int, optional
         Number of tapers k, at most ``2 p - 1`` (the well-concentrated
         ones).  Defaults to that maximum.
@@ -117,6 +117,11 @@ def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | 
     if n_samples < MIN_TAPER_SAMPLES:
         raise ValueError(
             f"need at least {MIN_TAPER_SAMPLES} samples for tapers, got {n_samples}"
+        )
+    if not 0 < time_bandwidth < n_samples / 2:
+        raise ValueError(
+            f"time-bandwidth product must lie in (0, n/2) = (0, {n_samples / 2:g}), "
+            f"so the half bandwidth p/n stays below 0.5 cycles/sample; got {time_bandwidth}"
         )
     k_max = int(round(2 * time_bandwidth - 1))
     if n_tapers is None:

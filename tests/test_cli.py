@@ -214,6 +214,23 @@ def test_taper_or_pad_below_one_is_input_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [(c, "--dt", v) for c in ("analyze", "spectrum") for v in ("0", "-1", "nan", "inf")]
+    + [("analyze", "--bearing", v) for v in ("nan", "inf")]
+    + [(c, "--taper-p", v) for c in ("analyze", "spectrum") for v in ("nan", "0", "400", "1e9")],
+)
+def test_bad_dt_bearing_or_taper_p_is_input_error(
+    reference_csv, tmp_path, capsys, command, flag, value
+):
+    # the record has 800 samples, so --taper-p 400 puts p/n at 0.5 cycles/sample
+    out = tmp_path / "o"
+    assert run(command, reference_csv, flag, value, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {flag} ") and "note:" not in err
+    assert not out.exists()
+
+
 def test_run_config_rejects_taper_or_pad_below_one():
     for field in ("n_tapers", "pad_factor"):
         with pytest.raises(ValueError):
@@ -223,7 +240,9 @@ def test_run_config_rejects_taper_or_pad_below_one():
 @pytest.mark.parametrize(
     "given",
     [{"n_tapers": 0}, {"n_tapers": 4}, {"pad_factor": 0}, {"precision": -1},
-     {"trim": 0.5}, {"eps_lin": 0.0}, {"eps_circ": -1.0}, {"eps_pow": 0.0}],
+     {"trim": 0.5}, {"eps_lin": 0.0}, {"eps_circ": -1.0}, {"eps_pow": 0.0},
+     {"taper_p": float("nan")}, {"taper_p": 0.0}, {"bearing": float("nan")},
+     {"bearing": float("inf")}],
 )
 def test_run_config_messages_name_the_field(given):
     (field,) = given

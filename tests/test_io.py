@@ -1,16 +1,20 @@
 """The CLI table writer and CSV reader against their per-cell and row-by-row references."""
 
+import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import triellipse.cli as cli
+from triellipse import _parallel, make_random_modulated
 from triellipse.cli import (
     _BLOCK_ROWS,
     DataFormatError,
     _parse_fast,
     _parse_rows,
-    _write_table,
+    _write_tables,
     read_dataset,
 )
 
@@ -53,7 +57,7 @@ def test_write_table_matches_per_cell_writer(tmp_path, precision, n):
         np.arange(n) % 3 == 0,
     ]
     header = [f"c{j}" for j in range(len(cols))]
-    _write_table(tmp_path / "new.csv", header, cols, precision)
+    _write_tables([(tmp_path / "new.csv", header, cols)], precision)
     per_cell_write(tmp_path / "ref.csv", header, cols, precision)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -66,11 +70,158 @@ def test_write_table_holds_one_block_of_text(tmp_path):
     path = tmp_path / "wide.csv"
     tracemalloc.start()
     try:
-        _write_table(path, [f"c{j}" for j in range(21)], cols, 12)
+        _write_tables([(path, [f"c{j}" for j in range(21)], cols)], 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 8
+
+
+def _table(n, seed, width):
+    rng = np.random.default_rng(seed)
+    cols = [np.arange(n) * 0.25, np.resize(SPECIAL, n)[rng.permutation(n)]]
+    cols += [
+        rng.random(n) < 0.5 if j % 3 == 0 else rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, n)
+        for j in range(width - 2)
+    ]
+    return [f"c{j}" for j in range(width)], cols
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that waits on its writers for more than a minute, instead of hanging."""
+    def expire(*_):
+        raise TimeoutError("writers did not finish")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)  # not inherited by forked children
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def forking(monkeypatch, deadline):
+    """Send every table through forked writers; return the list of forks made."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(_parallel, "_FORK_BELOW", 0)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("precision", [0, 17])
+def test_forked_writers_match_per_cell_writer(tmp_path, monkeypatch, forking, cpus, precision):
+    monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
+    lengths = [1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 1000]
+    tables = [
+        (tmp_path / f"new{n}.csv", *_table(n, n + precision, 3 + k % 5))
+        for k, n in enumerate(lengths)
+    ]
+    _write_tables(tables, precision)
+    assert len(forking) == cpus - 1  # once per call, not per table
+    for path, header, cols in tables:
+        per_cell_write(tmp_path / "ref.csv", header, cols, precision)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), path.name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [p.name for p, _, _ in tables] + ["ref.csv"]
+    )
+
+
+def _no_child_left():
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return pid == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_failed_writer_is_input_error_naming_the_table(
+    tmp_path, monkeypatch, capsys, forking, how
+):
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+    parent = os.getpid()
+    write_rows = cli._write_rows
+
+    def failing(fh, cols, row, start, stop):
+        if os.getpid() != parent and len(cols) == 4 and start > 0:  # a sphere table's part
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError(28, "No space left on device")
+        write_rows(fh, cols, row, start, stop)
+
+    assert cli.main(["synth", "--mode", "amplitude", "--out", str(tmp_path / "s")]) == 0
+    csv = tmp_path / "s" / "signal_amplitude.csv"
+    monkeypatch.setattr(cli, "_write_rows", failing)
+    assert cli.main(["analyze", str(csv), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    if how == "raises":
+        assert "sphere_xhat.csv: [Errno 28] No space left on device" in err
+    else:
+        assert "writing analysis.csv, sphere_xhat.csv, sphere_nhat.csv ended by SIGKILL" in err
+    assert not (tmp_path / "o" / "summary.json").exists()
+    assert len(forking) == 2 and _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_failure_in_this_process_still_reaps_the_writers(tmp_path, monkeypatch, forking):
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 3)
+    parent = os.getpid()
+    write_rows = cli._write_rows
+
+    def failing(fh, cols, row, start, stop):
+        if os.getpid() == parent:
+            raise OSError(5, "Input/output error")
+        write_rows(fh, cols, row, start, stop)
+
+    monkeypatch.setattr(cli, "_write_rows", failing)
+    header, cols = _table(600, 0, 5)
+    with pytest.raises(OSError, match="Input/output error"):
+        _write_tables([(tmp_path / "t.csv", header, cols)], 12)
+    assert len(forking) == 2 and _no_child_left()
+
+
+def test_short_records_start_no_process(tmp_path, monkeypatch):
+    # the crossover, not the CPU count, keeps every n = 800 table in this process
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 64)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert cli.main(["synth", "--mode", "nutation", "--out", str(tmp_path)]) == 0
+    csv = str(tmp_path / "signal_nutation.csv")
+    assert cli.main(["analyze", csv, "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["spectrum", csv, "--out", str(tmp_path / "s")]) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_fork_after_the_fft_pool_ran(tmp_path, monkeypatch, deadline):
+    n = 16384  # the multitaper's 8x-padded transforms reach the pool
+    t = np.arange(n, dtype=float)
+    x = make_random_modulated(n, 2).samples.real
+    csv = tmp_path / "in.csv"
+    np.savetxt(csv, np.column_stack([t, x]), fmt="%.17g", delimiter=",",
+               header="t,x,y,z", comments="")
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert cli.main(["analyze", str(csv), "--out", str(out)]) == 0
+        outputs[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert _parallel._executor is not None
+    assert outputs[1] == outputs[2] and len(outputs[1]) == 4
+    assert _no_child_left()
 
 
 def _rows(n=80, fmt="{t},{x},{y},{z}"):

@@ -53,6 +53,14 @@ def test_taper_argument_validation():
         slepian_tapers(32, 2.0, 3)  # too short
 
 
+@pytest.mark.parametrize("p", [400.0, 1e9, 0.0, -1.0, np.nan, np.inf])
+def test_taper_bandwidth_must_stay_below_half_a_cycle(p):
+    # p >= n/2 puts the half bandwidth p/n at 0.5 cycles/sample or more
+    with pytest.raises(ValueError, match="time-bandwidth product"):
+        slepian_tapers(800, p, 1)
+    assert slepian_tapers(800, 399.0, 1).concentrations[0] <= 1.0 + 1e-12
+
+
 def test_exact_bin_cosine_peak_location(rng):
     n, k = 800, 40
     x = np.zeros((n, 3))

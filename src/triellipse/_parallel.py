@@ -2,15 +2,21 @@
 
 numpy's FFTs release the interpreter lock, so the threads of one process
 run them side by side.  Results come back in input order, so a caller that
-adds them up in that order gets the same bits on any number of CPUs.
-Text formatting holds the lock, so it is shared out to forked processes
-instead: :func:`fork_count` decides how many, :func:`forked` runs them.
+adds them up in that order gets the same bits on any number of CPUs.  That
+does not hold for the Slepian tapers: scipy's eigensolve runs on OpenBLAS,
+whose thread count follows the CPU count and sets the tapers' last bits.
+Text formatting holds the lock, and the multitaper summary of ``analyze``
+can run beside the analysis chain, so both go to forked processes
+instead: :func:`fork_count` decides how many, :func:`forked` runs them and
+brings back their results, exceptions and warnings.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
+import sys
 import threading
 import warnings
 from collections import deque
@@ -110,62 +116,104 @@ def fork_count(cells: int) -> int:
 
 
 @contextmanager
-def forked(task: Callable[[int], None], count: int, what: str) -> Iterator[None]:
+def forked(task: Callable[[int], R], count: int, what: str) -> Iterator[list[R]]:
     """Run ``task(j)`` for j = 1 .. count - 1, each in a forked child, while the block runs.
 
     The children start on entry and are all reaped on exit, also when the
     block raises.  A child leaves only through ``os._exit``, so it flushes
     no inherited buffer and runs no exit hook: whatever the task writes it
-    must flush itself.  A child whose task raises exits with status 1 and
-    sends the exception's text back through a pipe.  After a block that
-    ends normally, the first child that failed is raised here as a
-    ``ChildProcessError`` carrying that text or, for a child that left
-    none (a signal ended it), ``what`` the task does and how it ended.
+    must flush itself.  Each child sends back through its own pipe, pickled,
+    the task's return value or the exception it raised, and the warnings it
+    recorded.  After a block that ends normally, the warnings are issued
+    again here, child by child, each once per location as if it had been
+    raised in this process; the yielded list then holds the return values
+    in order of j.  The first child that failed is raised here: the task's
+    exception, with its type and message, or, for a child that left no
+    report (a signal ended it), a ``ChildProcessError`` naming ``what`` the
+    task does and how it ended.
     """
+    results: list[R] = []
     if count < 2:
-        yield
+        yield results
         return
-    read_end, write_end = os.pipe()
-    pids = []
+    pids, pipes = [], []
     try:
         for j in range(1, count):
-            with warnings.catch_warnings():
-                # Python 3.12+ warns when a process with threads (the FFT pool)
-                # forks; a child runs only its task, which takes no lock of theirs
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                _run_child(task, j, write_end)
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns when a process with threads (the FFT pool)
+                    # forks; a child runs only its task, which takes no lock of theirs
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _run_child(task, j, write_end)
+            finally:
+                os.close(write_end)  # this process's copy; the child never gets here
             pids.append(pid)
-        os.close(write_end)
-        write_end = -1
-        yield
+        yield results
     finally:
-        if write_end >= 0:
-            os.close(write_end)
-        with open(read_end, "rb") as fh:
-            report = fh.read()  # end of file once every child has exited
+        reports = []
+        for read_end in pipes:
+            with open(read_end, "rb") as fh:
+                reports.append(fh.read())  # end of file once the child has exited
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    messages = dict(m.partition(b" ")[::2] for m in report.split(b"\0"))
-    for j, status in enumerate(statuses, 1):
+    failures = []
+    for j, (status, report) in enumerate(zip(statuses, reports), 1):
         code = os.waitstatus_to_exitcode(status)
-        text = messages.get(str(j).encode())
-        if code > 0 and text:
-            raise ChildProcessError(text.decode(errors="replace"))
-        if code:
+        if code in (0, 1) and report:  # the child reported
+            ok, value, warned = pickle.loads(report)
+            _warn_again(warned)
+            (results if ok else failures).append(value)
+        else:
             how = f"ended by {signal.Signals(-code).name}" if code < 0 else f"exited {code}"
-            raise ChildProcessError(f"worker process {j} of {count} {what} {how}")
+            failures.append(ChildProcessError(f"worker process {j} of {count} {what} {how}"))
+    if failures:
+        raise failures[0]
 
 
-def _run_child(task: Callable[[int], None], j: int, write_end: int) -> NoReturn:
+def _run_child(task: Callable[[int], R], j: int, write_end: int) -> NoReturn:
     code = 1
     try:
-        task(j)
-        code = 0
-    except BaseException as exc:
-        # at most 512 bytes (POSIX's least PIPE_BUF) go in one write, so the
-        # messages of two children never interleave
-        text = f"{j} {str(exc) or type(exc).__name__}".encode()
-        os.write(write_end, text[:511] + b"\0")
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                ok, value = True, task(j)
+            except BaseException as exc:
+                ok, value = False, exc
+        warned = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        with open(write_end, "wb") as fh:
+            fh.write(_report(ok, value, warned))
+        code = 0 if ok else 1
     finally:
         os._exit(code)
+
+
+def _report(ok: bool, value, warned: list) -> bytes:
+    """The pickled ``(ok, value, warned)``; a value that cannot cross is replaced by its text."""
+    try:
+        report = pickle.dumps((ok, value, warned))
+        pickle.loads(report)  # an exception whose class cannot be rebuilt from its args
+        return report
+    except Exception as exc:
+        text = (str(value) or type(value).__name__) if not ok else f"result not sent back: {exc}"
+        return pickle.dumps((False, ChildProcessError(text), warned))
+
+
+def _warn_again(warned: list) -> None:
+    """Issue warnings a child recorded, each shown here only if this process has not shown it.
+
+    A warning is looked up in the registry of the module that raised it, the
+    registry ``warnings.warn`` uses, so it counts once per location as it
+    would had the child's work run in this process.
+    """
+    if not warned:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for text, category, filename, lineno in warned:
+        module = modules.get(filename)
+        registry = vars(module).setdefault("__warningregistry__", {}) if module else None
+        warnings.warn_explicit(
+            text, category, filename, lineno,
+            module=module.__name__ if module else None, registry=registry,
+        )

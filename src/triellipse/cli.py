@@ -8,8 +8,17 @@ signal direction and the ellipse-plane normal.  ``synth`` writes the
 reference signals as CSV plus a ground-truth sidecar; ``spectrum`` writes
 the multitaper joint-spectrum estimate.  Each command writes all of its
 tables in one :func:`_write_tables` call; above a size crossover their
-rows are formatted by forked processes, one per CPU, and the files are
-the same bytes for any CPU count.
+rows are formatted by forked processes, one per CPU.  At the same
+crossover ``analyze`` forks one child, right after reading the record,
+that computes the tapers and the multitaper moments of the summary while
+this process runs the analysis chain; this process then never imports
+scipy.  Neither fork changes a byte of output.  The outputs are the same
+for any CPU count, except the multitaper values (two fields of
+``summary.json`` and all that ``spectrum`` writes): the last bits of the
+Slepian tapers follow scipy's OpenBLAS thread count, and so the CPU
+count.  A child that fails is reported
+like the same failure in this process; one that a signal ends is an
+input error (exit 2) naming what it was doing.
 
 Input CSV: header row (default columns ``t,x,y,z``), comma separated,
 ``#`` comment lines ignored, uniform time grid.  Exit codes: 0 success,
@@ -31,7 +40,7 @@ import tempfile
 import warnings
 from collections import Counter
 from contextlib import ExitStack
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -39,8 +48,13 @@ import numpy as np
 
 from . import _parallel
 from .analytic import RealSignal3
-from .pipeline import AnalysisResult, RunConfig, analyze_signal
-from .spectrum import MIN_TAPER_SAMPLES, multitaper_joint_spectrum, slepian_tapers
+from .pipeline import AnalysisResult, RunConfig, analyze_signal, in_bearing_frame
+from .spectrum import (
+    MIN_TAPER_SAMPLES,
+    JointSpectrum,
+    multitaper_joint_spectrum,
+    slepian_tapers,
+)
 from .synth import MODES, OMEGA_BAR_DEFAULT, UPSILON_DEFAULT, SynthSpec, make_reference_signal
 
 __all__ = ["main", "Dataset", "read_dataset"]
@@ -246,7 +260,8 @@ def _json_text(summary: dict) -> str:
     return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _summary_dict(res: AnalysisResult, config: RunConfig) -> dict:
+def _summary_dict(res: AnalysisResult) -> dict:
+    """The summary of the chain's results; the multitaper fields are added by the caller."""
     gt, gs = res.global_time, res.global_spectral
     summary = {
         "energy": gt.energy,
@@ -268,14 +283,13 @@ def _summary_dict(res: AnalysisResult, config: RunConfig) -> dict:
             "multitaper fields omitted from summary.json",
             file=sys.stderr,
         )
-        return summary
-    # raw-DFT moments of a non-windowed finite record carry leakage bias;
-    # the tapered estimate is the robust reference for such inputs
-    tapers = slepian_tapers(n, config.taper_p, config.n_tapers)
-    est = multitaper_joint_spectrum(res.signal, tapers, pad_factor=config.pad_factor)
-    summary["mean_freq_multitaper"] = est.moments.mean_freq
-    summary["second_central_multitaper"] = est.moments.second_central
     return summary
+
+
+def _multitaper(x: RealSignal3, config: RunConfig) -> JointSpectrum:
+    """The multitaper estimate of ``x`` with the taper and pad settings of ``config``."""
+    tapers = slepian_tapers(x.n_samples, config.taper_p, config.n_tapers)
+    return multitaper_joint_spectrum(x, tapers, pad_factor=config.pad_factor)
 
 
 # RunConfig fields whose flag is not the field name with dashes
@@ -313,22 +327,44 @@ def _read_input(args, config: RunConfig) -> Dataset:
     return ds
 
 
+_ANALYSIS_HEADER = [
+    "t", "kappa", "lambda", "theta", "phi", "alpha", "beta",
+    "nhat_x", "nhat_y", "nhat_z", "omega_x", "sigma2_x", "upsilon2_x",
+    "bw_amplitude", "bw_deformation", "bw_precession", "bw_normal",
+    "flag_edge", "flag_degenerate", "flag_circular", "flag_unreliable",
+]
+_SPHERE_HEADER = ["t", "x", "y", "z"]
+# columns per sample over analysis.csv and the two sphere files
+_ANALYZE_COLUMNS = len(_ANALYSIS_HEADER) + 2 * len(_SPHERE_HEADER)
+
+
 def _run_analyze(args) -> int:
     config = _config(args)
     ds = _read_input(args, config)
-    res = analyze_signal(RealSignal3(ds.channels, dt=ds.dt), config)
-    summary = _summary_dict(res, config)
+    # rotated once, here: the chain and the summary child take the same record
+    x = in_bearing_frame(RealSignal3(ds.channels, dt=ds.dt), config.bearing)
+    config = replace(config, bearing=0.0)
+    n = x.n_samples
+    tapered = n >= MIN_TAPER_SAMPLES
+    # the tapered summary needs only the record, so it runs in a child beside
+    # the chain whenever the tables are large enough for forked writers
+    count = 2 if tapered and _parallel.fork_count(n * _ANALYZE_COLUMNS) > 1 else 1
+    with _parallel.forked(
+        lambda _: _multitaper(x, config).moments, count, "computing the multitaper summary"
+    ) as from_child:
+        res = analyze_signal(x, config)
+        summary = _summary_dict(res)
+    if tapered:
+        # raw-DFT moments of a non-windowed finite record carry leakage bias;
+        # the tapered estimate is the robust reference for such inputs
+        tapered_moments = from_child[0] if from_child else _multitaper(x, config).moments
+        summary["mean_freq_multitaper"] = tapered_moments.mean_freq
+        summary["second_central_multitaper"] = tapered_moments.second_central
     summary_text = _json_text(summary)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     e, m, d, nrm = res.ellipse, res.moments, res.decomposition, res.normal
-    header = [
-        "t", "kappa", "lambda", "theta", "phi", "alpha", "beta",
-        "nhat_x", "nhat_y", "nhat_z", "omega_x", "sigma2_x", "upsilon2_x",
-        "bw_amplitude", "bw_deformation", "bw_precession", "bw_normal",
-        "flag_edge", "flag_degenerate", "flag_circular", "flag_unreliable",
-    ]
     cols = [
         ds.time, e.kappa, e.lam, e.theta, e.phi, e.alpha, e.beta,
         nrm.n_hat[:, 0], nrm.n_hat[:, 1], nrm.n_hat[:, 2],
@@ -340,8 +376,8 @@ def _run_analyze(args) -> int:
     norms = np.linalg.norm(demeaned, axis=1)
     xhat = demeaned / np.where(norms > 0, norms, 1.0)[:, None]
     _write_tables(
-        [(out / "analysis.csv", header, cols)]
-        + [(out / name, ["t", "x", "y", "z"], [ds.time, *xyz.T])
+        [(out / "analysis.csv", _ANALYSIS_HEADER, cols)]
+        + [(out / name, _SPHERE_HEADER, [ds.time, *xyz.T])
            for name, xyz in (("sphere_xhat.csv", xhat), ("sphere_nhat.csv", nrm.n_hat))],
         config.precision,
     )
@@ -399,8 +435,7 @@ def _run_spectrum(args) -> int:
     config = _config(args)
     ds = _read_input(args, config)
     sig = RealSignal3(ds.channels, dt=ds.dt)
-    tapers = slepian_tapers(sig.n_samples, config.taper_p, config.n_tapers)
-    est = multitaper_joint_spectrum(sig, tapers, pad_factor=config.pad_factor)
+    est = _multitaper(sig, config)
     norm = float(np.trapezoid(est.values, est.freqs) / (2 * np.pi))
     summary_text = _json_text({
         "mean_freq_spectral": est.moments.mean_freq,

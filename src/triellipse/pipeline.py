@@ -36,7 +36,14 @@ from .moments import (
     instantaneous_moments,
 )
 
-__all__ = ["RunConfig", "SampleChain", "AnalysisResult", "decompose_analytic", "analyze_signal"]
+__all__ = [
+    "RunConfig",
+    "SampleChain",
+    "AnalysisResult",
+    "decompose_analytic",
+    "in_bearing_frame",
+    "analyze_signal",
+]
 
 
 @dataclass(frozen=True)
@@ -122,13 +129,19 @@ def decompose_analytic(
     return SampleChain(moments, ext, rates, bandwidth_decompose(ext, rates, moments))
 
 
+def in_bearing_frame(x: RealSignal3, bearing: float) -> RealSignal3:
+    """``x`` in the horizontal frame whose first channel points along ``bearing`` degrees."""
+    if bearing == 0.0:
+        return x
+    return rotate_frame(x, rot_z(-np.deg2rad(bearing)))
+
+
 def analyze_signal(x: RealSignal3, config: RunConfig = RunConfig()) -> AnalysisResult:
     """Run the full pipeline on a real record, in the frame ``config.bearing`` sets.
 
     ``excluded`` counts the samples outside the trimmed interior or flagged.
     """
-    if config.bearing != 0.0:
-        x = rotate_frame(x, rot_z(-np.deg2rad(config.bearing)))
+    x = in_bearing_frame(x, config.bearing)
     xp = analytic_transform(x)
     g_spec = global_moments_spectral(xp)
     moments, ext, _, decomp = decompose_analytic(xp, config, g_spec.mean_freq)

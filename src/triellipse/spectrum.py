@@ -160,8 +160,11 @@ def multitaper_joint_spectrum(
     independent FFTs, run on the CPUs the process may use (inline for
     short records).  They are added into one accumulator as they arrive,
     in taper order and each taper's components as ``(x + y) + z``, so
-    memory stays O(pad_factor * n) whatever the taper count and the result
-    is the same for any CPU count.  The estimate averages eigenspectra
+    memory stays O(pad_factor * n) whatever the taper count and, for given
+    tapers, the result is the same for any CPU count.  The tapers
+    themselves are not: :func:`slepian_tapers` solves on OpenBLAS, whose
+    thread count follows the CPU count and sets their last bits, and so
+    those of the estimate.  The estimate averages eigenspectra
     over tapers, sums over components, applies one-sided doubling, and
     normalizes to unit integral.  Padding (``pad_factor >= 1``) refines
     the grid without changing the resolution, which stays at the taper

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,16 @@ def circular_signal(n=256, k=16):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that waits on forked children for more than a minute, instead of hanging."""
+    def expire(*_):
+        raise TimeoutError("forked children did not finish")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)  # not inherited by forked children
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -2,6 +2,7 @@
 
 import os
 import signal
+import sys
 import tracemalloc
 
 import numpy as np
@@ -87,29 +88,20 @@ def _table(n, seed, width):
     return [f"c{j}" for j in range(width)], cols
 
 
-@pytest.fixture
-def deadline():
-    """Fail a test that waits on its writers for more than a minute, instead of hanging."""
-    def expire(*_):
-        raise TimeoutError("writers did not finish")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)  # not inherited by forked children
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+SUMMARY = "computing the multitaper summary"
 
 
 @pytest.fixture
 def forking(monkeypatch, deadline):
-    """Send every table through forked writers; return the list of forks made."""
+    """Send every table and summary through forked children; return what each fork was for."""
     forks = []
     fork = os.fork
 
     def counted():
         pid = fork()
         if pid:
-            forks.append(pid)
+            # the caller is _parallel.forked, whose `what` names the task
+            forks.append(sys._getframe(1).f_locals["what"])
         return pid
 
     monkeypatch.setattr(_parallel, "_FORK_BELOW", 0)
@@ -171,7 +163,9 @@ def test_failed_writer_is_input_error_naming_the_table(
     else:
         assert "writing analysis.csv, sphere_xhat.csv, sphere_nhat.csv ended by SIGKILL" in err
     assert not (tmp_path / "o" / "summary.json").exists()
-    assert len(forking) == 2 and _no_child_left()
+    # one writer child each for synth and analyze, one summary child for analyze
+    writers = [what for what in forking if what != SUMMARY]
+    assert len(writers) == 2 and forking.count(SUMMARY) == 1 and _no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -207,12 +201,8 @@ def test_short_records_start_no_process(tmp_path, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_fork_after_the_fft_pool_ran(tmp_path, monkeypatch, deadline):
-    n = 16384  # the multitaper's 8x-padded transforms reach the pool
-    t = np.arange(n, dtype=float)
-    x = make_random_modulated(n, 2).samples.real
-    csv = tmp_path / "in.csv"
-    np.savetxt(csv, np.column_stack([t, x]), fmt="%.17g", delimiter=",",
-               header="t,x,y,z", comments="")
+    n = 16384  # the 16x-padded global spectrum reaches the pool before the writers fork
+    csv = _record_csv(tmp_path, n, 2)
     outputs = {}
     for cpus in (1, 2):
         monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
@@ -222,6 +212,81 @@ def test_fork_after_the_fft_pool_ran(tmp_path, monkeypatch, deadline):
     assert _parallel._executor is not None
     assert outputs[1] == outputs[2] and len(outputs[1]) == 4
     assert _no_child_left()
+
+
+def _record_csv(tmp_path, n, seed, scale=1.0):
+    t = np.arange(n, dtype=float)
+    x = make_random_modulated(n, seed).samples.real * scale
+    csv = tmp_path / "in.csv"
+    np.savetxt(csv, np.column_stack([t, x]), fmt="%.17g", delimiter=",",
+               header="t,x,y,z", comments="")
+    return csv
+
+
+def _analyze(argv, capsys):
+    code = cli.main(["analyze", *map(str, argv)])
+    return code, *capsys.readouterr()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("n, flags", [(600, []), (601, []), (600, ["--bearing", "30"])])
+def test_summary_child_matches_inline_run(tmp_path, monkeypatch, capsys, forking, n, flags):
+    csv = _record_csv(tmp_path, n, n)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        code, stdout, stderr = _analyze([csv, "--out", out, *flags], capsys)
+        assert code == 0 and stderr == ""
+        runs[cpus] = stdout, {p.name: p.read_bytes() for p in out.iterdir()}
+        if cpus == 1:
+            assert forking == []
+    assert runs[1] == runs[2] and len(runs[1][1]) == 4
+    assert sorted(forking) == [SUMMARY, "writing analysis.csv, sphere_xhat.csv, sphere_nhat.csv"]
+    assert _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_overflow_in_summary_child_fails_as_inline(tmp_path, monkeypatch, capsys, forking):
+    csv = _record_csv(tmp_path, 800, 0, scale=1e200)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        code, stdout, stderr = _analyze([csv, "--out", out], capsys)
+        assert code == 3 and not out.exists()
+        runs[cpus] = stdout, stderr
+    message, note = runs[2][1].splitlines()
+    assert message.startswith("numerical failure: summary value ")
+    assert note.startswith("note: ") and "overflow encountered" in note
+    assert runs[1] == runs[2]
+    assert forking == [SUMMARY] and _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_failed_summary_child(tmp_path, monkeypatch, capsys, forking, how):
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def failing(*args, **kwargs):
+        if os.getpid() == parent:
+            raise AssertionError("the multitaper ran in this process")
+        if how == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise ValueError("multitaper probe failed")
+
+    monkeypatch.setattr(cli, "multitaper_joint_spectrum", failing)
+    out = tmp_path / "o"
+    code, _, stderr = _analyze([_record_csv(tmp_path, 800, 0), "--out", out], capsys)
+    if how == "raises":
+        assert code == 3 and stderr == "numerical failure: multitaper probe failed\n"
+    else:
+        assert code == 2 and stderr == (
+            f"input error: worker process 1 of 2 {SUMMARY} ended by SIGKILL\n"
+        )
+    assert not out.exists()
+    assert forking == [SUMMARY] and _no_child_left()
 
 
 def _rows(n=80, fmt="{t},{x},{y},{z}"):

@@ -100,6 +100,23 @@ def test_synth_loads_neither_scipy_nor_thread_pool(tmp_path):
     assert out.splitlines()[-1] == "False False"
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_analyze_leaves_scipy_to_the_summary_child(tmp_path):
+    n = 4000  # above the writers' crossover, so the summary runs in a child
+    csv = tmp_path / "in.csv"
+    np.savetxt(csv, np.column_stack([np.arange(n), make_random_modulated(n, 0).samples.real]),
+               fmt="%.17g", delimiter=",", header="t,x,y,z", comments="")
+    out = _python(
+        "import sys\n"
+        "import triellipse.cli as cli\n"
+        "cli._parallel._cpus = lambda: 2\n"
+        f"assert cli.main(['analyze', {str(csv)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    assert out.splitlines()[-1] == "False"
+    assert "mean_freq_multitaper" in (tmp_path / "o" / "summary.json").read_text()
+
+
 @pytest.mark.parametrize("fft_length", [0, POOLED])
 def test_task_exception_reaches_caller(two_cpus, fft_length):
     def task(i):
@@ -135,3 +152,41 @@ def test_forked_child_builds_its_own_pool(two_cpus):
     if child.is_alive():
         child.kill()
     assert child.exitcode == 0
+
+
+def _overflow():
+    return np.float64(1e300) * np.float64(1e300)  # one warning location
+
+
+class TwoPartError(Exception):
+    def __init__(self, a, b):  # pickle rebuilds an exception from its args, here one string
+        super().__init__(f"{a} and {b}")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_brings_back_results_exceptions_and_warnings(deadline):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        with _parallel.forked(lambda j: (j, os.getpid(), _overflow()), 4, "probing") as results:
+            assert results == []
+            _overflow()
+    assert [(j, v) for j, _, v in results] == [(1, np.inf), (2, np.inf), (3, np.inf)]
+    assert os.getpid() not in {pid for _, pid, _ in results}
+    # the children warned where this process had: shown once, as if all ran here
+    assert [str(w.message) for w in caught] == ["overflow encountered in scalar multiply"]
+
+    def failing(j):
+        if j == 2:
+            raise ZeroDivisionError(f"task {j}")
+        if j == 3:
+            raise TwoPartError("left", "right")
+
+    with pytest.raises(ZeroDivisionError, match="^task 2$"):  # the first failure, type kept
+        with _parallel.forked(failing, 4, "probing"):
+            pass
+    with pytest.raises(ChildProcessError, match="^left and right$"):
+        with _parallel.forked(lambda j: failing(3), 2, "probing"):
+            pass
+    with pytest.raises(ChildProcessError, match="^worker process 1 of 2 probing exited 7$"):
+        with _parallel.forked(lambda j: os._exit(7), 2, "probing"):
+            pass

@@ -40,13 +40,12 @@ from .moments import (
     GlobalMoments,
     MomentsSeries,
     bandwidth_decompose,
-    effective_precession,
     global_moments_spectral,
     global_moments_time,
     instantaneous_moments,
     joint_analytic_spectrum,
 )
-from .pipeline import RunConfig, analyze_signal, decompose_analytic
+from .pipeline import CrossChecks, RunConfig, analyze_signal, cross_checks, decompose_analytic
 from .spectrum import JointSpectrum, TaperSet, multitaper_joint_spectrum, slepian_tapers
 from .synth import (
     MODES,
@@ -88,13 +87,14 @@ __all__ = [
     "GlobalMoments",
     "MomentsSeries",
     "bandwidth_decompose",
-    "effective_precession",
     "global_moments_spectral",
     "global_moments_time",
     "instantaneous_moments",
     "joint_analytic_spectrum",
+    "CrossChecks",
     "RunConfig",
     "analyze_signal",
+    "cross_checks",
     "decompose_analytic",
     "JointSpectrum",
     "TaperSet",

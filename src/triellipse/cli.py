@@ -24,7 +24,9 @@ Input CSV: header row (default columns ``t,x,y,z``), comma separated,
 ``#`` comment lines ignored, uniform time grid.  Exit codes: 0 success,
 2 input error (a bad file, a bad flag value such as a non-positive
 ``--dt``, a non-finite ``--bearing`` or a ``--taper-p`` of half the
-record length or more, or a failed write), 3 numerical failure.
+record length or more, a negative or non-finite ``--noise``, or a failed
+write), 3 numerical failure or a request for more memory than the
+machine has (one ``out of memory`` line with numpy's message).
 Floating-point warnings are counted into one note on standard error.
 """
 
@@ -236,6 +238,8 @@ def _write_tables(tables: list[tuple[Path, list[str], list[np.ndarray]]], precis
                 try:
                     _write_rows(fh, cols, row, *bounds(cols, j))
                     fh.flush()
+                except MemoryError:
+                    raise  # out of memory, as in this process
                 except Exception as exc:
                     raise OSError(f"{path}: {exc}") from None
 
@@ -399,6 +403,8 @@ def _run_analyze(args) -> int:
 
 
 def _run_synth(args) -> int:
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise DataFormatError(f"--noise must be finite and at least 0, got {args.noise}")
     try:
         spec = SynthSpec(
             n_samples=args.n, mode=args.mode,
@@ -539,6 +545,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = 2
         except (ValueError, FloatingPointError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
+            code = 3
+        except MemoryError as exc:
+            print(f"out of memory: {exc}", file=sys.stderr)
             code = 3
     if counts:
         detail = ", ".join(f"{message} ({n})" for message, n in counts.items())

@@ -23,22 +23,19 @@ more accurate than the closed-form integral over the autocorrelation lags.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from ._parallel import map_ordered
 from .analytic import AnalyticSignal3, differentiate, edge_mask
-from .ellipse import EllipseRates, EllipseSeries, ExtractionResult
+from .ellipse import EllipseRates, ExtractionResult
 
 __all__ = [
     "MomentsSeries",
     "BandwidthDecomposition",
     "GlobalMoments",
-    "EffectivePrecession",
     "instantaneous_moments",
     "bandwidth_decompose",
-    "effective_precession",
     "global_moments_time",
     "global_moments_spectral",
     "joint_analytic_spectrum",
@@ -61,20 +58,20 @@ class GlobalMoments:
 class MomentsSeries:
     """Per-sample joint instantaneous moments.
 
-    ``upsilon2`` is the quotient form (nonnegative by construction);
-    ``upsilon2_alt`` is the algebraically equivalent power-ratio form kept
-    as a cross-check.  ``derivative`` is the ``(n, 3)`` time derivative of
-    the analytic signal that every moment was computed from, reused by
-    :func:`bandwidth_decompose`.  ``mean_freq`` records the global mean
-    frequency used in ``sigma2``.  ``unreliable`` flags samples whose
-    power is below ``eps_pow`` times the peak power; ``edge`` flags the
-    wrap-around region of the discrete analytic transform.
+    ``upsilon2`` is the quotient form (nonnegative by construction); its
+    power-ratio form is a cross-check, computed on demand by
+    :func:`triellipse.pipeline.cross_checks`.  ``derivative`` is the
+    ``(n, 3)`` time derivative of the analytic signal that every moment
+    was computed from, reused by :func:`bandwidth_decompose`.
+    ``mean_freq`` records the global mean frequency used in ``sigma2``.
+    ``unreliable`` flags samples whose power is below ``eps_pow`` times
+    the peak power; ``edge`` flags the wrap-around region of the discrete
+    analytic transform.
     """
 
     omega: np.ndarray
     sigma2: np.ndarray
     upsilon2: np.ndarray
-    upsilon2_alt: np.ndarray
     power: np.ndarray
     derivative: np.ndarray
     mean_freq: float
@@ -87,34 +84,26 @@ class MomentsSeries:
 class BandwidthDecomposition:
     """Four-term geometric split of the squared instantaneous bandwidth.
 
-    All four terms are nonnegative.  ``term_precession`` is evaluated
-    through the effective-precession identity
-    ``lam^2 (omega - omega_phi)^2 / (1 - lam^2)``, which is frame
-    invariant sample by sample; the angle-rate route is available through
-    :func:`effective_precession`.  ``term_normal`` uses the projection of
-    the signal derivative onto the unit normal; ``term_normal_planar`` is
-    the equivalent in-plane form driven by the nutation and external
-    precession rates, kept for cross-validation.  ``bound`` is the simple
-    upper bound built from the five geometry rates, and ``bound_normal``
-    the Cauchy-Schwarz bound on ``term_normal`` alone.
+    These are the four ``bw_*`` columns of ``analysis.csv``; all are
+    nonnegative, and their sum reconstructs ``upsilon2``.
+    ``term_precession`` is evaluated through the effective-precession
+    identity ``lam^2 (omega - omega_phi)^2 / (1 - lam^2)``, which is frame
+    invariant sample by sample.  ``term_normal`` uses the projection of
+    the signal derivative onto the unit normal.  The sum of the terms,
+    the angle-rate form of the effective precession, the in-plane form of
+    ``term_normal`` and the upper bounds are cross-checks, computed on
+    demand by :func:`triellipse.pipeline.cross_checks`.
     """
 
     term_amplitude: np.ndarray
     term_deformation: np.ndarray
     term_precession: np.ndarray
     term_normal: np.ndarray
-    term_normal_planar: np.ndarray
-    total: np.ndarray
-    bound: np.ndarray
-    bound_normal: np.ndarray
 
 
-class EffectivePrecession(NamedTuple):
-    """Rates-form effective precession and its identity residual."""
-
-    value: np.ndarray
-    residual: np.ndarray
-    unreliable: np.ndarray
+def _per_power(x: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """``x / power`` where ``power`` is positive, 0 elsewhere."""
+    return np.where(power > 0, x / np.where(power > 0, power, 1.0), 0.0)
 
 
 def instantaneous_moments(
@@ -134,25 +123,18 @@ def instantaneous_moments(
     if peak == 0.0:
         raise ValueError("zero signal: instantaneous moments are undefined")
     unreliable = power < eps_pow * peak
-    safe = np.where(power > 0, power, 1.0)
     if mean_freq is None:
         mean_freq = global_moments_spectral(xp).mean_freq
     xd = differentiate(xp, scheme)
-    omega = np.where(
-        power > 0, np.sum(np.conj(xp.samples) * xd, axis=1).imag / safe, 0.0
-    )
+    omega = _per_power(np.sum(np.conj(xp.samples) * xd, axis=1).imag, power)
     dev_bar = xd - 1j * mean_freq * xp.samples
-    sigma2 = np.where(power > 0, np.sum(np.abs(dev_bar) ** 2, axis=1) / safe, 0.0)
+    sigma2 = _per_power(np.sum(np.abs(dev_bar) ** 2, axis=1), power)
     dev_inst = xd - 1j * omega[:, None] * xp.samples
-    upsilon2 = np.where(power > 0, np.sum(np.abs(dev_inst) ** 2, axis=1) / safe, 0.0)
-    upsilon2_alt = (
-        np.where(power > 0, np.sum(np.abs(xd) ** 2, axis=1) / safe, 0.0) - omega**2
-    )
+    upsilon2 = _per_power(np.sum(np.abs(dev_inst) ** 2, axis=1), power)
     return MomentsSeries(
         omega=omega,
         sigma2=sigma2,
         upsilon2=upsilon2,
-        upsilon2_alt=upsilon2_alt,
         power=power,
         derivative=xd,
         mean_freq=float(mean_freq),
@@ -173,62 +155,14 @@ def bandwidth_decompose(
     derivative scheme.  Terms are evaluated at every sample, including
     those ``ext.ellipse`` flags degenerate or circular.
     """
-    series = ext.ellipse
-    power, omega = moments.power, moments.omega
-    safe = np.where(power > 0, power, 1.0)
-
-    lam2 = series.lam**2
+    lam2 = ext.ellipse.lam**2
     denom = np.clip(1.0 - lam2, 1e-300, None)
-
-    term_amplitude = rates.dkappa_rel**2
-    term_deformation = 0.25 * rates.dlambda**2 / denom
-    term_precession = lam2 * (omega - rates.omega_phi) ** 2 / denom
-
     proj = np.sum(ext.normal.n_hat * moments.derivative, axis=1)
-    term_normal = np.where(power > 0, np.abs(proj) ** 2 / safe, 0.0)
-
-    xt = ext.planar.x_tilde
-    pt_power = np.sum(np.abs(xt) ** 2, axis=1)
-    pt_safe = np.where(pt_power > 0, pt_power, 1.0)
-    coeff = -rates.omega_alpha * np.sin(series.beta)
-    val = coeff * xt[:, 0] + rates.omega_beta * xt[:, 1]
-    term_normal_planar = np.where(pt_power > 0, np.abs(val) ** 2 / pt_safe, 0.0)
-
-    bound_normal = (rates.omega_alpha * np.sin(series.beta)) ** 2 + rates.omega_beta**2
-    bound = (
-        term_amplitude
-        + term_deformation
-        + rates.omega_beta**2
-        + (np.abs(rates.omega_theta) + np.abs(rates.omega_alpha)) ** 2
-    )
     return BandwidthDecomposition(
-        term_amplitude=term_amplitude,
-        term_deformation=term_deformation,
-        term_precession=term_precession,
-        term_normal=term_normal,
-        term_normal_planar=term_normal_planar,
-        total=term_amplitude + term_deformation + term_precession + term_normal,
-        bound=bound,
-        bound_normal=bound_normal,
-    )
-
-
-def effective_precession(
-    series: EllipseSeries, rates: EllipseRates, omega: np.ndarray
-) -> EffectivePrecession:
-    """Effective precession rate from the angle rates, with its residual.
-
-    Returns ``omega_theta + omega_alpha cos(beta)`` together with the
-    residual against the identity form ``(omega - omega_phi) /
-    sqrt(1 - lam^2)``.  Samples with ``lam`` near 1 are flagged: the
-    identity form blows up there.
-    """
-    value = rates.omega_theta + rates.omega_alpha * np.cos(series.beta)
-    one_m = 1.0 - series.lam**2
-    unreliable = (one_m < 1e-6) | series.degenerate | series.circular
-    identity = (omega - rates.omega_phi) / np.sqrt(np.clip(one_m, 1e-300, None))
-    return EffectivePrecession(
-        value=value, residual=value - identity, unreliable=unreliable
+        term_amplitude=rates.dkappa_rel**2,
+        term_deformation=0.25 * rates.dlambda**2 / denom,
+        term_precession=lam2 * (moments.omega - rates.omega_phi) ** 2 / denom,
+        term_normal=_per_power(np.abs(proj) ** 2, moments.power),
     )
 
 

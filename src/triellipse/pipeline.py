@@ -30,6 +30,7 @@ from .moments import (
     BandwidthDecomposition,
     GlobalMoments,
     MomentsSeries,
+    _per_power,
     bandwidth_decompose,
     global_moments_spectral,
     global_moments_time,
@@ -39,8 +40,10 @@ from .moments import (
 __all__ = [
     "RunConfig",
     "SampleChain",
+    "CrossChecks",
     "AnalysisResult",
     "decompose_analytic",
+    "cross_checks",
     "in_bearing_frame",
     "analyze_signal",
 ]
@@ -99,6 +102,33 @@ class SampleChain(NamedTuple):
     decomposition: BandwidthDecomposition
 
 
+class CrossChecks(NamedTuple):
+    """Per-sample identities and bounds of a :class:`SampleChain`, from :func:`cross_checks`.
+
+    ``total`` is the sum of the four bandwidth terms, which reconstructs
+    ``upsilon2``; ``upsilon2_alt`` is the power-ratio form of ``upsilon2``,
+    ``||x+'||^2 / ||x+||^2 - omega^2``; ``term_normal_planar`` is the
+    in-plane form of ``term_normal``, driven by the plane-motion rates
+    ``omega_alpha sin(beta)`` and ``omega_beta``.  ``bound`` is the upper
+    bound on ``total`` built from the five geometry rates, and
+    ``bound_normal`` the Cauchy-Schwarz bound on ``term_normal``.
+    ``precession`` is the effective precession rate from the angle rates,
+    ``omega_theta + omega_alpha cos(beta)``, and ``precession_residual``
+    its difference from the identity form ``(omega - omega_phi) /
+    sqrt(1 - lam^2)``, which blows up where ``precession_unreliable`` flags
+    ``lam`` near 1 or a degenerate or circular sample.
+    """
+
+    total: np.ndarray
+    upsilon2_alt: np.ndarray
+    term_normal_planar: np.ndarray
+    bound: np.ndarray
+    bound_normal: np.ndarray
+    precession: np.ndarray
+    precession_residual: np.ndarray
+    precession_unreliable: np.ndarray
+
+
 @dataclass(frozen=True)
 class AnalysisResult:
     signal: RealSignal3
@@ -127,6 +157,29 @@ def decompose_analytic(
     ext = ellipse_extract(xp, eps_lin=config.eps_lin, eps_circ=config.eps_circ)
     rates = ellipse_rates(ext.ellipse)
     return SampleChain(moments, ext, rates, bandwidth_decompose(ext, rates, moments))
+
+
+def cross_checks(chain: SampleChain) -> CrossChecks:
+    """The identities and bounds of ``chain``, from its arrays alone: no derivative, no FFT."""
+    moments, ext, rates, d = chain
+    e = ext.ellipse
+    xt = ext.planar.x_tilde
+    planar = -rates.omega_alpha * np.sin(e.beta) * xt[:, 0] + rates.omega_beta * xt[:, 1]
+    speed2 = np.sum(np.abs(moments.derivative) ** 2, axis=1)
+    one_m = 1.0 - e.lam**2
+    precession = rates.omega_theta + rates.omega_alpha * np.cos(e.beta)
+    identity = (moments.omega - rates.omega_phi) / np.sqrt(np.clip(one_m, 1e-300, None))
+    return CrossChecks(
+        total=d.term_amplitude + d.term_deformation + d.term_precession + d.term_normal,
+        upsilon2_alt=_per_power(speed2, moments.power) - moments.omega**2,
+        term_normal_planar=_per_power(np.abs(planar) ** 2, np.sum(np.abs(xt) ** 2, axis=1)),
+        bound=d.term_amplitude + d.term_deformation + rates.omega_beta**2
+        + (np.abs(rates.omega_theta) + np.abs(rates.omega_alpha)) ** 2,
+        bound_normal=(rates.omega_alpha * np.sin(e.beta)) ** 2 + rates.omega_beta**2,
+        precession=precession,
+        precession_residual=precession - identity,
+        precession_unreliable=(one_m < 1e-6) | e.degenerate | e.circular,
+    )
 
 
 def in_bearing_frame(x: RealSignal3, bearing: float) -> RealSignal3:

@@ -106,10 +106,10 @@ class SynthSpec:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.n_samples < 64:
             raise ValueError(f"need at least 64 samples, got {self.n_samples}")
-        if not self.omega_bar > 0:
-            raise ValueError("omega_bar must be positive")
-        if self.upsilon < 0:
-            raise ValueError("upsilon must be nonnegative")
+        if not (np.isfinite(self.omega_bar) and self.omega_bar > 0):
+            raise ValueError(f"omega_bar must be finite and positive, got {self.omega_bar}")
+        if not (np.isfinite(self.upsilon) and self.upsilon >= 0):
+            raise ValueError(f"upsilon must be finite and nonnegative, got {self.upsilon}")
         if not (self.a0 >= self.b0 >= 0):
             raise ValueError("need a0 >= b0 >= 0")
         if not 0 < self.lambda_precession < 1:

@@ -14,6 +14,7 @@ from triellipse import (
     RealSignal3,
     SynthSpec,
     analytic_transform,
+    cross_checks,
     decompose_analytic,
     edge_mask,
     ellipse_extract,
@@ -76,7 +77,8 @@ def test_c2_constant_moment_quintuple():
     worst_frac = 1.0
     for mode in ONE_RATE_MODES:
         res = make_reference_signal(SynthSpec(n_samples=800, mode=mode))
-        m, ext, rates, d = decompose_analytic(res.signal, mean_freq=OMEGA_BAR_DEFAULT)
+        chain = decompose_analytic(res.signal, mean_freq=OMEGA_BAR_DEFAULT)
+        m, d, total = chain.moments, chain.decomposition, cross_checks(chain).total
         i = ~edge_mask(800)
         worst_om = max(
             worst_om, np.abs(m.omega[i] - OMEGA_BAR_DEFAULT).max() / OMEGA_BAR_DEFAULT
@@ -85,7 +87,7 @@ def test_c2_constant_moment_quintuple():
             worst_up,
             np.abs(np.sqrt(m.upsilon2[i]) - UPSILON_DEFAULT).max() / UPSILON_DEFAULT,
         )
-        worst_frac = min(worst_frac, (getattr(d, res.designated_term)[i] / d.total[i]).min())
+        worst_frac = min(worst_frac, (getattr(d, res.designated_term)[i] / total[i]).min())
     elapsed = time.perf_counter() - t0
     report(
         "C2 five one-rate signals",
@@ -145,14 +147,16 @@ def test_c5_identity_convergence():
     for n in (512, 1024, 2048, 4096):
         series, _ = make_smooth_path(n, duration, carrier=carrier)
         xp = ellipse_synthesize(series)
-        m, ext, rates, d = decompose_analytic(xp, mean_freq=carrier)
+        chain = decompose_analytic(xp, mean_freq=carrier)
+        m, ext, rates, _ = chain
         i = slice(int(0.1 * n), int(0.9 * n))
         e = ext.ellipse
         om_geom = rates.omega_phi + np.sqrt(1.0 - e.lam**2) * (
             rates.omega_theta + rates.omega_alpha * np.cos(e.beta)
         )
         res_om.append(np.abs(m.omega[i] - om_geom[i]).max() / carrier)
-        res_up.append(np.abs(d.total[i] - m.upsilon2[i]).max() / m.upsilon2[i].max())
+        total = cross_checks(chain).total
+        res_up.append(np.abs(total[i] - m.upsilon2[i]).max() / m.upsilon2[i].max())
     ratios = [
         min(a / b for a, b in zip(series_res[:-1], series_res[1:]))
         for series_res in (res_om, res_up)
@@ -172,10 +176,11 @@ def test_c6_inequality_suite():
 
     def scan(xp, mean_freq=None):
         nonlocal worst_51, worst_50, min_sigma2, min_term
-        m, ext, rates, d = decompose_analytic(xp, mean_freq=mean_freq)
+        chain = decompose_analytic(xp, mean_freq=mean_freq)
+        m, d, c = chain.moments, chain.decomposition, cross_checks(chain)
         i = ~edge_mask(xp.n_samples)
-        worst_51 = max(worst_51, np.max(d.total[i] - d.bound[i]))
-        worst_50 = max(worst_50, np.max(d.term_normal[i] - d.bound_normal[i]))
+        worst_51 = max(worst_51, np.max(c.total[i] - c.bound[i]))
+        worst_50 = max(worst_50, np.max(d.term_normal[i] - c.bound_normal[i]))
         min_sigma2 = min(min_sigma2, m.sigma2.min())
         for term in (d.term_amplitude, d.term_deformation,
                      d.term_precession, d.term_normal):
@@ -228,17 +233,22 @@ def test_c7_rotation_invariance():
 def test_c8_equivalence_oracles():
     series, _ = make_smooth_path(4096, 4096.0)
     xp = ellipse_synthesize(series)
-    m, ext, rates, d = decompose_analytic(xp, mean_freq=0.025)
+    chain = decompose_analytic(xp, mean_freq=0.025)
     i = ~edge_mask(4096)
-    planar_gap = np.abs(d.term_normal[i] - d.term_normal_planar[i]).max()
+    planar_gap = np.abs(
+        chain.decomposition.term_normal[i] - cross_checks(chain).term_normal_planar[i]
+    ).max()
 
     forms_gap = 0.0
     hilbert_resid = 0.0
     rng = np.random.default_rng(5)
     for seed in range(5):
         x2 = make_random_modulated(1024, seed)
-        m2 = instantaneous_moments(x2)
-        forms_gap = max(forms_gap, np.abs(m2.upsilon2 - m2.upsilon2_alt).max())
+        chain2 = decompose_analytic(x2)
+        forms_gap = max(
+            forms_gap,
+            np.abs(chain2.moments.upsilon2 - cross_checks(chain2).upsilon2_alt).max(),
+        )
         xr = analytic_transform(RealSignal3(rng.normal(size=(1024, 3))))
         hilbert_resid = max(hilbert_resid, hilbert_check(xr))
     report(

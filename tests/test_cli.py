@@ -12,6 +12,8 @@ import triellipse
 import triellipse.cli
 import triellipse.pipeline
 from triellipse import (
+    BandwidthDecomposition,
+    MomentsSeries,
     RealSignal3,
     RunConfig,
     analyze_signal,
@@ -274,6 +276,23 @@ def test_analyze_takes_one_derivative_and_one_spectral_pass(monkeypatch):
     assert calls == {"differentiate": 1, "global_moments_spectral": 1}
 
 
+def test_chain_computes_only_what_analyze_writes(monkeypatch):
+    terms = [f.name for f in dataclasses.fields(BandwidthDecomposition)]
+    assert terms == ["term_amplitude", "term_deformation", "term_precession", "term_normal"]
+    header = triellipse.cli._ANALYSIS_HEADER
+    assert [name for name in header if name.startswith("bw_")] == [
+        "bw_" + term.removeprefix("term_") for term in terms
+    ]
+    assert "upsilon2_alt" not in {f.name for f in dataclasses.fields(MomentsSeries)}
+
+    def refuse(chain):
+        raise AssertionError("cross_checks ran in the analysis chain")
+
+    for module in (triellipse, triellipse.pipeline):
+        monkeypatch.setattr(module, "cross_checks", refuse)
+    analyze_signal(RealSignal3(make_random_modulated(512, 0).samples.real))
+
+
 def test_cli_binds_the_pipeline_objects():
     assert triellipse.cli.analyze_signal is triellipse.pipeline.analyze_signal
     assert triellipse.cli.RunConfig is triellipse.pipeline.RunConfig
@@ -314,6 +333,21 @@ def test_negative_precision_is_input_error(reference_csv, tmp_path, capsys, comm
     assert not out.exists()
     with pytest.raises(ValueError, match="precision"):
         RunConfig(precision=-1)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--noise", "inf", "--noise must be finite and at least 0, got inf"),
+    ("--noise", "-1", "--noise must be finite and at least 0, got -1.0"),
+    ("--noise", "nan", "--noise must be finite and at least 0, got nan"),
+    ("--upsilon", "nan", "upsilon must be finite and nonnegative, got nan"),
+    ("--upsilon", "inf", "upsilon must be finite and nonnegative, got inf"),
+    ("--omega-bar", "inf", "omega_bar must be finite and positive, got inf"),
+])
+def test_bad_synth_value_is_input_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "o"
+    assert run("synth", "--mode", "amplitude", flag, value, "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -289,6 +289,63 @@ def test_failed_summary_child(tmp_path, monkeypatch, capsys, forking, how):
     assert forking == [SUMMARY] and _no_child_left()
 
 
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("stage", ["analyze_signal", "multitaper_joint_spectrum"])
+def test_out_of_memory_is_numerical_failure(tmp_path, monkeypatch, capsys, forking, stage):
+    # numpy's own error, as a huge --pad raises it; building it allocates nothing
+    error = _ArrayMemoryError((800 * 10**8,), np.dtype(complex))
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, stage, failing)
+    csv = _record_csv(tmp_path, 800, 0)
+    for cpus in (1, 2):  # inline, then beside the summary child
+        monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert _analyze([csv, "--out", out], capsys) == (3, "", f"out of memory: {error}\n")
+        assert not out.exists()
+    assert forking == [SUMMARY] and _no_child_left()
+
+
+def test_synth_out_of_memory_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    error = _ArrayMemoryError((10**12,), np.dtype(float))  # as synth --n 1000000000000 raises it
+
+    def failing(spec):
+        raise error
+
+    monkeypatch.setattr(cli, "make_reference_signal", failing)
+    out = tmp_path / "o"
+    assert cli.main(["synth", "--mode", "amplitude", "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"out of memory: {error}\n")
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_out_of_memory_in_a_writer_is_numerical_failure(tmp_path, monkeypatch, capsys, forking):
+    error = _ArrayMemoryError((10**9,), np.dtype(float))
+    write_rows = cli._write_rows
+
+    def failing(fh, cols, row, start, stop):
+        if stop == len(cols[0]):  # the last rows: this process inline, a child when forked
+            raise error
+        write_rows(fh, cols, row, start, stop)
+
+    monkeypatch.setattr(cli, "_write_rows", failing)
+    for cpus in (1, 2):
+        monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert cli.main(["synth", "--mode", "amplitude", "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", f"out of memory: {error}\n")
+    assert forking == ["writing signal_amplitude.csv, truth_amplitude.csv"] and _no_child_left()
+
+
 def _rows(n=80, fmt="{t},{x},{y},{z}"):
     return [
         fmt.format(t=i * 0.5, x=np.cos(0.3 * i), y=np.sin(0.3 * i), z=0.1 * i)

@@ -5,9 +5,9 @@ from triellipse import (
     AnalyticSignal3,
     RealSignal3,
     analytic_transform,
+    cross_checks,
     decompose_analytic,
     edge_mask,
-    effective_precession,
     ellipse_synthesize,
     EllipseSeries,
     global_moments_spectral,
@@ -55,8 +55,8 @@ def test_bandwidth_zero_for_constant_geometry():
 def test_bandwidth_forms_agree():
     for seed in range(5):
         xp = make_random_modulated(1024, seed)
-        m = instantaneous_moments(xp)
-        diff = np.abs(m.upsilon2 - m.upsilon2_alt)
+        chain = decompose_analytic(xp)
+        diff = np.abs(chain.moments.upsilon2 - cross_checks(chain).upsilon2_alt)
         assert diff.max() < 1e-10
 
 
@@ -96,19 +96,21 @@ def test_decomposition_zero_for_constant_geometry():
 def test_decomposition_reconstructs_bandwidth():
     series, _ = make_smooth_path(2048, 2048.0)
     xp = ellipse_synthesize(series)
-    m, _, _, d = decompose_analytic(xp, mean_freq=0.025)
+    chain = decompose_analytic(xp, mean_freq=0.025)
+    m, total = chain.moments, cross_checks(chain).total
     i = ~edge_mask(2048)
-    resid = np.abs(d.total[i] - m.upsilon2[i]).max() / m.upsilon2[i].max()
+    resid = np.abs(total[i] - m.upsilon2[i]).max() / m.upsilon2[i].max()
     assert resid < 1e-4
 
 
 def test_bounds_hold_on_random_signals():
     for seed in range(5):
         xp = make_random_modulated(1024, seed)
-        m, _, _, d = decompose_analytic(xp)
+        chain = decompose_analytic(xp)
+        d, c = chain.decomposition, cross_checks(chain)
         i = ~edge_mask(1024)
-        assert np.max(d.total[i] - d.bound[i]) < 1e-8
-        assert np.max(d.term_normal[i] - d.bound_normal[i]) < 1e-8
+        assert np.max(c.total[i] - c.bound[i]) < 1e-8
+        assert np.max(d.term_normal[i] - c.bound_normal[i]) < 1e-8
         for term in (d.term_amplitude, d.term_deformation,
                      d.term_precession, d.term_normal):
             assert term.min() >= 0.0
@@ -123,21 +125,19 @@ def test_effective_precession_planar_reduces_to_theta_rate():
         alpha=0.3, beta=1.0,
     )
     xp = ellipse_synthesize(series)
-    m, ext, rates, _ = decompose_analytic(xp, mean_freq=0.03)
-    ep = effective_precession(ext.ellipse, rates, m.omega)
+    c = cross_checks(decompose_analytic(xp, mean_freq=0.03))
     i = ~edge_mask(n)
-    assert np.abs(ep.value[i] - w_t).max() < 1e-6
-    assert np.abs(ep.residual[i]).max() < 1e-6
+    assert np.abs(c.precession[i] - w_t).max() < 1e-6
+    assert np.abs(c.precession_residual[i]).max() < 1e-6
 
 
 def test_effective_precession_residual_smooth_path():
     series, _ = make_smooth_path(4096, 4096.0)
     xp = ellipse_synthesize(series)
-    m, ext, rates, _ = decompose_analytic(xp, mean_freq=0.025)
-    ep = effective_precession(ext.ellipse, rates, m.omega)
+    c = cross_checks(decompose_analytic(xp, mean_freq=0.025))
     i = ~edge_mask(4096)
-    assert np.abs(ep.residual[i]).max() < 1e-6
-    assert not ep.unreliable[i].any()
+    assert np.abs(c.precession_residual[i]).max() < 1e-6
+    assert not c.precession_unreliable[i].any()
 
 
 def test_bivariate_reduction_constant_plane():

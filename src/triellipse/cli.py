@@ -287,6 +287,12 @@ def _summary_dict(res: AnalysisResult) -> dict:
             "multitaper fields omitted from summary.json",
             file=sys.stderr,
         )
+    if res.excluded == n:
+        print(
+            f"note: all {n} samples are excluded (trimmed or flagged); the time-domain "
+            "global moments and the rel diffs come from flagged samples only",
+            file=sys.stderr,
+        )
     return summary
 
 
@@ -296,24 +302,30 @@ def _multitaper(x: RealSignal3, config: RunConfig) -> JointSpectrum:
     return multitaper_joint_spectrum(x, tapers, pad_factor=config.pad_factor)
 
 
-# RunConfig fields whose flag is not the field name with dashes
-_FLAGS = {"n_tapers": "--tapers", "pad_factor": "--pad"}
+# RunConfig and SynthSpec fields whose flag is not the field name with dashes
+_FLAGS = {"n_tapers": "--tapers", "pad_factor": "--pad", "n_samples": "--n"}
+
+
+def _flag_error(exc: ValueError, spec: type) -> DataFormatError:
+    """The input error for ``exc``, raised building ``spec`` from flags.
+
+    ``RunConfig`` and ``SynthSpec`` messages start with the field name,
+    which becomes the flag.
+    """
+    name, sep, rest = str(exc).partition(" ")
+    if name in {f.name for f in fields(spec)}:
+        name = _FLAGS.get(name, "--" + name.replace("_", "-"))
+    return DataFormatError(name + sep + rest)
 
 
 def _config(args) -> RunConfig:
-    """``RunConfig`` of the given flags, defaults for the rest; a bad value is an input error.
-
-    A ``RunConfig`` message starts with the field name, which becomes the flag.
-    """
+    """``RunConfig`` of the given flags, defaults for the rest; a bad value is an input error."""
     names = [f.name for f in fields(RunConfig)]
     given = {name: getattr(args, name) for name in names if hasattr(args, name)}
     try:
         return RunConfig(**given)
     except ValueError as exc:
-        name, sep, rest = str(exc).partition(" ")
-        if name in names:
-            name = _FLAGS.get(name, "--" + name.replace("_", "-"))
-        raise DataFormatError(name + sep + rest) from None
+        raise _flag_error(exc, RunConfig) from None
 
 
 def _read_input(args, config: RunConfig) -> Dataset:
@@ -411,7 +423,7 @@ def _run_synth(args) -> int:
             omega_bar=args.omega_bar, upsilon=args.upsilon,
         )
     except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
+        raise _flag_error(exc, SynthSpec) from None
     precision = _config(args).precision
     res = make_reference_signal(spec)
     real = res.signal.samples.real
@@ -478,7 +490,8 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tapers", dest="n_tapers", type=int, default=argparse.SUPPRESS,
                    help="number of tapers, from 1 to 2*taper_p - 1")
     p.add_argument("--pad", dest="pad_factor", type=int, default=argparse.SUPPRESS,
-                   help="spectrum zero-pad factor, at least 1")
+                   help="spectrum zero-pad factor, at least 1: the grid has at least "
+                        "pad*n points, rounded up to a 5-smooth length")
 
 
 def build_parser() -> argparse.ArgumentParser:

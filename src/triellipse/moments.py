@@ -15,9 +15,10 @@ modulation, ellipse deformation, precession in the ellipse plane, and
 motion of the plane itself.  Power-weighted time averages of ``omega``
 and ``sigma2`` reproduce the Fourier-domain global moments; both routes
 are implemented so each can check the other.  The Fourier route takes
-moments by trapezoid over a 16x zero-padded spectrum, one FFT per
-component on the CPUs the process may use; in double precision this is
-more accurate than the closed-form integral over the autocorrelation lags.
+moments by trapezoid over a spectrum zero-padded to at least 16x, rounded
+up to a 5-smooth length (:func:`_fft_length`), one FFT per component on
+the CPUs the process may use; in double precision this is more accurate
+than the closed-form integral over the autocorrelation lags.
 """
 
 from __future__ import annotations
@@ -99,6 +100,25 @@ class BandwidthDecomposition:
     term_deformation: np.ndarray
     term_precession: np.ndarray
     term_normal: np.ndarray
+
+
+def _fft_length(m: int) -> int:
+    """The smallest ``2**a * 3**b * 5**c`` at least ``m`` (a positive int).
+
+    Zero-padded transforms take this length: pocketfft runs it on its fast
+    radix kernels, where a length with a large prime factor takes its
+    generic path at several times the cost.  A 5-smooth ``m`` is returned
+    unchanged.
+    """
+    best, p5 = 2 * m, 1
+    while p5 < 2 * m:
+        p35 = p5
+        while p35 < 2 * m:
+            # p35 times the least power of two that reaches m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _per_power(x: np.ndarray, power: np.ndarray) -> np.ndarray:
@@ -198,12 +218,13 @@ def joint_analytic_spectrum(
     Returns ``(freqs, values)`` on the zero-padded positive-frequency DFT
     grid (radians per time unit), scaled so that the trapezoidal integral
     of ``values / (2 pi)`` equals 1.  Each component takes its own
-    length ``pad_factor * n`` complex FFT, on the CPUs the process may
+    complex FFT of length ``_fft_length(pad_factor * n)``, the 5-smooth
+    length at or above ``pad_factor * n``, on the CPUs the process may
     use, and the squared magnitudes are summed in component order, so the
     result does not depend on the CPU count.
     """
     n = xp.n_samples
-    m = int(pad_factor) * n
+    m = _fft_length(int(pad_factor) * n)
     half = m // 2 + 1
 
     def power(c: int) -> np.ndarray:
@@ -231,7 +252,7 @@ def global_moments_spectral(
 ) -> GlobalMoments:
     """Global moments by quadrature over the one-sided joint spectrum.
 
-    The grid is refined by zero padding (16x by default), see
+    The grid is refined by zero padding (at least 16x by default), see
     :func:`joint_analytic_spectrum`.  Energy is the trapezoidal time
     integral of the aggregate instantaneous power.
     """

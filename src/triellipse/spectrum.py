@@ -21,7 +21,7 @@ import numpy as np
 
 from ._parallel import map_ordered
 from .analytic import RealSignal3
-from .moments import GlobalMoments, spectral_moments
+from .moments import GlobalMoments, _fft_length, spectral_moments
 
 __all__ = [
     "MIN_TAPER_SAMPLES",
@@ -70,10 +70,13 @@ def _concentrations(tapers: np.ndarray, half_bandwidth: float) -> np.ndarray:
 
     The Rayleigh quotient ``v' A v / v' v`` with ``A[i, j] = sin(2 pi W (i - j))
     / (pi (i - j))`` depends on ``v`` only through its autocorrelation, which a
-    zero-padded length-2n real FFT gives for every row at once.
+    zero-padded real FFT gives for every row at once.  Any length from
+    ``2 n - 1`` up keeps that autocorrelation free of wrap-around, so the
+    transform takes the 5-smooth length at or above ``2 n``.
     """
     n = tapers.shape[1]
-    acf = np.fft.irfft(np.abs(np.fft.rfft(tapers, n=2 * n, axis=1)) ** 2, n=2 * n, axis=1)
+    m = _fft_length(2 * n)
+    acf = np.fft.irfft(np.abs(np.fft.rfft(tapers, n=m, axis=1)) ** 2, n=m, axis=1)
     lags = np.arange(1, n)
     kernel = np.empty(n)
     kernel[0] = 2.0 * half_bandwidth
@@ -155,8 +158,10 @@ def multitaper_joint_spectrum(
     """Multitaper estimate of the joint analytic spectrum of a real record.
 
     For each taper and each component, an eigenspectrum is the squared
-    magnitude of the zero-padded one-sided real DFT (``rfft`` of length
-    ``pad_factor * n``) of the tapered component.  The eigenspectra are
+    magnitude of the zero-padded one-sided real DFT of the tapered
+    component.  Its length is at least ``pad_factor * n``, rounded up to a
+    5-smooth length (``_fft_length``) so that no record length sends it
+    down pocketfft's slow path.  The eigenspectra are
     independent FFTs, run on the CPUs the process may use (inline for
     short records).  They are added into one accumulator as they arrive,
     in taper order and each taper's components as ``(x + y) + z``, so
@@ -179,7 +184,7 @@ def multitaper_joint_spectrum(
         raise ValueError("zero-energy record: spectrum is undefined")
     if pad_factor < 1:
         raise ValueError(f"pad_factor must be at least 1, got {pad_factor}")
-    m = int(pad_factor) * n
+    m = _fft_length(int(pad_factor) * n)
 
     def eigenspectrum(job: tuple[np.ndarray, int]) -> np.ndarray:
         taper, c = job

@@ -103,17 +103,19 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n_samples < 64:
-            raise ValueError(f"need at least 64 samples, got {self.n_samples}")
+            raise ValueError(f"n_samples must be at least 64, got {self.n_samples}")
         if not (np.isfinite(self.omega_bar) and self.omega_bar > 0):
             raise ValueError(f"omega_bar must be finite and positive, got {self.omega_bar}")
         if not (np.isfinite(self.upsilon) and self.upsilon >= 0):
             raise ValueError(f"upsilon must be finite and nonnegative, got {self.upsilon}")
         if not (self.a0 >= self.b0 >= 0):
-            raise ValueError("need a0 >= b0 >= 0")
+            raise ValueError(f"a0 must be at least b0 >= 0, got a0={self.a0}, b0={self.b0}")
         if not 0 < self.lambda_precession < 1:
-            raise ValueError("lambda_precession must lie in (0, 1)")
+            raise ValueError(
+                f"lambda_precession must lie in (0, 1), got {self.lambda_precession}"
+            )
 
     @property
     def kappa0(self) -> float:

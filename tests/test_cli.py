@@ -339,9 +339,10 @@ def test_negative_precision_is_input_error(reference_csv, tmp_path, capsys, comm
     ("--noise", "inf", "--noise must be finite and at least 0, got inf"),
     ("--noise", "-1", "--noise must be finite and at least 0, got -1.0"),
     ("--noise", "nan", "--noise must be finite and at least 0, got nan"),
-    ("--upsilon", "nan", "upsilon must be finite and nonnegative, got nan"),
-    ("--upsilon", "inf", "upsilon must be finite and nonnegative, got inf"),
-    ("--omega-bar", "inf", "omega_bar must be finite and positive, got inf"),
+    ("--upsilon", "nan", "--upsilon must be finite and nonnegative, got nan"),
+    ("--upsilon", "inf", "--upsilon must be finite and nonnegative, got inf"),
+    ("--omega-bar", "inf", "--omega-bar must be finite and positive, got inf"),
+    ("--n", "10", "--n must be at least 64, got 10"),
 ])
 def test_bad_synth_value_is_input_error(tmp_path, capsys, flag, value, message):
     out = tmp_path / "o"
@@ -413,3 +414,19 @@ def test_record_below_taper_minimum_omits_multitaper_fields(tmp_path, capsys):
     assert summary["n_samples"] == 40 and "energy" in summary
     assert "mean_freq_multitaper" not in summary
     assert "second_central_multitaper" not in summary
+
+
+def test_fully_excluded_record_says_so(tmp_path, capsys):
+    # a linear record: every sample is flagged degenerate
+    f = tmp_path / "linear.csv"
+    t = np.arange(200)
+    write_csv(f, t, np.cos(0.2 * t)[:, None] * [1.0, 2.0, -1.0])
+    out = tmp_path / "o"
+    assert run("analyze", f, "--out", out) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("n=200 dt=1 excluded=200\n")
+    assert captured.err == (
+        "note: all 200 samples are excluded (trimmed or flagged); the time-domain "
+        "global moments and the rel diffs come from flagged samples only\n"
+    )
+    assert json.loads((out / "summary.json").read_text())["flags_excluded"] == 200

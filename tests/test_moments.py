@@ -17,6 +17,7 @@ from triellipse import (
     make_random_modulated,
     make_smooth_path,
 )
+from triellipse.moments import _fft_length
 
 from conftest import circular_signal, demo_series
 
@@ -218,13 +219,29 @@ LONG_DOUBLE_FFT = (
 
 @pytest.mark.skipif(not LONG_DOUBLE_FFT, reason="numpy.fft does not compute in long double here")
 def test_global_spectral_moments_match_long_double_reference():
-    # the 16x-padded trapezoid misses the second central moment by 1.3e-10
-    # here; moments from the same lags in double precision miss it by 1.7e-8
-    xp = analytic_transform(RealSignal3(make_random_modulated(100_000, 0).samples.real))
-    mean, second = _long_double_spectral_moments(xp)
-    g = global_moments_spectral(xp)
-    assert abs(g.mean_freq - mean) < 1e-13 * mean
-    assert abs(g.second_central - second) < 1e-8 * second
+    # at n = 1e5 the 16x-padded trapezoid misses the second central moment
+    # by 1.3e-10; moments from the same lags in double precision miss it by
+    # 1.7e-8.  n = 99 999 = 3^2 * 41 * 271 pads to the 5-smooth 1 600 000
+    for n in (100_000, 99_999):
+        xp = analytic_transform(RealSignal3(make_random_modulated(n, 0).samples.real))
+        mean, second = _long_double_spectral_moments(xp)
+        g = global_moments_spectral(xp)
+        assert abs(g.mean_freq - mean) < 1e-13 * mean
+        assert abs(g.second_central - second) < 1e-8 * second
+
+
+def test_fft_length_is_next_5_smooth():
+    from scipy.fft import next_fast_len
+
+    for m in [*range(1, 5001), 16 * 99_999, 8 * 99_999, 2 * 99_999]:
+        assert _fft_length(m) == next_fast_len(m, real=True), m
+
+
+@pytest.mark.parametrize("n", [800, 4_000, 6_000, 100_000, 270_000])
+def test_5_smooth_padded_lengths_are_kept(n):
+    # these records keep the exact pad * n grids, and so their bits
+    for pad in (2, 8, 16):
+        assert _fft_length(pad * n) == pad * n
 
 
 def test_spectrum_normalization():

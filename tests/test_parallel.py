@@ -18,7 +18,7 @@ from triellipse import (
 )
 from triellipse import _parallel
 from triellipse._parallel import map_ordered
-from triellipse.moments import joint_analytic_spectrum, spectral_moments
+from triellipse.moments import _fft_length, joint_analytic_spectrum, spectral_moments
 
 POOLED = 1 << 20  # an FFT length above the inline crossover
 
@@ -45,7 +45,7 @@ def test_pooled_spectra_match_batched_reference(two_cpus, n, pad):
     assert min(16 * n, pad * n) >= _parallel._INLINE_BELOW
 
     # the joint spectrum as one batched complex FFT over the three components
-    m = 16 * n
+    m = _fft_length(16 * n)
     spec = np.fft.fft(xp.samples, n=m, axis=0)
     raw = np.sum(np.abs(spec[: m // 2 + 1]) ** 2, axis=1)
     freqs = 2.0 * np.pi * np.arange(m // 2 + 1) / (m * xp.dt)
@@ -55,7 +55,7 @@ def test_pooled_spectra_match_batched_reference(two_cpus, n, pad):
 
     # the multitaper as one batched real FFT per taper
     ts = slepian_tapers(n, 2.0, 3)
-    m = pad * n
+    m = _fft_length(pad * n)
     half = np.zeros(m // 2 + 1)
     for taper in ts.tapers:
         spec = np.fft.rfft(taper[:, None] * x.samples, n=m, axis=0)

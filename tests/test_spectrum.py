@@ -8,6 +8,7 @@ from triellipse import (
     rotate_frame,
     slepian_tapers,
 )
+from triellipse.moments import _fft_length
 
 from conftest import random_rotation
 
@@ -134,7 +135,7 @@ def test_multitaper_matches_full_fft_reference(rng, n, pad):
     est = multitaper_joint_spectrum(x, ts, pad_factor=pad)
 
     # the two-sided eigenspectra of every taper and component at once
-    m = pad * n
+    m = _fft_length(pad * n)
     spec = np.fft.fft(ts.tapers[:, :, None] * x.samples[None, :, :], n=m, axis=1)
     raw = np.mean(np.sum(np.abs(spec) ** 2, axis=2), axis=0)
     half = raw[: m // 2 + 1].copy()

@@ -5,10 +5,12 @@ run them side by side.  Results come back in input order, so a caller that
 adds them up in that order gets the same bits on any number of CPUs.  That
 does not hold for the Slepian tapers: scipy's eigensolve runs on OpenBLAS,
 whose thread count follows the CPU count and sets the tapers' last bits.
-Text formatting holds the lock, and the multitaper summary of ``analyze``
-can run beside the analysis chain, so both go to forked processes
-instead: :func:`fork_count` decides how many, :func:`forked` runs them and
-brings back their results, exceptions and warnings.
+The table writers format a block of rows in many short numpy calls, with
+the lock held between them, and the multitaper summary of ``analyze`` can
+run beside the analysis chain, so both go to forked processes instead:
+:func:`fork_count` and :func:`summary_in_child` decide, each from its own
+measured crossover, and :func:`forked` runs them and brings back their
+results, exceptions and warnings.
 """
 
 from __future__ import annotations
@@ -95,13 +97,23 @@ def map_ordered(fn: Callable[[T], R], items: Iterable[T], fft_length: int) -> It
 
 
 # Table cells below which the table writers format in-process.  Measured on
-# 2 cores in a fresh `analyze` process (29 columns over three tables): a
-# fork, its temp files and the wait cost 4-8 ms, so the forked writer breaks
-# even at about 2.3e4 cells (n = 800) and saves 19% of the write time at
-# 4.6e4 cells, 33% at 9.3e4 and 44% at 3.7e5.  Another process on the same
-# cores slows a fork down, so the crossover sits above the break-even, at
-# 6.6e4 cells (n = 2 260 for `analyze`); every n = 800 table stays inline.
-_FORK_BELOW = 1 << 16
+# 2 cores in fresh `analyze` processes (29 columns over three tables, numpy
+# formatting, 15 alternating pairs per size): a fork, its temp files and
+# the wait cost 4 ms, so at 2.3e4 cells (n = 800) the forked writers take
+# 12.5 ms against 8.5 ms inline.  They break even at about 1e5 cells:
+# +1.1 ms of 19 at 6.6e4 (n = 2 260; forks won 3 of 15 pairs), -4.6 ms of
+# 36 at 1.3e5 (9 of 15) and -11 ms of 53 at 2.6e5 (14 of 15).  Another
+# process on the same cores slows a fork down, so the crossover sits at
+# the first of these, 1.3e5 cells (n = 4 520 for `analyze`).
+_FORK_BELOW = 1 << 17
+
+# Samples below which `analyze` computes its multitaper summary in-process.
+# The child hides the chain's time but imports scipy itself, copying the
+# pages it touches; measured on 2 cores in fresh `analyze` processes with
+# the writers in-process (15 alternating pairs per size), it costs 33 to
+# 49 ms at n = 800 to 9 040 and 28 ms at 18 000, breaks even near 36 000
+# and saves 128 ms of 1.34 s at 72 000.
+_SUMMARY_FORK_BELOW = 1 << 15
 
 
 def fork_count(cells: int) -> int:
@@ -113,6 +125,14 @@ def fork_count(cells: int) -> int:
     if cells < _FORK_BELOW or not hasattr(os, "fork"):
         return 1
     return _cpus()
+
+
+def summary_in_child(samples: int) -> bool:
+    """Whether ``analyze`` should compute the multitaper summary of a record in a forked child.
+
+    Only from its own crossover up, with more than one CPU and ``os.fork``.
+    """
+    return samples >= _SUMMARY_FORK_BELOW and hasattr(os, "fork") and _cpus() > 1
 
 
 @contextmanager

@@ -7,12 +7,13 @@ Fourier-domain global moments, and unit-sphere track files for the
 signal direction and the ellipse-plane normal.  ``synth`` writes the
 reference signals as CSV plus a ground-truth sidecar; ``spectrum`` writes
 the multitaper joint-spectrum estimate.  Each command writes all of its
-tables in one :func:`_write_tables` call; above a size crossover their
-rows are formatted by forked processes, one per CPU.  At the same
-crossover ``analyze`` forks one child, right after reading the record,
-that computes the tapers and the multitaper moments of the summary while
-this process runs the analysis chain; this process then never imports
-scipy.  Neither fork changes a byte of output.  The outputs are the same
+tables in one :func:`_write_tables` call, formatted in numpy; above a
+size crossover their rows are formatted by forked processes, one per
+CPU.  Above a record length of its own, ``analyze`` forks one child,
+right after reading the record, that computes the tapers and the
+multitaper moments of the summary while this process runs the analysis
+chain; this process then never imports scipy.  Neither fork changes a
+byte of output.  The outputs are the same
 for any CPU count, except the multitaper values (two fields of
 ``summary.json`` and all that ``spectrum`` writes): the last bits of the
 Slepian tapers follow scipy's OpenBLAS thread count, and so the CPU
@@ -49,6 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _parallel
+from ._format import RowFormat
 from .analytic import RealSignal3
 from .pipeline import AnalysisResult, RunConfig, analyze_signal, in_bearing_frame
 from .spectrum import (
@@ -192,23 +194,25 @@ def _parse_rows(path, columns: Sequence[str]) -> np.ndarray:
     return data
 
 
-# rows formatted per write: large enough to amortise the per-call cost,
-# small enough that memory does not grow with the table
+# rows formatted per write: large enough to amortise numpy's per-call cost,
+# small enough that a block's arrays stay in cache and memory does not grow
+# with the table
 _BLOCK_ROWS = 256
 
 
-def _write_rows(fh, cols: list[np.ndarray], row: str, start: int, stop: int) -> None:
-    """Write rows ``start:stop`` of the columns, ``row`` %-formatted, one block at a time."""
+def _write_rows(fh, cols: list[np.ndarray], fmt: RowFormat, start: int, stop: int) -> None:
+    """Write rows ``start:stop`` of the columns in the row format ``fmt``, one block at a time."""
     for lo in range(start, stop, _BLOCK_ROWS):
-        block = np.column_stack([c[lo:min(lo + _BLOCK_ROWS, stop)] for c in cols])
-        fh.write(((row * len(block)) % tuple(block.ravel().tolist())).encode())
+        fh.write(fmt.text(cols, lo, min(lo + _BLOCK_ROWS, stop)))
 
 
 def _write_tables(tables: list[tuple[Path, list[str], list[np.ndarray]]], precision: int):
     """Write each ``(path, header, columns)`` table as CSV: bools as 0/1, others as ``%.{precision}e``.
 
-    Each row is formatted on its own, with one ``%``-format per row applied
-    to a block of rows at a time, so only one block is ever held as text.
+    The bytes are those of one ``%``-format per row.  A block of rows at a
+    time is formatted by :class:`triellipse._format.RowFormat`, in numpy
+    (or, from precision 14 and where long double is no wider than double,
+    by Python's ``%``), so only one block is ever held as text.
     ``_parallel.fork_count`` sets how many processes share the rows.  With
     more than one, each table's rows are split into that many contiguous
     ranges; forked children format all but the first range of every table
@@ -217,10 +221,7 @@ def _write_tables(tables: list[tuple[Path, list[str], list[np.ndarray]]], precis
     parts in order.  The files are the same bytes for any process count.
     """
     count = _parallel.fork_count(sum(len(cols) * len(cols[0]) for _, _, cols in tables))
-    rows = [
-        ",".join("%d" if c.dtype == bool else f"%.{precision}e" for c in cols) + "\n"
-        for _, _, cols in tables
-    ]
+    formats = [RowFormat(cols, precision) for _, _, cols in tables]
 
     def bounds(cols, j):
         n = len(cols[0])
@@ -234,9 +235,9 @@ def _write_tables(tables: list[tuple[Path, list[str], list[np.ndarray]]], precis
         ]
 
         def write_part(j):
-            for fh, (path, _, cols), row in zip(parts[j - 1], tables, rows):
+            for fh, (path, _, cols), fmt in zip(parts[j - 1], tables, formats):
                 try:
-                    _write_rows(fh, cols, row, *bounds(cols, j))
+                    _write_rows(fh, cols, fmt, *bounds(cols, j))
                     fh.flush()
                 except MemoryError:
                     raise  # out of memory, as in this process
@@ -245,9 +246,9 @@ def _write_tables(tables: list[tuple[Path, list[str], list[np.ndarray]]], precis
 
         names = ", ".join(path.name for path, _, _ in tables)
         with _parallel.forked(write_part, count, f"writing {names}"):
-            for fh, (_, header, cols), row in zip(outs, tables, rows):
+            for fh, (_, header, cols), fmt in zip(outs, tables, formats):
                 fh.write((",".join(header) + "\n").encode())
-                _write_rows(fh, cols, row, *bounds(cols, 0))
+                _write_rows(fh, cols, fmt, *bounds(cols, 0))
         for fh, *own in zip(outs, *parts):
             for part in own:
                 part.seek(0)
@@ -350,8 +351,6 @@ _ANALYSIS_HEADER = [
     "flag_edge", "flag_degenerate", "flag_circular", "flag_unreliable",
 ]
 _SPHERE_HEADER = ["t", "x", "y", "z"]
-# columns per sample over analysis.csv and the two sphere files
-_ANALYZE_COLUMNS = len(_ANALYSIS_HEADER) + 2 * len(_SPHERE_HEADER)
 
 
 def _run_analyze(args) -> int:
@@ -362,9 +361,9 @@ def _run_analyze(args) -> int:
     config = replace(config, bearing=0.0)
     n = x.n_samples
     tapered = n >= MIN_TAPER_SAMPLES
-    # the tapered summary needs only the record, so it runs in a child beside
-    # the chain whenever the tables are large enough for forked writers
-    count = 2 if tapered and _parallel.fork_count(n * _ANALYZE_COLUMNS) > 1 else 1
+    # the tapered summary needs only the record, so on long records it runs
+    # in a child beside the chain
+    count = 2 if tapered and _parallel.summary_in_child(n) else 1
     with _parallel.forked(
         lambda _: _multitaper(x, config).moments, count, "computing the multitaper summary"
     ) as from_child:

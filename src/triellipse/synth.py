@@ -116,6 +116,59 @@ class SynthSpec:
             raise ValueError(
                 f"lambda_precession must lie in (0, 1), got {self.lambda_precession}"
             )
+        self._check_mode_ranges()
+
+    def _check_mode_ranges(self) -> None:
+        """Reject a mode whose paths would leave their ranges.
+
+        Those are ``lam`` in (0, 1), ``beta`` off the poles and an orbital
+        frequency above zero.  Each message starts with the field to change,
+        so a combination of flags out of range is an input error naming one.
+        """
+        u, wbar, b0 = self.upsilon, self.omega_bar, self.beta0
+        t_last = (self.n_samples - 1) * self.dt
+        if self.mode == "internal_precession":
+            lam = self.lambda_precession
+            if wbar - np.sqrt(1.0 - lam**2) * (u / lam) <= 0:
+                raise ValueError(
+                    f"upsilon must be below omega_bar * lambda_precession / "
+                    f"sqrt(1 - lambda_precession^2) = {wbar * lam / np.sqrt(1.0 - lam**2):g} "
+                    f"in internal_precession mode, or the precession absorbs the whole "
+                    f"mean frequency; got {u:g}"
+                )
+        elif self.mode == "deformation":
+            window = _LAM_SIN_HI - _LAM_SIN_LO
+            if 2.0 * u * t_last >= window:
+                raise ValueError(
+                    f"upsilon must be below {window / (2.0 * t_last):g} for a "
+                    f"{self.n_samples}-sample deformation sweep, or the linearity "
+                    f"leaves (0, 1); got {u:g}"
+                )
+        elif self.mode == "nutation":
+            if not _BETA_MARGIN <= b0 <= np.pi - _BETA_MARGIN:
+                raise ValueError(
+                    f"beta0 must lie in [{_BETA_MARGIN}, pi - {_BETA_MARGIN}] "
+                    f"in nutation mode, got {b0:g}"
+                )
+            if b0 + np.sqrt(2.0) * u * t_last > np.pi - _BETA_MARGIN:
+                bound = (np.pi - _BETA_MARGIN - b0) / (np.sqrt(2.0) * t_last)
+                raise ValueError(
+                    f"upsilon must be at most {bound:g} for a {self.n_samples}-sample "
+                    f"nutation sweep from beta0 = {b0:g}, or beta reaches the pole; "
+                    f"got {u:g}"
+                )
+        elif self.mode == "azimuth":
+            if min(abs(b0), abs(b0 - np.pi / 2.0), abs(b0 - np.pi)) < _BETA_MARGIN:
+                raise ValueError(
+                    f"beta0 must be at least {_BETA_MARGIN} away from 0, pi/2 and pi "
+                    f"in azimuth mode, got {b0:g}"
+                )
+            if wbar - np.sqrt(2.0) * u / np.sin(b0) * np.cos(b0) <= 0:
+                raise ValueError(
+                    f"upsilon must be below omega_bar * tan(beta0) / sqrt(2) = "
+                    f"{wbar * np.tan(b0) / np.sqrt(2.0):g} in azimuth mode, or the "
+                    f"external precession absorbs the whole mean frequency; got {u:g}"
+                )
 
     @property
     def kappa0(self) -> float:
@@ -161,7 +214,7 @@ def make_reference_signal(spec: SynthSpec) -> SynthResult:
     closed-form paths; its ground truth (parameter paths and exact rates)
     comes along for pipeline validation.  Mode/parameter combinations that
     would push ``lam`` out of [0, 1), ``beta`` onto a pole, or the orbital
-    frequency to zero are rejected.
+    frequency to zero are rejected by ``SynthSpec``.
     """
     n, u, wbar = spec.n_samples, spec.upsilon, spec.omega_bar
     t = np.arange(n) * spec.dt
@@ -188,11 +241,6 @@ def make_reference_signal(spec: SynthSpec) -> SynthResult:
         lam = spec.lambda_precession
         omega_theta = u / lam
         omega_phi = wbar - np.sqrt(1.0 - lam**2) * omega_theta
-        if omega_phi <= 0:
-            raise ValueError(
-                "internal precession absorbs the whole mean frequency; "
-                "increase omega_bar or lambda_precession"
-            )
         series = EllipseSeries.from_paths(
             a=np.full(n, kappa0 * np.sqrt(1.0 + lam)),
             b=np.full(n, kappa0 * np.sqrt(1.0 - lam)),
@@ -205,14 +253,8 @@ def make_reference_signal(spec: SynthSpec) -> SynthResult:
         )
 
     elif spec.mode == "deformation":
-        sweep = 2.0 * u * t[-1]
         window = _LAM_SIN_HI - _LAM_SIN_LO
-        if sweep >= window:
-            raise ValueError(
-                "deformation sweep would drive the linearity out of (0, 1); "
-                "reduce upsilon or n_samples"
-            )
-        c = _LAM_SIN_LO + 0.5 * (window - sweep)
+        c = _LAM_SIN_LO + 0.5 * (window - 2.0 * u * t[-1])
         lam = np.sin(2.0 * u * t + c)
         series = EllipseSeries.from_paths(
             a=kappa0 * np.sqrt(1.0 + lam), b=kappa0 * np.sqrt(1.0 - lam),
@@ -225,10 +267,6 @@ def make_reference_signal(spec: SynthSpec) -> SynthResult:
     elif spec.mode == "nutation":
         omega_beta = np.sqrt(2.0) * u
         beta = spec.beta0 + omega_beta * t
-        if beta[0] < _BETA_MARGIN or beta[-1] > np.pi - _BETA_MARGIN:
-            raise ValueError(
-                "nutation sweep reaches a beta pole; adjust beta0 or upsilon"
-            )
         series = EllipseSeries.from_paths(
             a=np.full(n, kappa0), b=np.full(n, kappa0),
             theta=spec.theta0, phi=spec.phi0 + wbar * t,
@@ -238,15 +276,8 @@ def make_reference_signal(spec: SynthSpec) -> SynthResult:
 
     elif spec.mode == "azimuth":
         b0 = spec.beta0
-        if min(abs(b0), abs(b0 - np.pi / 2.0), abs(b0 - np.pi)) < _BETA_MARGIN:
-            raise ValueError("azimuth mode needs beta0 away from 0, pi/2, pi")
         omega_alpha = np.sqrt(2.0) * u / np.sin(b0)
         omega_phi = wbar - omega_alpha * np.cos(b0)
-        if omega_phi <= 0:
-            raise ValueError(
-                "external precession absorbs the whole mean frequency; "
-                "increase omega_bar or move beta0 toward pi/2"
-            )
         series = EllipseSeries.from_paths(
             a=np.full(n, kappa0), b=np.full(n, kappa0),
             theta=spec.theta0, phi=spec.phi0 + omega_phi * t,

@@ -351,6 +351,28 @@ def test_bad_synth_value_is_input_error(tmp_path, capsys, flag, value, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, flags, message", [
+    ("deformation", ["--n", "100000"],
+     "--upsilon must be below 6.85405e-06 for a 100000-sample deformation sweep, "
+     "or the linearity leaves (0, 1); got 0.000785398"),
+    ("nutation", ["--n", "100000"],
+     "--upsilon must be at most 1.59539e-05 for a 100000-sample nutation sweep "
+     "from beta0 = 0.785398, or beta reaches the pole; got 0.000785398"),
+    ("internal_precession", ["--upsilon", "0.1"],
+     "--upsilon must be below omega_bar * lambda_precession / sqrt(1 - lambda_precession^2)"
+     " = 0.0235619 in internal_precession mode, or the precession absorbs the whole mean "
+     "frequency; got 0.1"),
+    ("azimuth", ["--upsilon", "0.03"],
+     "--upsilon must be below omega_bar * tan(beta0) / sqrt(2) = 0.0222144 in azimuth mode, "
+     "or the external precession absorbs the whole mean frequency; got 0.03"),
+])
+def test_synth_mode_out_of_range_is_input_error(tmp_path, capsys, mode, flags, message):
+    out = tmp_path / "o"
+    assert run("synth", "--mode", mode, *flags, "--out", out) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["analyze", "spectrum"])
 def test_overflowing_record_is_numerical_failure(reference_csv, tmp_path, capsys, command):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import triellipse.cli as cli
-from triellipse import _parallel, make_random_modulated
+from triellipse import _format, _parallel, make_random_modulated
 from triellipse.cli import (
     _BLOCK_ROWS,
     DataFormatError,
@@ -88,6 +88,19 @@ def _table(n, seed, width):
     return [f"c{j}" for j in range(width)], cols
 
 
+def test_short_long_double_takes_python_percent(tmp_path, monkeypatch):
+    # where long double is a plain double (macOS arm64) numpy would print wrong digits
+    def numpy_path(*args):
+        raise AssertionError("numpy path taken")
+
+    monkeypatch.setattr(_format, "_long_double_is_wide", lambda: False)
+    monkeypatch.setattr(_format.RowFormat, "_text", numpy_path)
+    header, cols = _table(_BLOCK_ROWS + 1, 0, 7)
+    _write_tables([(tmp_path / "new.csv", header, cols)], 12)
+    per_cell_write(tmp_path / "ref.csv", header, cols, 12)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 SUMMARY = "computing the multitaper summary"
 
 
@@ -105,13 +118,14 @@ def forking(monkeypatch, deadline):
         return pid
 
     monkeypatch.setattr(_parallel, "_FORK_BELOW", 0)
+    monkeypatch.setattr(_parallel, "_SUMMARY_FORK_BELOW", 0)
     monkeypatch.setattr(os, "fork", counted)
     return forks
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 @pytest.mark.parametrize("cpus", [2, 3])
-@pytest.mark.parametrize("precision", [0, 17])
+@pytest.mark.parametrize("precision", [0, 12, 17])
 def test_forked_writers_match_per_cell_writer(tmp_path, monkeypatch, forking, cpus, precision):
     monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
     lengths = [1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 1000]

@@ -102,7 +102,7 @@ def test_synth_loads_neither_scipy_nor_thread_pool(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_analyze_leaves_scipy_to_the_summary_child(tmp_path):
-    n = 4000  # above the writers' crossover, so the summary runs in a child
+    n = _parallel._SUMMARY_FORK_BELOW  # the shortest record whose summary runs in a child
     csv = tmp_path / "in.csv"
     np.savetxt(csv, np.column_stack([np.arange(n), make_random_modulated(n, 0).samples.real]),
                fmt="%.17g", delimiter=",", header="t,x,y,z", comments="")

@@ -46,7 +46,13 @@ from .moments import (
     joint_analytic_spectrum,
 )
 from .pipeline import CrossChecks, RunConfig, analyze_signal, cross_checks, decompose_analytic
-from .spectrum import JointSpectrum, TaperSet, multitaper_joint_spectrum, slepian_tapers
+from .spectrum import (
+    JointSpectrum,
+    TaperSet,
+    multitaper_joint_spectrum,
+    multitaper_moments,
+    slepian_tapers,
+)
 from .synth import (
     MODES,
     OMEGA_BAR_DEFAULT,
@@ -99,6 +105,7 @@ __all__ = [
     "JointSpectrum",
     "TaperSet",
     "multitaper_joint_spectrum",
+    "multitaper_moments",
     "slepian_tapers",
     "MODES",
     "OMEGA_BAR_DEFAULT",

@@ -52,11 +52,13 @@ import numpy as np
 from . import _parallel
 from ._format import RowFormat
 from .analytic import RealSignal3
+from .moments import GlobalMoments
 from .pipeline import AnalysisResult, RunConfig, analyze_signal, in_bearing_frame
 from .spectrum import (
     MIN_TAPER_SAMPLES,
     JointSpectrum,
     multitaper_joint_spectrum,
+    multitaper_moments,
     slepian_tapers,
 )
 from .synth import MODES, OMEGA_BAR_DEFAULT, UPSILON_DEFAULT, SynthSpec, make_reference_signal
@@ -303,6 +305,12 @@ def _multitaper(x: RealSignal3, config: RunConfig) -> JointSpectrum:
     return multitaper_joint_spectrum(x, tapers, pad_factor=config.pad_factor)
 
 
+def _multitaper_summary(x: RealSignal3, config: RunConfig) -> GlobalMoments:
+    """The moments of :func:`_multitaper`, streamed: the summary needs no grid."""
+    tapers = slepian_tapers(x.n_samples, config.taper_p, config.n_tapers)
+    return multitaper_moments(x, tapers, pad_factor=config.pad_factor)
+
+
 # RunConfig and SynthSpec fields whose flag is not the field name with dashes
 _FLAGS = {"n_tapers": "--tapers", "pad_factor": "--pad", "n_samples": "--n"}
 
@@ -365,14 +373,14 @@ def _run_analyze(args) -> int:
     # in a child beside the chain
     count = 2 if tapered and _parallel.summary_in_child(n) else 1
     with _parallel.forked(
-        lambda _: _multitaper(x, config).moments, count, "computing the multitaper summary"
+        lambda _: _multitaper_summary(x, config), count, "computing the multitaper summary"
     ) as from_child:
         res = analyze_signal(x, config)
         summary = _summary_dict(res)
     if tapered:
         # raw-DFT moments of a non-windowed finite record carry leakage bias;
         # the tapered estimate is the robust reference for such inputs
-        tapered_moments = from_child[0] if from_child else _multitaper(x, config).moments
+        tapered_moments = from_child[0] if from_child else _multitaper_summary(x, config)
         summary["mean_freq_multitaper"] = tapered_moments.mean_freq
         summary["second_central_multitaper"] = tapered_moments.second_central
     summary_text = _json_text(summary)

@@ -16,14 +16,22 @@ motion of the plane itself.  Power-weighted time averages of ``omega``
 and ``sigma2`` reproduce the Fourier-domain global moments; both routes
 are implemented so each can check the other.  The Fourier route takes
 moments by trapezoid over a spectrum zero-padded to at least 16x, rounded
-up to a 5-smooth length (:func:`_fft_length`), one FFT per component on
-the CPUs the process may use; in double precision this is more accurate
-than the closed-form integral over the autocorrelation lags.
+up to a 5-smooth length (:func:`_fft_length`); in double precision this
+is more accurate than the closed-form integral over the autocorrelation
+lags.  The padded spectrum is streamed, never built: bin ``s k + r`` of
+the ``m``-point DFT is bin ``k`` of an ``m / s``-point DFT of the
+modulated record (the decimation-in-frequency split of pruned FFTs,
+Markel 1971), so :func:`_shift_powers` takes one FFT of about ``n``
+points per component and shift, inline, and :func:`_power_moments`
+merges the trapezoid moments of the shifts exactly.  The multitaper
+moments of :mod:`triellipse.spectrum` go through the same two functions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -221,7 +229,9 @@ def joint_analytic_spectrum(
     complex FFT of length ``_fft_length(pad_factor * n)``, the 5-smooth
     length at or above ``pad_factor * n``, on the CPUs the process may
     use, and the squared magnitudes are summed in component order, so the
-    result does not depend on the CPU count.
+    result does not depend on the CPU count.  This is the full grid that
+    :func:`global_moments_spectral` takes its moments over without
+    building it.
     """
     n = xp.n_samples
     m = _fft_length(int(pad_factor) * n)
@@ -239,12 +249,122 @@ def joint_analytic_spectrum(
     return freqs, raw * (2.0 * np.pi / z)
 
 
-def spectral_moments(freqs: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """Mean frequency and second central moment of a one-sided spectrum."""
-    z = np.trapezoid(values, freqs)
-    mean = np.trapezoid(freqs * values, freqs) / z
-    second = np.trapezoid((freqs - mean) ** 2 * values, freqs) / z
-    return float(mean), float(second)
+def _shift_count(n: int, m: int) -> int:
+    """The largest divisor ``s`` of ``m`` with ``m // s`` at least ``n``.
+
+    Bin ``s k + r`` of an ``m``-point DFT of ``n`` samples is then bin
+    ``k`` of an ``m // s``-point DFT; ``m // s`` divides the 5-smooth
+    ``m``, so it is 5-smooth too.
+    """
+    return next(s for s in range(m // n, 0, -1) if m % s == 0)
+
+
+def _twiddles(r: int, n: int, m: int) -> np.ndarray:
+    """``exp(-2 pi i r t / m)`` for ``t < n``.
+
+    With ``b = ceil(sqrt(n))`` and ``t = a b + q``, each value is the
+    product of two table entries, ``exp(-2 pi i r a b / m)`` and
+    ``exp(-2 pi i r q / m)``, whose phases are reduced modulo ``m`` as
+    integers: about ``2 sqrt(n)`` complex exponentials instead of ``n``.
+    """
+    b = math.isqrt(n - 1) + 1
+    rows = -(-n // b)
+
+    def table(step: int, size: int) -> np.ndarray:
+        return np.exp((-2j * np.pi / m) * ((r * step * np.arange(size)) % m))
+
+    return np.multiply.outer(table(b, rows), table(1, b)).ravel()[:n]
+
+
+def _shift_powers(
+    columns: Callable[[], Iterable[np.ndarray]], n: int, m: int, s: int, real: bool
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(r, p)``: ``p[k]`` is the power at bin ``s k + r`` of the ``m``-point DFT.
+
+    The power is ``sum |DFT_m(col)|^2`` over the length-``n`` columns that
+    ``columns()`` yields, in that order, for the one-sided bins up to
+    ``m // 2``; ``s`` is ``_shift_count(n, m)`` and ``L = m // s``.  Bin
+    ``s k + r`` of the ``m``-point DFT of ``col`` is bin ``k`` of the
+    ``L``-point DFT of ``col * exp(-2 pi i r t / m)``, so each shift takes
+    one ``L``-point FFT per column, in one buffer reused for every column
+    and shift; no ``m``-point array exists.  For ``real`` columns only
+    shifts ``0 .. s // 2`` run: by conjugate symmetry the reversed output
+    of shift ``r`` holds the one-sided bins of shift ``s - r``, and shift
+    0 takes a real FFT.  Each ``r < s`` is yielded once, not in order.
+    """
+    size = m // s
+
+    def count(r: int) -> int:  # the bins s k + r up to m // 2
+        return (m // 2 - r) // s + 1
+
+    buf = np.zeros(size, dtype=complex)
+    mag = np.empty(size)
+    for r in range(s // 2 + 1 if real else s):
+        mirror = real and 0 < r < s - r
+        used = size if mirror else count(r)  # the bins of shift r, and of s - r
+        twiddle = _twiddles(r, n, m)
+        power = np.zeros(size)
+        for col in columns():
+            if real and not r:
+                y = np.fft.rfft(col, n=size)
+            else:
+                np.multiply(col, twiddle, out=buf[:n])
+                buf[n:] = 0.0
+                y = np.fft.fft(buf, out=buf)
+            a = np.abs(y[:used], out=mag[:used])
+            power[:used] += np.square(a, out=a)
+        yield r, power[: count(r)]
+        if mirror:
+            yield s - r, power[::-1][: count(s - r)]
+
+
+def _power_moments(
+    blocks: Iterable[tuple[int, np.ndarray]], m: int, s: int, dt: float, doubled: bool = False
+) -> tuple[float, float]:
+    """Mean frequency and second central moment of a power on the one-sided bins of an ``m``-point DFT.
+
+    ``blocks`` yields ``(r, p)`` once for every shift ``r < s``, as
+    :func:`_shift_powers` does: ``p[k]`` is the power at bin
+    ``j = s k + r``, for every ``j <= m // 2``.  The moments are those of
+    the trapezoid rule over the bin frequencies ``2 pi j / (m dt)``: bins
+    0 and ``m // 2`` weigh half.  ``doubled`` folds a real signal's
+    two-sided power onto the positive side, so every bin weighs twice
+    except bin 0 and, for even ``m``, bin ``m / 2``, which have no
+    mirror.  Each block is reduced to its weight, mean and centred second
+    sum, and the blocks are merged in shift order by the exact pairwise
+    update of Chan, Golub and LeVeque (1979), whatever order they come
+    in.  A zero power raises ``ValueError``.
+    """
+    top = m // 2
+    first, last = (0.25, 0.25 if m % 2 == 0 else 0.5) if doubled else (0.5, 0.5)
+    k = np.arange(top // s + 1, dtype=float)
+    stats = [(0.0, 0.0, 0.0)] * s
+    for r, p in blocks:
+        holds_top = (top - r) % s == 0  # bin m // 2 ends this block
+        if r == 0 or holds_top:
+            p = p.copy()
+            p[0] *= first if r == 0 else 1.0
+            p[-1] *= last if holds_top else 1.0
+        # pairwise sums, not BLAS dots: exact order, accurate on any stride
+        kr = k[: p.size]
+        weight = float(p.sum())
+        mean = float(np.sum(kr * p)) / weight if weight > 0 else 0.0
+        dev = kr - mean
+        dev *= dev
+        dev *= p
+        stats[r] = weight, r + s * mean, s * s * float(dev.sum())
+    total, mean, second = stats[0]
+    for weight, block_mean, block_second in stats[1:]:
+        merged = total + weight
+        if merged > 0:
+            delta = block_mean - mean
+            mean += delta * weight / merged
+            second += block_second + delta * delta * total * weight / merged
+        total = merged
+    if total <= 0:
+        raise ValueError("zero signal: spectrum is undefined")
+    unit = 2.0 * np.pi / (m * dt)
+    return mean * unit, second / total * unit**2
 
 
 def global_moments_spectral(
@@ -252,11 +372,20 @@ def global_moments_spectral(
 ) -> GlobalMoments:
     """Global moments by quadrature over the one-sided joint spectrum.
 
-    The grid is refined by zero padding (at least 16x by default), see
-    :func:`joint_analytic_spectrum`.  Energy is the trapezoidal time
-    integral of the aggregate instantaneous power.
+    The grid is that of :func:`joint_analytic_spectrum`: the one-sided
+    bins of the DFT zero-padded to ``_fft_length(pad_factor * n)`` points
+    (at least 16x by default), but the spectrum is streamed, not built:
+    :func:`_shift_powers` takes one FFT of about ``n`` points per
+    component and shift, inline, and :func:`_power_moments` merges each
+    shift's trapezoid moments, so memory stays O(n).  Energy is the
+    trapezoidal time integral of the aggregate instantaneous power.
     """
-    freqs, values = joint_analytic_spectrum(xp, pad_factor)
-    mean, second = spectral_moments(freqs, values)
+    if pad_factor < 1:
+        raise ValueError(f"pad_factor must be at least 1, got {pad_factor}")
+    n = xp.n_samples
+    m = _fft_length(int(pad_factor) * n)
+    s = _shift_count(n, m)
+    blocks = _shift_powers(lambda: (xp.samples[:, c] for c in range(3)), n, m, s, real=False)
+    mean, second = _power_moments(blocks, m, s, xp.dt)
     energy = float(np.trapezoid(xp.power, dx=xp.dt))
     return GlobalMoments(energy=energy, mean_freq=mean, second_central=second)

@@ -9,8 +9,10 @@ evaluated from the taper's autocorrelation.  The joint spectrum estimate
 averages the per-taper one-sided eigenspectra of each signal component,
 one real FFT per taper and component on the CPUs the process may use,
 sums over components, applies one-sided doubling, and normalizes to unit
-integral.  scipy, needed only for the tridiagonal eigensolve, is imported
-on first use.
+integral.  Its moments alone, which ``analyze`` needs, are streamed in
+O(n) memory by :func:`multitaper_moments`, inline, through the shifted
+transforms of :mod:`triellipse.moments`.  scipy, needed only for the
+tridiagonal eigensolve, is imported on first use.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from ._parallel import map_ordered
 from .analytic import RealSignal3
-from .moments import GlobalMoments, _fft_length, spectral_moments
+from .moments import GlobalMoments, _fft_length, _power_moments, _shift_count, _shift_powers
 
 __all__ = [
     "MIN_TAPER_SAMPLES",
@@ -29,6 +31,7 @@ __all__ = [
     "JointSpectrum",
     "slepian_tapers",
     "multitaper_joint_spectrum",
+    "multitaper_moments",
 ]
 
 #: Shortest record the Slepian tapers, and so the multitaper estimate, accept.
@@ -152,6 +155,24 @@ def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | 
     )
 
 
+def _grid_length(x: RealSignal3, tapers: TaperSet, pad_factor: int) -> int:
+    """The multitaper DFT length for ``x``, after the checks both multitaper routes share."""
+    n = x.n_samples
+    if tapers.tapers.shape[1] != n:
+        raise ValueError(
+            f"taper length {tapers.tapers.shape[1]} does not match record length {n}"
+        )
+    if not np.any(x.samples):
+        raise ValueError("zero-energy record: spectrum is undefined")
+    if pad_factor < 1:
+        raise ValueError(f"pad_factor must be at least 1, got {pad_factor}")
+    return _fft_length(int(pad_factor) * n)
+
+
+def _energy(x: RealSignal3) -> float:
+    return 2.0 * float(np.trapezoid(np.sum(x.samples**2, axis=1), dx=x.dt))
+
+
 def multitaper_joint_spectrum(
     x: RealSignal3, tapers: TaperSet, pad_factor: int = 8
 ) -> JointSpectrum:
@@ -173,40 +194,59 @@ def multitaper_joint_spectrum(
     over tapers, sums over components, applies one-sided doubling, and
     normalizes to unit integral.  Padding (``pad_factor >= 1``) refines
     the grid without changing the resolution, which stays at the taper
-    bandwidth ``2 pi p / n``.
+    bandwidth ``2 pi p / n``.  The moments are taken from the grid by
+    the same trapezoid accumulator that :func:`multitaper_moments`
+    streams.
     """
-    n = x.n_samples
-    if tapers.tapers.shape[1] != n:
-        raise ValueError(
-            f"taper length {tapers.tapers.shape[1]} does not match record length {n}"
-        )
-    if not np.any(x.samples):
-        raise ValueError("zero-energy record: spectrum is undefined")
-    if pad_factor < 1:
-        raise ValueError(f"pad_factor must be at least 1, got {pad_factor}")
-    m = _fft_length(int(pad_factor) * n)
+    m = _grid_length(x, tapers, pad_factor)
 
     def eigenspectrum(job: tuple[np.ndarray, int]) -> np.ndarray:
         taper, c = job
-        return np.abs(np.fft.rfft(taper * x.samples[:, c], n=m)) ** 2
+        a = np.abs(np.fft.rfft(taper * x.samples[:, c], n=m))
+        return np.square(a, out=a)
 
     jobs = [(taper, c) for taper in tapers.tapers for c in range(3)]
     parts = map_ordered(eigenspectrum, jobs, m)
     half = np.zeros(m // 2 + 1)
-    for p0, p1, p2 in zip(parts, parts, parts):  # one taper's three components
-        half += (p0 + p1) + p2
+    for part in parts:  # one taper's three components, in place
+        part += next(parts)
+        part += next(parts)
+        half += part
     half /= len(tapers.tapers)
+    s = _shift_count(x.n_samples, m)
+    blocks = ((r, half[r::s]) for r in range(s))
+    mean, second = _power_moments(blocks, m, s, x.dt, doubled=True)
     if m % 2 == 0:
         half[1:-1] *= 2.0
     else:
         half[1:] *= 2.0
     freqs = 2.0 * np.pi * np.arange(half.size) / (m * x.dt)
     z = np.trapezoid(half, freqs) / (2.0 * np.pi)
-    values = half / z
-    mean, second = spectral_moments(freqs, values)
-    energy = 2.0 * float(np.trapezoid(np.sum(x.samples**2, axis=1), dx=x.dt))
     return JointSpectrum(
         freqs=freqs,
-        values=values,
-        moments=GlobalMoments(energy=energy, mean_freq=mean, second_central=second),
+        values=half / z,
+        moments=GlobalMoments(energy=_energy(x), mean_freq=mean, second_central=second),
     )
+
+
+def multitaper_moments(
+    x: RealSignal3, tapers: TaperSet, pad_factor: int = 8
+) -> GlobalMoments:
+    """The moments of :func:`multitaper_joint_spectrum`, streamed instead of gridded.
+
+    Same checks, grid and trapezoid moments, but the eigenspectra are
+    never built: each taper and component takes one FFT of about ``n``
+    points per shift of the grid (``moments._shift_powers``), inline, so
+    memory stays O(n).  The values agree with
+    ``multitaper_joint_spectrum(x, tapers, pad_factor).moments`` to
+    rounding.
+    """
+    m = _grid_length(x, tapers, pad_factor)
+    n = x.n_samples
+    s = _shift_count(n, m)
+    blocks = _shift_powers(
+        lambda: (taper * x.samples[:, c] for taper in tapers.tapers for c in range(3)),
+        n, m, s, real=True,
+    )
+    mean, second = _power_moments(blocks, m, s, x.dt, doubled=True)
+    return GlobalMoments(energy=_energy(x), mean_freq=mean, second_central=second)

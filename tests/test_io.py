@@ -215,8 +215,11 @@ def test_short_records_start_no_process(tmp_path, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_fork_after_the_fft_pool_ran(tmp_path, monkeypatch, deadline):
-    n = 16384  # the 16x-padded global spectrum reaches the pool before the writers fork
+    n = 16384  # the writers fork
     csv = _record_csv(tmp_path, n, 2)
+    # analyze starts no thread; a library caller's full-grid spectrum starts the pool first
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+    assert list(_parallel.map_ordered(abs, [-1, -2, -3], 1 << 20)) == [1, 2, 3]
     outputs = {}
     for cpus in (1, 2):
         monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
@@ -290,7 +293,7 @@ def test_failed_summary_child(tmp_path, monkeypatch, capsys, forking, how):
             os.kill(os.getpid(), signal.SIGKILL)
         raise ValueError("multitaper probe failed")
 
-    monkeypatch.setattr(cli, "multitaper_joint_spectrum", failing)
+    monkeypatch.setattr(cli, "multitaper_moments", failing)
     out = tmp_path / "o"
     code, _, stderr = _analyze([_record_csv(tmp_path, 800, 0), "--out", out], capsys)
     if how == "raises":
@@ -310,7 +313,7 @@ except ImportError:  # numpy < 2
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-@pytest.mark.parametrize("stage", ["analyze_signal", "multitaper_joint_spectrum"])
+@pytest.mark.parametrize("stage", ["analyze_signal", "multitaper_moments"])
 def test_out_of_memory_is_numerical_failure(tmp_path, monkeypatch, capsys, forking, stage):
     # numpy's own error, as a huge --pad raises it; building it allocates nothing
     error = _ArrayMemoryError((800 * 10**8,), np.dtype(complex))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,11 @@ from triellipse import (
     joint_analytic_spectrum,
     make_random_modulated,
     make_smooth_path,
+    multitaper_joint_spectrum,
+    multitaper_moments,
+    slepian_tapers,
 )
+from triellipse import _parallel
 from triellipse.moments import _fft_length
 
 from conftest import circular_signal, demo_series
@@ -84,6 +90,14 @@ def test_zero_signal_rejected():
         instantaneous_moments(xp)
     with pytest.raises(ValueError):
         joint_analytic_spectrum(xp)
+    with pytest.raises(ValueError, match="zero signal"):
+        global_moments_spectral(xp)
+
+
+@pytest.mark.parametrize("pad", [0, -2])
+def test_global_pad_factor_below_one_rejected(pad):
+    with pytest.raises(ValueError, match="pad_factor"):
+        global_moments_spectral(make_random_modulated(64, 0), pad_factor=pad)
 
 
 def test_decomposition_zero_for_constant_geometry():
@@ -273,3 +287,76 @@ def test_unreliable_flags_low_power():
     m = instantaneous_moments(AnalyticSignal3(scaled), eps_pow=1e-8)
     assert m.unreliable[100:110].all()
     assert not m.unreliable[:100].any()
+
+
+def _trapezoid_moments(freqs, values):
+    """Mean frequency and second central moment of a one-sided spectrum on its full grid."""
+    z = np.trapezoid(values, freqs)
+    mean = np.trapezoid(freqs * values, freqs) / z
+    return mean, np.trapezoid((freqs - mean) ** 2 * values, freqs) / z
+
+
+@pytest.mark.parametrize("n", [64, 800, 6_001, 99_999, 100_003])
+def test_streamed_moments_match_full_grid(n):
+    # the accumulator against trapezoid sums over the full grid, complex
+    # input (global) and real input (multitaper), at dt != 1; 6 001 pads
+    # to odd m at pad 1 and 3, so bin m // 2 has a mirror there; pad 3
+    # splits into an odd number of shifts; and 6 001, 99 999 and 100 003
+    # take shifted FFTs longer than the record
+    x = RealSignal3(make_random_modulated(n, 5).samples.real, dt=0.37)
+    xp = analytic_transform(x)
+    tapers = slepian_tapers(n, 2.0, 3)
+    for pad in (1, 3, 8, 16):
+        mean, second = _trapezoid_moments(*joint_analytic_spectrum(xp, pad))
+        g = global_moments_spectral(xp, pad)
+        assert abs(g.mean_freq - mean) <= 1e-12 * mean, pad
+        assert abs(g.second_central - second) <= 1e-12 * second, pad
+        est = multitaper_joint_spectrum(x, tapers, pad)
+        mean, second = _trapezoid_moments(est.freqs, est.values)
+        for got in (est.moments, multitaper_moments(x, tapers, pad)):
+            assert abs(got.mean_freq - mean) <= 1e-12 * mean, pad
+            assert abs(got.second_central - second) <= 1e-12 * second, pad
+            assert got.energy == est.moments.energy
+
+
+def test_streamed_passes_stay_o_n_and_off_the_pool(monkeypatch):
+    # at n = 1e5 the 16x grid alone is 1.6e6 complex points (25.6 MB);
+    # no FFT may be longer than the shifted one, and no thread may start
+    n = 100_000
+    x = RealSignal3(make_random_modulated(n, 0).samples.real)
+    xp = analytic_transform(x)
+    tapers = slepian_tapers(n, 2.0, 3)
+
+    def no_pool(workers):
+        raise AssertionError("the thread pool ran")
+
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+    monkeypatch.setattr(_parallel, "_pool", no_pool)
+    points = []
+    for name in ("fft", "rfft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _fn=original, **kwargs):
+            out = _fn(*args, **kwargs)
+            points.append(out.size)
+            return out
+
+        monkeypatch.setattr(np.fft, name, counted)
+    tracemalloc.start()
+    try:
+        global_moments_spectral(xp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * xp.samples.nbytes  # 64 MB through the full grid
+    assert points == [n] * 16 * 3  # m = 16 n: one n-point FFT per shift and component
+    points.clear()
+    tracemalloc.start()
+    try:
+        multitaper_moments(x, tapers, pad_factor=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * xp.samples.nbytes
+    # shift 0 as a real FFT, shifts 1 .. 4 as complex ones that also serve 7 .. 5
+    assert points == ([n // 2 + 1] * 9) + [n] * 4 * 9

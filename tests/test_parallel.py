@@ -18,7 +18,7 @@ from triellipse import (
 )
 from triellipse import _parallel
 from triellipse._parallel import map_ordered
-from triellipse.moments import _fft_length, joint_analytic_spectrum, spectral_moments
+from triellipse.moments import _fft_length, _power_moments, _shift_count, joint_analytic_spectrum
 
 POOLED = 1 << 20  # an FFT length above the inline crossover
 
@@ -61,13 +61,15 @@ def test_pooled_spectra_match_batched_reference(two_cpus, n, pad):
         spec = np.fft.rfft(taper[:, None] * x.samples, n=m, axis=0)
         half += np.sum(np.abs(spec) ** 2, axis=1)
     half /= len(ts.tapers)
+    # its moments through the trapezoid accumulator, one block per grid shift
+    s = _shift_count(n, m)
+    mean, second = _power_moments(((r, half[r::s]) for r in range(s)), m, s, x.dt, doubled=True)
     if m % 2 == 0:
         half[1:-1] *= 2.0
     else:
         half[1:] *= 2.0
     freqs = 2.0 * np.pi * np.arange(half.size) / (m * x.dt)
     values = half / (np.trapezoid(half, freqs) / (2.0 * np.pi))
-    mean, second = spectral_moments(freqs, values)
     est = multitaper_joint_spectrum(x, ts, pad_factor=pad)
     assert np.array_equal(est.values, values)
     assert est.moments.mean_freq == mean

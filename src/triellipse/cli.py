@@ -25,7 +25,8 @@ Input CSV: header row (default columns ``t,x,y,z``), comma separated,
 ``#`` comment lines ignored, uniform time grid.  Exit codes: 0 success,
 2 input error (a bad file, a bad flag value such as a non-positive
 ``--dt``, a non-finite ``--bearing`` or a ``--taper-p`` of half the
-record length or more, a negative or non-finite ``--noise``, or a failed
+record length or more, a negative or non-finite ``--noise``, a
+``spectrum`` record shorter than the tapers' 64 samples, or a failed
 write), 3 numerical failure or a request for more memory than the
 machine has (one ``out of memory`` line with numpy's message).
 Floating-point warnings are counted into one note on standard error.
@@ -459,6 +460,11 @@ def _run_synth(args) -> int:
 def _run_spectrum(args) -> int:
     config = _config(args)
     ds = _read_input(args, config)
+    if len(ds.time) < MIN_TAPER_SAMPLES:
+        raise DataFormatError(
+            f"spectrum needs at least {MIN_TAPER_SAMPLES} samples for its tapers, "
+            f"got {len(ds.time)} samples"
+        )
     sig = RealSignal3(ds.channels, dt=ds.dt)
     est = _multitaper(sig, config)
     norm = float(np.trapezoid(est.values, est.freqs) / (2 * np.pi))

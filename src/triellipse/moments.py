@@ -24,7 +24,8 @@ modulated record (the decimation-in-frequency split of pruned FFTs,
 Markel 1971), so :func:`_shift_powers` takes one FFT of about ``n``
 points per component and shift, inline, and :func:`_power_moments`
 merges the trapezoid moments of the shifts exactly.  The multitaper
-moments of :mod:`triellipse.spectrum` go through the same two functions.
+moments and grid of :mod:`triellipse.spectrum` go through the same two
+functions, the grid with its shifts on the thread pool.
 """
 
 from __future__ import annotations
@@ -233,6 +234,8 @@ def joint_analytic_spectrum(
     :func:`global_moments_spectral` takes its moments over without
     building it.
     """
+    if pad_factor < 1:
+        raise ValueError(f"pad_factor must be at least 1, got {pad_factor}")
     n = xp.n_samples
     m = _fft_length(int(pad_factor) * n)
     half = m // 2 + 1
@@ -276,46 +279,73 @@ def _twiddles(r: int, n: int, m: int) -> np.ndarray:
     return np.multiply.outer(table(b, rows), table(1, b)).ravel()[:n]
 
 
+def _shift_bins(r: int, m: int, s: int) -> int:
+    """How many bins ``s k + r`` of an ``m``-point DFT lie at or below ``m // 2``."""
+    return (m // 2 - r) // s + 1
+
+
+def _shift_power(
+    r: int, columns: Callable[[], Iterable[np.ndarray]], n: int, m: int, s: int, real: bool,
+    buf: np.ndarray, mag: np.ndarray,
+) -> np.ndarray:
+    """The power of shift ``r``: ``p[k]`` at bin ``s k + r`` of the ``m``-point DFT.
+
+    The power is ``sum |DFT_m(col)|^2`` over the length-``n`` columns that
+    ``columns()`` yields, in that order; ``s`` is ``_shift_count(n, m)``
+    and ``L = m // s``.  Bin ``s k + r`` of the ``m``-point DFT of ``col``
+    is bin ``k`` of the ``L``-point DFT of ``col * exp(-2 pi i r t / m)``,
+    so each column takes one ``L``-point FFT, in ``buf`` (``L`` complex)
+    with its magnitude in ``mag`` (``L`` real).  The result holds the bins
+    up to ``m // 2``, or, for ``real`` columns and ``0 < r < s - r``, all
+    ``L`` bins: by conjugate symmetry, reversed, they hold those of shift
+    ``s - r``.  For ``real`` columns shift 0 takes a real FFT.
+    """
+    size = m // s
+    used = size if real and 0 < r < s - r else _shift_bins(r, m, s)
+    twiddle = None if real and not r else _twiddles(r, n, m)
+    power = np.zeros(used)
+    for col in columns():
+        if real and not r:
+            y = np.fft.rfft(col, n=size)
+        else:
+            np.multiply(col, twiddle, out=buf[:n])
+            buf[n:] = 0.0
+            y = np.fft.fft(buf, out=buf)
+        a = np.abs(y[:used], out=mag[:used])
+        power += np.square(a, out=a)
+    return power
+
+
 def _shift_powers(
-    columns: Callable[[], Iterable[np.ndarray]], n: int, m: int, s: int, real: bool
+    columns: Callable[[], Iterable[np.ndarray]], n: int, m: int, s: int, real: bool,
+    pooled: bool = False,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(r, p)``: ``p[k]`` is the power at bin ``s k + r`` of the ``m``-point DFT.
 
-    The power is ``sum |DFT_m(col)|^2`` over the length-``n`` columns that
-    ``columns()`` yields, in that order, for the one-sided bins up to
-    ``m // 2``; ``s`` is ``_shift_count(n, m)`` and ``L = m // s``.  Bin
-    ``s k + r`` of the ``m``-point DFT of ``col`` is bin ``k`` of the
-    ``L``-point DFT of ``col * exp(-2 pi i r t / m)``, so each shift takes
-    one ``L``-point FFT per column, in one buffer reused for every column
-    and shift; no ``m``-point array exists.  For ``real`` columns only
-    shifts ``0 .. s // 2`` run: by conjugate symmetry the reversed output
-    of shift ``r`` holds the one-sided bins of shift ``s - r``, and shift
-    0 takes a real FFT.  Each ``r < s`` is yielded once, not in order.
+    Each ``r < s`` is yielded once, not in order, with the bins up to
+    ``m // 2``; the power is that of :func:`_shift_power`.  For ``real``
+    columns only shifts ``0 .. s // 2`` are computed, and each yields the
+    blocks of ``r`` and of ``s - r``.  Inline, one buffer serves every
+    column and shift and no thread starts.  ``pooled`` runs the shifts as
+    tasks of ``_parallel.map_ordered``, with the grid length ``m`` as the
+    work measure, each with its own ``O(L)`` buffers; a task computes its
+    columns itself.  Either way each block holds the same bits.
     """
     size = m // s
+    shifts = range(s // 2 + 1 if real else s)
+    if pooled:
+        def task(r: int) -> np.ndarray:
+            buf, mag = np.empty(size, dtype=complex), np.empty(size)
+            return _shift_power(r, columns, n, m, s, real, buf, mag)
 
-    def count(r: int) -> int:  # the bins s k + r up to m // 2
-        return (m // 2 - r) // s + 1
-
-    buf = np.zeros(size, dtype=complex)
-    mag = np.empty(size)
-    for r in range(s // 2 + 1 if real else s):
-        mirror = real and 0 < r < s - r
-        used = size if mirror else count(r)  # the bins of shift r, and of s - r
-        twiddle = _twiddles(r, n, m)
-        power = np.zeros(size)
-        for col in columns():
-            if real and not r:
-                y = np.fft.rfft(col, n=size)
-            else:
-                np.multiply(col, twiddle, out=buf[:n])
-                buf[n:] = 0.0
-                y = np.fft.fft(buf, out=buf)
-            a = np.abs(y[:used], out=mag[:used])
-            power[:used] += np.square(a, out=a)
-        yield r, power[: count(r)]
-        if mirror:
-            yield s - r, power[::-1][: count(s - r)]
+        powers = map_ordered(task, shifts, m)
+    else:
+        buf, mag = np.empty(size, dtype=complex), np.empty(size)
+        powers = (_shift_power(r, columns, n, m, s, real, buf, mag) for r in shifts)
+    for r, power in zip(shifts, powers):
+        yield r, power[: _shift_bins(r, m, s)]
+        if real and 0 < r < s - r:
+            yield s - r, power[::-1][: _shift_bins(s - r, m, s)]
 
 
 def _power_moments(

@@ -7,12 +7,15 @@ Toeplitz concentration matrix.  Each taper's in-band concentration is its
 exact Rayleigh quotient against the sinc Toeplitz kernel (Slepian 1978),
 evaluated from the taper's autocorrelation.  The joint spectrum estimate
 averages the per-taper one-sided eigenspectra of each signal component,
-one real FFT per taper and component on the CPUs the process may use,
 sums over components, applies one-sided doubling, and normalizes to unit
-integral.  Its moments alone, which ``analyze`` needs, are streamed in
-O(n) memory by :func:`multitaper_moments`, inline, through the shifted
-transforms of :mod:`triellipse.moments`.  scipy, needed only for the
-tridiagonal eigensolve, is imported on first use.
+integral.  No eigenspectrum is built: the zero-padded grid is filled
+block by block from the shifted transforms of :mod:`triellipse.moments`,
+about ``n`` points per taper, component and shift, one task per pair of
+shifts on the CPUs the process may use, and the moments are taken from
+the same blocks.  :func:`multitaper_moments`, which ``analyze`` needs,
+streams the same blocks inline without keeping them, in O(n) memory.
+scipy, needed only for the tridiagonal eigensolve, is imported on first
+use.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import map_ordered
 from .analytic import RealSignal3
 from .moments import GlobalMoments, _fft_length, _power_moments, _shift_count, _shift_powers
 
@@ -169,6 +171,14 @@ def _grid_length(x: RealSignal3, tapers: TaperSet, pad_factor: int) -> int:
     return _fft_length(int(pad_factor) * n)
 
 
+def _tapered_powers(x: RealSignal3, tapers: TaperSet, m: int, s: int, pooled: bool):
+    """The shift blocks of the one-sided power summed over tapers and components, in that order."""
+    return _shift_powers(
+        lambda: (taper * x.samples[:, c] for taper in tapers.tapers for c in range(3)),
+        x.n_samples, m, s, real=True, pooled=pooled,
+    )
+
+
 def _energy(x: RealSignal3) -> float:
     return 2.0 * float(np.trapezoid(np.sum(x.samples**2, axis=1), dx=x.dt))
 
@@ -181,50 +191,51 @@ def multitaper_joint_spectrum(
     For each taper and each component, an eigenspectrum is the squared
     magnitude of the zero-padded one-sided real DFT of the tapered
     component.  Its length is at least ``pad_factor * n``, rounded up to a
-    5-smooth length (``_fft_length``) so that no record length sends it
-    down pocketfft's slow path.  The eigenspectra are
-    independent FFTs, run on the CPUs the process may use (inline for
-    short records).  They are added into one accumulator as they arrive,
-    in taper order and each taper's components as ``(x + y) + z``, so
-    memory stays O(pad_factor * n) whatever the taper count and, for given
-    tapers, the result is the same for any CPU count.  The tapers
-    themselves are not: :func:`slepian_tapers` solves on OpenBLAS, whose
+    5-smooth length ``m`` (``_fft_length``) so that no record length sends
+    the transforms down pocketfft's slow path.  The estimate averages
+    eigenspectra over tapers, sums over components, applies one-sided
+    doubling, and normalizes to unit integral.  Padding
+    (``pad_factor >= 1``) refines the grid without changing the
+    resolution, which stays at the taper bandwidth ``2 pi p / n``.
+
+    The grid is filled one shift at a time: bin ``s k + r`` of every
+    eigenspectrum is bin ``k`` of an ``L``-point FFT of the modulated
+    tapered component (``moments._shift_power``, ``L = m / s`` the
+    smallest divisor of ``m`` at least ``n``), and each shift's power,
+    summed in taper and component order, is written into ``half[r::s]``
+    as it arrives.  Shifts ``r`` and ``s - r`` share one task; the tasks
+    run on the CPUs the process may use (inline for short records), each
+    with its own ``O(n)`` buffers, so no transform is longer than ``L``
+    and the grid and its frequencies are the only ``O(m)`` arrays.  The
+    moments are taken from the same blocks by the trapezoid accumulator
+    of :func:`multitaper_moments`, so they are its values, bit for bit.
+    For given tapers the result is the same for any CPU count.  The
+    tapers themselves are not: :func:`slepian_tapers` solves on OpenBLAS, whose
     thread count follows the CPU count and sets their last bits, and so
-    those of the estimate.  The estimate averages eigenspectra
-    over tapers, sums over components, applies one-sided doubling, and
-    normalizes to unit integral.  Padding (``pad_factor >= 1``) refines
-    the grid without changing the resolution, which stays at the taper
-    bandwidth ``2 pi p / n``.  The moments are taken from the grid by
-    the same trapezoid accumulator that :func:`multitaper_moments`
-    streams.
+    those of the estimate.
     """
     m = _grid_length(x, tapers, pad_factor)
-
-    def eigenspectrum(job: tuple[np.ndarray, int]) -> np.ndarray:
-        taper, c = job
-        a = np.abs(np.fft.rfft(taper * x.samples[:, c], n=m))
-        return np.square(a, out=a)
-
-    jobs = [(taper, c) for taper in tapers.tapers for c in range(3)]
-    parts = map_ordered(eigenspectrum, jobs, m)
-    half = np.zeros(m // 2 + 1)
-    for part in parts:  # one taper's three components, in place
-        part += next(parts)
-        part += next(parts)
-        half += part
-    half /= len(tapers.tapers)
     s = _shift_count(x.n_samples, m)
-    blocks = ((r, half[r::s]) for r in range(s))
-    mean, second = _power_moments(blocks, m, s, x.dt, doubled=True)
+    half = np.empty(m // 2 + 1)
+
+    def filled(blocks):  # each block written into the grid as it passes
+        for r, p in blocks:
+            half[r::s] = p
+            yield r, p
+
+    mean, second = _power_moments(
+        filled(_tapered_powers(x, tapers, m, s, pooled=True)), m, s, x.dt, doubled=True
+    )
+    half /= len(tapers.tapers)
     if m % 2 == 0:
         half[1:-1] *= 2.0
     else:
         half[1:] *= 2.0
     freqs = 2.0 * np.pi * np.arange(half.size) / (m * x.dt)
-    z = np.trapezoid(half, freqs) / (2.0 * np.pi)
+    half /= np.trapezoid(half, freqs) / (2.0 * np.pi)
     return JointSpectrum(
         freqs=freqs,
-        values=half / z,
+        values=half,
         moments=GlobalMoments(energy=_energy(x), mean_freq=mean, second_central=second),
     )
 
@@ -234,19 +245,14 @@ def multitaper_moments(
 ) -> GlobalMoments:
     """The moments of :func:`multitaper_joint_spectrum`, streamed instead of gridded.
 
-    Same checks, grid and trapezoid moments, but the eigenspectra are
-    never built: each taper and component takes one FFT of about ``n``
-    points per shift of the grid (``moments._shift_powers``), inline, so
-    memory stays O(n).  The values agree with
-    ``multitaper_joint_spectrum(x, tapers, pad_factor).moments`` to
-    rounding.
+    Same checks, shift blocks and trapezoid moments, but no grid: the
+    blocks are computed inline in one buffer and dropped once reduced, so
+    memory stays O(n) and no thread starts.  The values are
+    ``multitaper_joint_spectrum(x, tapers, pad_factor).moments``, bit for
+    bit.
     """
     m = _grid_length(x, tapers, pad_factor)
-    n = x.n_samples
-    s = _shift_count(n, m)
-    blocks = _shift_powers(
-        lambda: (taper * x.samples[:, c] for taper in tapers.tapers for c in range(3)),
-        n, m, s, real=True,
-    )
+    s = _shift_count(x.n_samples, m)
+    blocks = _tapered_powers(x, tapers, m, s, pooled=False)
     mean, second = _power_moments(blocks, m, s, x.dt, doubled=True)
     return GlobalMoments(energy=_energy(x), mean_freq=mean, second_central=second)

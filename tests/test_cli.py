@@ -438,6 +438,16 @@ def test_record_below_taper_minimum_omits_multitaper_fields(tmp_path, capsys):
     assert "second_central_multitaper" not in summary
 
 
+def test_spectrum_below_taper_minimum_is_input_error(tmp_path, capsys):
+    f = tmp_path / "short.csv"
+    write_csv(f, range(40), np.random.default_rng(0).normal(size=(40, 3)))
+    out = tmp_path / "o"
+    assert run("spectrum", f, "--out", out) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("input error:") and "40 samples" in err and "64" in err
+    assert not out.exists()
+
+
 def test_fully_excluded_record_says_so(tmp_path, capsys):
     # a linear record: every sample is flagged degenerate
     f = tmp_path / "linear.csv"

@@ -96,8 +96,11 @@ def test_zero_signal_rejected():
 
 @pytest.mark.parametrize("pad", [0, -2])
 def test_global_pad_factor_below_one_rejected(pad):
+    xp = make_random_modulated(64, 0)
     with pytest.raises(ValueError, match="pad_factor"):
-        global_moments_spectral(make_random_modulated(64, 0), pad_factor=pad)
+        global_moments_spectral(xp, pad_factor=pad)
+    with pytest.raises(ValueError, match="pad_factor"):
+        joint_analytic_spectrum(xp, pad_factor=pad)
 
 
 def test_decomposition_zero_for_constant_geometry():

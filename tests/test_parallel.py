@@ -16,9 +16,15 @@ from triellipse import (
     multitaper_joint_spectrum,
     slepian_tapers,
 )
-from triellipse import _parallel
+from triellipse import _parallel, moments
 from triellipse._parallel import map_ordered
-from triellipse.moments import _fft_length, _power_moments, _shift_count, joint_analytic_spectrum
+from triellipse.moments import (
+    _fft_length,
+    _power_moments,
+    _shift_count,
+    _shift_powers,
+    joint_analytic_spectrum,
+)
 
 POOLED = 1 << 20  # an FFT length above the inline crossover
 
@@ -39,7 +45,7 @@ def _python(code):
 
 
 @pytest.mark.parametrize("n, pad", [(16384, 8), (16385, 9)])
-def test_pooled_spectra_match_batched_reference(two_cpus, n, pad):
+def test_pooled_spectra_match_batched_reference(two_cpus, monkeypatch, n, pad):
     x = RealSignal3(make_random_modulated(n, 0).samples.real)
     xp = analytic_transform(x)
     assert min(16 * n, pad * n) >= _parallel._INLINE_BELOW
@@ -53,24 +59,32 @@ def test_pooled_spectra_match_batched_reference(two_cpus, n, pad):
     assert np.array_equal(got_freqs, freqs)
     assert np.array_equal(got, raw * (2.0 * np.pi / np.trapezoid(raw, freqs)))
 
-    # the multitaper as one batched real FFT per taper
+    # the multitaper grid from the inline shift blocks: one buffer, no thread
     ts = slepian_tapers(n, 2.0, 3)
     m = _fft_length(pad * n)
-    half = np.zeros(m // 2 + 1)
-    for taper in ts.tapers:
-        spec = np.fft.rfft(taper[:, None] * x.samples, n=m, axis=0)
-        half += np.sum(np.abs(spec) ** 2, axis=1)
-    half /= len(ts.tapers)
-    # its moments through the trapezoid accumulator, one block per grid shift
     s = _shift_count(n, m)
-    mean, second = _power_moments(((r, half[r::s]) for r in range(s)), m, s, x.dt, doubled=True)
+    columns = lambda: (taper * x.samples[:, c] for taper in ts.tapers for c in range(3))
+    blocks = list(_shift_powers(columns, n, m, s, real=True))
+    half = np.empty(m // 2 + 1)
+    for r, p in blocks:
+        half[r::s] = p
+    mean, second = _power_moments(iter(blocks), m, s, x.dt, doubled=True)
+    half /= len(ts.tapers)
     if m % 2 == 0:
         half[1:-1] *= 2.0
     else:
         half[1:] *= 2.0
     freqs = 2.0 * np.pi * np.arange(half.size) / (m * x.dt)
     values = half / (np.trapezoid(half, freqs) / (2.0 * np.pi))
+    lengths = []
+
+    def spy(fn, items, fft_length):
+        lengths.append(fft_length)
+        return map_ordered(fn, items, fft_length)
+
+    monkeypatch.setattr(moments, "map_ordered", spy)
     est = multitaper_joint_spectrum(x, ts, pad_factor=pad)
+    assert lengths == [m] and m >= _parallel._INLINE_BELOW  # the shifts ran on the pool
     assert np.array_equal(est.values, values)
     assert est.moments.mean_freq == mean
     assert est.moments.second_central == second

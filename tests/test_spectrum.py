@@ -1,13 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triellipse import (
     RealSignal3,
+    make_random_modulated,
     multitaper_joint_spectrum,
+    multitaper_moments,
     rotate_frame,
     slepian_tapers,
 )
+from triellipse import _parallel
 from triellipse.moments import _fft_length
 
 from conftest import random_rotation
@@ -128,14 +135,9 @@ def test_pad_factor_below_one_rejected(rng):
             multitaper_joint_spectrum(x, ts, pad_factor=pad)
 
 
-@pytest.mark.parametrize("n, pad", [(256, 8), (257, 3)])
-def test_multitaper_matches_full_fft_reference(rng, n, pad):
-    x = RealSignal3(rng.normal(size=(n, 3)) + np.cos(0.2 * np.arange(n))[:, None])
-    ts = slepian_tapers(n, 2.0, 3)
-    est = multitaper_joint_spectrum(x, ts, pad_factor=pad)
-
-    # the two-sided eigenspectra of every taper and component at once
-    m = _fft_length(pad * n)
+def _full_fft_reference(x, ts, pad):
+    """The estimate's grid and values, from every taper's and component's m-point FFT at once."""
+    m = _fft_length(pad * x.n_samples)
     spec = np.fft.fft(ts.tapers[:, :, None] * x.samples[None, :, :], n=m, axis=1)
     raw = np.mean(np.sum(np.abs(spec) ** 2, axis=2), axis=0)
     half = raw[: m // 2 + 1].copy()
@@ -144,15 +146,71 @@ def test_multitaper_matches_full_fft_reference(rng, n, pad):
     else:
         half[1:] *= 2.0
     freqs = 2.0 * np.pi * np.arange(half.size) / (m * x.dt)
-    ref = half / (np.trapezoid(half, freqs) / (2.0 * np.pi))
+    return freqs, half / (np.trapezoid(half, freqs) / (2.0 * np.pi))
 
+
+@pytest.mark.parametrize("n, pad", [(256, 8), (257, 3)])
+def test_multitaper_matches_full_fft_reference(rng, n, pad):
+    x = RealSignal3(rng.normal(size=(n, 3)) + np.cos(0.2 * np.arange(n))[:, None])
+    ts = slepian_tapers(n, 2.0, 3)
+    est = multitaper_joint_spectrum(x, ts, pad_factor=pad)
+    freqs, ref = _full_fft_reference(x, ts, pad)
     assert np.array_equal(est.freqs, freqs)
     assert np.abs(est.values - ref).max() < 1e-12 * ref.max()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.one_of(st.integers(64, 3000), st.sampled_from([67, 251, 1009, 2003, 2999])),
+    pad=st.integers(1, 16),
+    dt=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**16),
+)
+def test_streamed_grid_matches_full_fft_reference(n, pad, dt, seed):
+    # odd, even and prime lengths, odd and even grids, one shift (pad 1
+    # on a 5-smooth n) up to many, against the unshifted transforms
+    rng = np.random.default_rng(seed)
+    x = RealSignal3(rng.normal(size=(n, 3)) + np.cos(0.2 * np.arange(n))[:, None], dt=dt)
+    ts = slepian_tapers(n, 2.0, 3)
+    est = multitaper_joint_spectrum(x, ts, pad_factor=pad)
+    freqs, ref = _full_fft_reference(x, ts, pad)
+    assert np.array_equal(est.freqs, freqs)
+    assert np.abs(est.values - ref).max() < 1e-12 * ref.max()
+
+
+@pytest.mark.parametrize("n", [64, 800, 6_001, 16_385, 99_999])
+def test_grid_moments_are_the_streamed_moments(monkeypatch, n):
+    # the grid's shift blocks, pooled from 16 385 samples at pad 8, are
+    # those the inline stream takes its moments from: the same bits
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+    x = RealSignal3(make_random_modulated(n, 3).samples.real, dt=0.37)
+    ts = slepian_tapers(n, 2.0, 3)
+    for pad in (1, 3, 8):
+        assert multitaper_joint_spectrum(x, ts, pad).moments == multitaper_moments(x, ts, pad), pad
+
+
+def test_grid_holds_no_eigenspectrum(monkeypatch):
+    # at n = 1e5 and pad 8 the pooled 8n-point eigenspectra peaked at
+    # 26-29 MB; now the grid and its frequencies are the only O(m) arrays,
+    # beside a few record-sized buffers per worker
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+    n = 100_000
+    x = RealSignal3(make_random_modulated(n, 0).samples.real)
+    ts = slepian_tapers(n, 2.0, 3)
+    tracemalloc.start()
+    try:
+        est = multitaper_joint_spectrum(x, ts, pad_factor=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * est.values.nbytes + 6 * x.samples.nbytes
+
+
 def test_fft_work_is_pinned(rng, monkeypatch):
-    # one rfft/irfft pair of length 2n for all concentrations, then one
-    # one-sided rfft of length pad*n per taper over the three components
+    # one rfft/irfft pair of length 2n for all concentrations, then, per
+    # taper and component, one L-point FFT per shift of the pad*n grid
+    # (L = n, s = 8 shifts here): shift 0 real, shifts 1 .. 4 complex,
+    # shifts 5 .. 7 read from 3 .. 1 reversed; no pad*n-point transform
     points = []
     for name in ("fft", "ifft", "rfft", "irfft"):
         original = getattr(np.fft, name)
@@ -166,4 +224,6 @@ def test_fft_work_is_pinned(rng, monkeypatch):
     n, k, pad = 1000, 3, 8
     ts = slepian_tapers(n, 2.0, k)
     multitaper_joint_spectrum(RealSignal3(rng.normal(size=(n, 3))), ts, pad_factor=pad)
-    assert sum(points) == k * (n + 1) + k * 2 * n + k * 3 * (pad * n // 2 + 1)
+    size, complex_shifts = n, pad // 2
+    concentrations = [k * (n + 1), k * 2 * n]
+    assert points == concentrations + [size // 2 + 1] * k * 3 + [size] * k * 3 * complex_shifts

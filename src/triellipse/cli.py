@@ -25,10 +25,10 @@ Input CSV: header row (default columns ``t,x,y,z``), comma separated,
 ``#`` comment lines ignored, uniform time grid.  Exit codes: 0 success,
 2 input error (a bad file, a bad flag value such as a non-positive
 ``--dt``, a non-finite ``--bearing`` or a ``--taper-p`` of half the
-record length or more, a negative or non-finite ``--noise``, a
-``spectrum`` record shorter than the tapers' 64 samples, or a failed
-write), 3 numerical failure or a request for more memory than the
-machine has (one ``out of memory`` line with numpy's message).
+record length or more, a negative or non-finite ``--noise``, a negative
+``--seed``, a ``spectrum`` record shorter than the tapers' 64 samples,
+or a failed write), 3 numerical failure or a request for more memory
+than the machine has (one ``out of memory`` line with numpy's message).
 Floating-point warnings are counted into one note on standard error.
 """
 
@@ -425,6 +425,8 @@ def _run_analyze(args) -> int:
 def _run_synth(args) -> int:
     if not (math.isfinite(args.noise) and args.noise >= 0):
         raise DataFormatError(f"--noise must be finite and at least 0, got {args.noise}")
+    if args.seed < 0:
+        raise DataFormatError(f"--seed must be at least 0, got {args.seed}")
     try:
         spec = SynthSpec(
             n_samples=args.n, mode=args.mode,

@@ -25,7 +25,7 @@ Markel 1971), so :func:`_shift_powers` takes one FFT of about ``n``
 points per component and shift, inline, and :func:`_power_moments`
 merges the trapezoid moments of the shifts exactly.  The multitaper
 moments and grid of :mod:`triellipse.spectrum` go through the same two
-functions, the grid with its shifts on the thread pool.
+functions.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ._parallel import map_ordered
 from .analytic import AnalyticSignal3, differentiate, edge_mask
 from .ellipse import EllipseRates, ExtractionResult
 
@@ -228,9 +227,8 @@ def joint_analytic_spectrum(
     grid (radians per time unit), scaled so that the trapezoidal integral
     of ``values / (2 pi)`` equals 1.  Each component takes its own
     complex FFT of length ``_fft_length(pad_factor * n)``, the 5-smooth
-    length at or above ``pad_factor * n``, on the CPUs the process may
-    use, and the squared magnitudes are summed in component order, so the
-    result does not depend on the CPU count.  This is the full grid that
+    length at or above ``pad_factor * n``, and the squared magnitudes are
+    summed in component order.  This is the full grid that
     :func:`global_moments_spectral` takes its moments over without
     building it.
     """
@@ -240,10 +238,7 @@ def joint_analytic_spectrum(
     m = _fft_length(int(pad_factor) * n)
     half = m // 2 + 1
 
-    def power(c: int) -> np.ndarray:
-        return np.abs(np.fft.fft(xp.samples[:, c], n=m)[:half]) ** 2
-
-    p0, p1, p2 = map_ordered(power, range(3), m)
+    p0, p1, p2 = (np.abs(np.fft.fft(xp.samples[:, c], n=m)[:half]) ** 2 for c in range(3))
     raw = (p0 + p1) + p2
     freqs = 2.0 * np.pi * np.arange(half) / (m * xp.dt)
     z = np.trapezoid(raw, freqs)
@@ -284,67 +279,41 @@ def _shift_bins(r: int, m: int, s: int) -> int:
     return (m // 2 - r) // s + 1
 
 
-def _shift_power(
-    r: int, columns: Callable[[], Iterable[np.ndarray]], n: int, m: int, s: int, real: bool,
-    buf: np.ndarray, mag: np.ndarray,
-) -> np.ndarray:
-    """The power of shift ``r``: ``p[k]`` at bin ``s k + r`` of the ``m``-point DFT.
+def _shift_powers(
+    columns: Callable[[], Iterable[np.ndarray]], n: int, m: int, s: int, real: bool
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(r, p)``: ``p[k]`` is the power at bin ``s k + r`` of the ``m``-point DFT.
 
     The power is ``sum |DFT_m(col)|^2`` over the length-``n`` columns that
     ``columns()`` yields, in that order; ``s`` is ``_shift_count(n, m)``
     and ``L = m // s``.  Bin ``s k + r`` of the ``m``-point DFT of ``col``
     is bin ``k`` of the ``L``-point DFT of ``col * exp(-2 pi i r t / m)``,
-    so each column takes one ``L``-point FFT, in ``buf`` (``L`` complex)
-    with its magnitude in ``mag`` (``L`` real).  The result holds the bins
-    up to ``m // 2``, or, for ``real`` columns and ``0 < r < s - r``, all
-    ``L`` bins: by conjugate symmetry, reversed, they hold those of shift
-    ``s - r``.  For ``real`` columns shift 0 takes a real FFT.
+    so each column takes one ``L``-point FFT per shift, inline, in one
+    ``L``-point buffer that serves every column and shift.  Each ``r < s``
+    is yielded once, not in order, with the bins up to ``m // 2``.  For
+    ``real`` columns only shifts ``0 .. s // 2`` are transformed, shift 0
+    by a real FFT: for ``0 < r < s - r`` the ``L`` bins of shift ``r``,
+    reversed, are by conjugate symmetry those of shift ``s - r``, so each
+    such shift yields both blocks.
     """
     size = m // s
-    used = size if real and 0 < r < s - r else _shift_bins(r, m, s)
-    twiddle = None if real and not r else _twiddles(r, n, m)
-    power = np.zeros(used)
-    for col in columns():
-        if real and not r:
-            y = np.fft.rfft(col, n=size)
-        else:
-            np.multiply(col, twiddle, out=buf[:n])
-            buf[n:] = 0.0
-            y = np.fft.fft(buf, out=buf)
-        a = np.abs(y[:used], out=mag[:used])
-        power += np.square(a, out=a)
-    return power
-
-
-def _shift_powers(
-    columns: Callable[[], Iterable[np.ndarray]], n: int, m: int, s: int, real: bool,
-    pooled: bool = False,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(r, p)``: ``p[k]`` is the power at bin ``s k + r`` of the ``m``-point DFT.
-
-    Each ``r < s`` is yielded once, not in order, with the bins up to
-    ``m // 2``; the power is that of :func:`_shift_power`.  For ``real``
-    columns only shifts ``0 .. s // 2`` are computed, and each yields the
-    blocks of ``r`` and of ``s - r``.  Inline, one buffer serves every
-    column and shift and no thread starts.  ``pooled`` runs the shifts as
-    tasks of ``_parallel.map_ordered``, with the grid length ``m`` as the
-    work measure, each with its own ``O(L)`` buffers; a task computes its
-    columns itself.  Either way each block holds the same bits.
-    """
-    size = m // s
-    shifts = range(s // 2 + 1 if real else s)
-    if pooled:
-        def task(r: int) -> np.ndarray:
-            buf, mag = np.empty(size, dtype=complex), np.empty(size)
-            return _shift_power(r, columns, n, m, s, real, buf, mag)
-
-        powers = map_ordered(task, shifts, m)
-    else:
-        buf, mag = np.empty(size, dtype=complex), np.empty(size)
-        powers = (_shift_power(r, columns, n, m, s, real, buf, mag) for r in shifts)
-    for r, power in zip(shifts, powers):
+    buf, mag = np.empty(size, dtype=complex), np.empty(size)
+    for r in range(s // 2 + 1 if real else s):
+        paired = real and 0 < r < s - r
+        used = size if paired else _shift_bins(r, m, s)
+        twiddle = None if real and not r else _twiddles(r, n, m)
+        power = np.zeros(used)
+        for col in columns():
+            if twiddle is None:
+                y = np.fft.rfft(col, n=size)
+            else:
+                np.multiply(col, twiddle, out=buf[:n])
+                buf[n:] = 0.0
+                y = np.fft.fft(buf, out=buf)
+            a = np.abs(y[:used], out=mag[:used])
+            power += np.square(a, out=a)
         yield r, power[: _shift_bins(r, m, s)]
-        if real and 0 < r < s - r:
+        if paired:
             yield s - r, power[::-1][: _shift_bins(s - r, m, s)]
 
 

@@ -10,10 +10,10 @@ averages the per-taper one-sided eigenspectra of each signal component,
 sums over components, applies one-sided doubling, and normalizes to unit
 integral.  No eigenspectrum is built: the zero-padded grid is filled
 block by block from the shifted transforms of :mod:`triellipse.moments`,
-about ``n`` points per taper, component and shift, one task per pair of
-shifts on the CPUs the process may use, and the moments are taken from
-the same blocks.  :func:`multitaper_moments`, which ``analyze`` needs,
-streams the same blocks inline without keeping them, in O(n) memory.
+about ``n`` points per taper, component and shift, inline in one buffer,
+and the moments are taken from the same blocks.
+:func:`multitaper_moments`, which ``analyze`` needs, takes the same
+blocks without keeping them, in O(n) memory.
 scipy, needed only for the tridiagonal eigensolve, is imported on first
 use.
 """
@@ -171,11 +171,11 @@ def _grid_length(x: RealSignal3, tapers: TaperSet, pad_factor: int) -> int:
     return _fft_length(int(pad_factor) * n)
 
 
-def _tapered_powers(x: RealSignal3, tapers: TaperSet, m: int, s: int, pooled: bool):
+def _tapered_powers(x: RealSignal3, tapers: TaperSet, m: int, s: int):
     """The shift blocks of the one-sided power summed over tapers and components, in that order."""
     return _shift_powers(
         lambda: (taper * x.samples[:, c] for taper in tapers.tapers for c in range(3)),
-        x.n_samples, m, s, real=True, pooled=pooled,
+        x.n_samples, m, s, real=True,
     )
 
 
@@ -200,19 +200,17 @@ def multitaper_joint_spectrum(
 
     The grid is filled one shift at a time: bin ``s k + r`` of every
     eigenspectrum is bin ``k`` of an ``L``-point FFT of the modulated
-    tapered component (``moments._shift_power``, ``L = m / s`` the
+    tapered component (``moments._shift_powers``, ``L = m / s`` the
     smallest divisor of ``m`` at least ``n``), and each shift's power,
     summed in taper and component order, is written into ``half[r::s]``
-    as it arrives.  Shifts ``r`` and ``s - r`` share one task; the tasks
-    run on the CPUs the process may use (inline for short records), each
-    with its own ``O(n)`` buffers, so no transform is longer than ``L``
-    and the grid and its frequencies are the only ``O(m)`` arrays.  The
-    moments are taken from the same blocks by the trapezoid accumulator
-    of :func:`multitaper_moments`, so they are its values, bit for bit.
-    For given tapers the result is the same for any CPU count.  The
-    tapers themselves are not: :func:`slepian_tapers` solves on OpenBLAS, whose
-    thread count follows the CPU count and sets their last bits, and so
-    those of the estimate.
+    as it arrives.  The transforms run inline in one ``L``-point buffer,
+    so no transform is longer than ``L`` and the grid and its frequencies
+    are the only ``O(m)`` arrays.  The moments are taken from the same
+    blocks by the trapezoid accumulator of :func:`multitaper_moments`, so
+    they are its values, bit for bit.  For given tapers the result is the
+    same for any CPU count.  The tapers themselves are not:
+    :func:`slepian_tapers` solves on OpenBLAS, whose thread count follows
+    the CPU count and sets their last bits, and so those of the estimate.
     """
     m = _grid_length(x, tapers, pad_factor)
     s = _shift_count(x.n_samples, m)
@@ -224,7 +222,7 @@ def multitaper_joint_spectrum(
             yield r, p
 
     mean, second = _power_moments(
-        filled(_tapered_powers(x, tapers, m, s, pooled=True)), m, s, x.dt, doubled=True
+        filled(_tapered_powers(x, tapers, m, s)), m, s, x.dt, doubled=True
     )
     half /= len(tapers.tapers)
     if m % 2 == 0:
@@ -245,14 +243,13 @@ def multitaper_moments(
 ) -> GlobalMoments:
     """The moments of :func:`multitaper_joint_spectrum`, streamed instead of gridded.
 
-    Same checks, shift blocks and trapezoid moments, but no grid: the
-    blocks are computed inline in one buffer and dropped once reduced, so
-    memory stays O(n) and no thread starts.  The values are
+    Same checks, shift blocks and trapezoid moments, but no grid: each
+    block is dropped once reduced, so memory stays O(n).  The values are
     ``multitaper_joint_spectrum(x, tapers, pad_factor).moments``, bit for
     bit.
     """
     m = _grid_length(x, tapers, pad_factor)
     s = _shift_count(x.n_samples, m)
-    blocks = _tapered_powers(x, tapers, m, s, pooled=False)
+    blocks = _tapered_powers(x, tapers, m, s)
     mean, second = _power_moments(blocks, m, s, x.dt, doubled=True)
     return GlobalMoments(energy=_energy(x), mean_freq=mean, second_central=second)

@@ -343,6 +343,7 @@ def test_negative_precision_is_input_error(reference_csv, tmp_path, capsys, comm
     ("--upsilon", "inf", "--upsilon must be finite and nonnegative, got inf"),
     ("--omega-bar", "inf", "--omega-bar must be finite and positive, got inf"),
     ("--n", "10", "--n must be at least 64, got 10"),
+    ("--seed", "-1", "--seed must be at least 0, got -1"),
 ])
 def test_bad_synth_value_is_input_error(tmp_path, capsys, flag, value, message):
     out = tmp_path / "o"

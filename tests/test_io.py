@@ -213,24 +213,6 @@ def test_short_records_start_no_process(tmp_path, monkeypatch):
     assert cli.main(["spectrum", csv, "--out", str(tmp_path / "s")]) == 0
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_fork_after_the_fft_pool_ran(tmp_path, monkeypatch, deadline):
-    n = 16384  # the writers fork
-    csv = _record_csv(tmp_path, n, 2)
-    # analyze starts no thread; a library caller's full-grid spectrum starts the pool first
-    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
-    assert list(_parallel.map_ordered(abs, [-1, -2, -3], 1 << 20)) == [1, 2, 3]
-    outputs = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
-        out = tmp_path / f"cpus{cpus}"
-        assert cli.main(["analyze", str(csv), "--out", str(out)]) == 0
-        outputs[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert _parallel._executor is not None
-    assert outputs[1] == outputs[2] and len(outputs[1]) == 4
-    assert _no_child_left()
-
-
 def _record_csv(tmp_path, n, seed, scale=1.0):
     t = np.arange(n, dtype=float)
     x = make_random_modulated(n, seed).samples.real * scale

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,8 +15,7 @@ from triellipse import (
     multitaper_joint_spectrum,
     slepian_tapers,
 )
-from triellipse import _parallel, moments
-from triellipse._parallel import map_ordered
+from triellipse import _parallel
 from triellipse.moments import (
     _fft_length,
     _power_moments,
@@ -25,15 +23,6 @@ from triellipse.moments import (
     _shift_powers,
     joint_analytic_spectrum,
 )
-
-POOLED = 1 << 20  # an FFT length above the inline crossover
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Take the pooled path even on a machine with one CPU."""
-    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
-
 
 def _python(code):
     env = dict(os.environ, PYTHONPATH=str(Path(triellipse.__file__).parents[1]))
@@ -45,10 +34,9 @@ def _python(code):
 
 
 @pytest.mark.parametrize("n, pad", [(16384, 8), (16385, 9)])
-def test_pooled_spectra_match_batched_reference(two_cpus, monkeypatch, n, pad):
+def test_spectra_match_batched_reference(n, pad):
     x = RealSignal3(make_random_modulated(n, 0).samples.real)
     xp = analytic_transform(x)
-    assert min(16 * n, pad * n) >= _parallel._INLINE_BELOW
 
     # the joint spectrum as one batched complex FFT over the three components
     m = _fft_length(16 * n)
@@ -59,7 +47,7 @@ def test_pooled_spectra_match_batched_reference(two_cpus, monkeypatch, n, pad):
     assert np.array_equal(got_freqs, freqs)
     assert np.array_equal(got, raw * (2.0 * np.pi / np.trapezoid(raw, freqs)))
 
-    # the multitaper grid from the inline shift blocks: one buffer, no thread
+    # the multitaper grid from its shift blocks, written out by hand
     ts = slepian_tapers(n, 2.0, 3)
     m = _fft_length(pad * n)
     s = _shift_count(n, m)
@@ -76,34 +64,32 @@ def test_pooled_spectra_match_batched_reference(two_cpus, monkeypatch, n, pad):
         half[1:] *= 2.0
     freqs = 2.0 * np.pi * np.arange(half.size) / (m * x.dt)
     values = half / (np.trapezoid(half, freqs) / (2.0 * np.pi))
-    lengths = []
-
-    def spy(fn, items, fft_length):
-        lengths.append(fft_length)
-        return map_ordered(fn, items, fft_length)
-
-    monkeypatch.setattr(moments, "map_ordered", spy)
     est = multitaper_joint_spectrum(x, ts, pad_factor=pad)
-    assert lengths == [m] and m >= _parallel._INLINE_BELOW  # the shifts ran on the pool
     assert np.array_equal(est.values, values)
     assert est.moments.mean_freq == mean
     assert est.moments.second_central == second
-    assert _parallel._executor is not None
 
 
 def test_short_record_starts_no_thread():
+    # nor a long one on two CPUs (16 385 samples at pad 8, a grid of more
+    # than 2^17 points); scipy.linalg imports concurrent.futures, but only
+    # a thread pool loads its submodule concurrent.futures.thread
     out = _python(
-        "import threading\n"
-        "from triellipse import RealSignal3, analyze_signal, make_random_modulated, "
-        "multitaper_joint_spectrum, slepian_tapers\n"
+        "import sys, threading\n"
+        "from triellipse import RealSignal3, _parallel, analyze_signal, "
+        "make_random_modulated, multitaper_joint_spectrum, slepian_tapers\n"
+        "_parallel._cpus = lambda: 2\n"
         "x = RealSignal3(make_random_modulated(800, 0).samples.real)\n"
         "before = threading.active_count()\n"
         "analyze_signal(x)\n"
         "multitaper_joint_spectrum(x, slepian_tapers(800, 2.0, 3))\n"
-        "print(before, threading.active_count())\n"
+        "x = RealSignal3(make_random_modulated(16385, 0).samples.real)\n"
+        "multitaper_joint_spectrum(x, slepian_tapers(16385, 2.0, 3), pad_factor=8)\n"
+        "print(before, threading.active_count(), 'concurrent.futures.thread' in sys.modules)\n"
     )
-    before, after = out.split()
+    before, after, futures = out.split()
     assert before == after
+    assert futures == "False"
 
 
 def test_synth_loads_neither_scipy_nor_thread_pool(tmp_path):
@@ -131,43 +117,6 @@ def test_analyze_leaves_scipy_to_the_summary_child(tmp_path):
     )
     assert out.splitlines()[-1] == "False"
     assert "mean_freq_multitaper" in (tmp_path / "o" / "summary.json").read_text()
-
-
-@pytest.mark.parametrize("fft_length", [0, POOLED])
-def test_task_exception_reaches_caller(two_cpus, fft_length):
-    def task(i):
-        if i == 2:
-            raise ZeroDivisionError(f"task {i}")
-        return i
-
-    results = map_ordered(task, range(6), fft_length)
-    assert [next(results), next(results)] == [0, 1]
-    with pytest.raises(ZeroDivisionError, match="task 2"):
-        next(results)
-
-
-def test_results_come_in_input_order(two_cpus):
-    # later items finish first; more tasks than workers
-    def task(i):
-        np.fft.fft(np.ones(1 << (18 - i)))
-        return i
-
-    assert list(map_ordered(task, range(8), POOLED)) == list(range(8))
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_forked_child_builds_its_own_pool(two_cpus):
-    assert list(map_ordered(abs, [-1, -2, -3], POOLED)) == [1, 2, 3]
-    child = multiprocessing.get_context("fork").Process(
-        target=lambda: list(map_ordered(abs, [-1, -2, -3], POOLED))
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
-        child.start()
-    child.join(timeout=30)
-    if child.is_alive():
-        child.kill()
-    assert child.exitcode == 0
 
 
 def _overflow():

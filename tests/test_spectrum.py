@@ -14,7 +14,6 @@ from triellipse import (
     rotate_frame,
     slepian_tapers,
 )
-from triellipse import _parallel
 from triellipse.moments import _fft_length
 
 from conftest import random_rotation
@@ -179,21 +178,18 @@ def test_streamed_grid_matches_full_fft_reference(n, pad, dt, seed):
 
 
 @pytest.mark.parametrize("n", [64, 800, 6_001, 16_385, 99_999])
-def test_grid_moments_are_the_streamed_moments(monkeypatch, n):
-    # the grid's shift blocks, pooled from 16 385 samples at pad 8, are
-    # those the inline stream takes its moments from: the same bits
-    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+def test_grid_moments_are_the_streamed_moments(n):
+    # the grid's shift blocks are those the stream takes its moments
+    # from: the same bits
     x = RealSignal3(make_random_modulated(n, 3).samples.real, dt=0.37)
     ts = slepian_tapers(n, 2.0, 3)
     for pad in (1, 3, 8):
         assert multitaper_joint_spectrum(x, ts, pad).moments == multitaper_moments(x, ts, pad), pad
 
 
-def test_grid_holds_no_eigenspectrum(monkeypatch):
-    # at n = 1e5 and pad 8 the pooled 8n-point eigenspectra peaked at
-    # 26-29 MB; now the grid and its frequencies are the only O(m) arrays,
-    # beside a few record-sized buffers per worker
-    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+def test_grid_holds_no_eigenspectrum():
+    # at n = 1e5 and pad 8 the grid and its frequencies are the only O(m)
+    # arrays, beside one record-sized buffer: 12.8 MB in all, 13.6 MB allowed
     n = 100_000
     x = RealSignal3(make_random_modulated(n, 0).samples.real)
     ts = slepian_tapers(n, 2.0, 3)
@@ -203,7 +199,7 @@ def test_grid_holds_no_eigenspectrum(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * est.values.nbytes + 6 * x.samples.nbytes
+    assert peak < 2 * est.values.nbytes + 3 * x.samples.nbytes
 
 
 def test_fft_work_is_pinned(rng, monkeypatch):

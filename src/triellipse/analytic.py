@@ -20,6 +20,7 @@ built on this representation, so the conventions fixed here matter:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -127,10 +128,24 @@ class AnalyticSignal3:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
-    @property
+    @cached_property
     def power(self) -> np.ndarray:
-        """Aggregate instantaneous power ``||x+(t)||^2`` per sample."""
-        return np.sum(np.abs(self.samples) ** 2, axis=1)
+        """Aggregate instantaneous power ``||x+(t)||^2`` per sample, computed once (read-only)."""
+        power = np.sum(np.abs(self.samples) ** 2, axis=1)
+        power.flags.writeable = False
+        return power
+
+    def rows(self, lo: int, hi: int) -> AnalyticSignal3:
+        """Samples ``lo:hi`` as a signal of their own, sharing this one's samples and power.
+
+        Nothing is copied or checked again, so the caller keeps the window
+        at ``MIN_SAMPLES`` or more if a stage needs that many.
+        """
+        window = object.__new__(AnalyticSignal3)
+        object.__setattr__(window, "samples", self.samples[lo:hi])
+        object.__setattr__(window, "dt", self.dt)
+        window.__dict__["power"] = self.power[lo:hi]
+        return window
 
 
 def _analytic_weights(n: int) -> np.ndarray:
@@ -218,7 +233,9 @@ def differentiate(xp: AnalyticSignal3, scheme: str = "central4") -> np.ndarray:
         the interior, one-sided second-order at the two samples at each
         end.  ``spectral`` multiplies the DFT by ``i omega`` (Nyquist bin
         zeroed); it assumes periodicity and is accurate only for signals
-        that are effectively windowed to zero at the record ends.
+        that are effectively windowed to zero at the record ends.  It
+        needs the whole record, so the blocked chain of
+        :mod:`triellipse.pipeline` takes it once and slices it per block.
 
     Returns
     -------

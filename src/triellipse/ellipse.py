@@ -24,7 +24,7 @@ Degeneracies are flagged, not raised:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "NormalSeries",
     "PlanarProjection",
     "ExtractionResult",
+    "Carry",
     "rot_x",
     "rot_z",
     "ellipse_synthesize",
@@ -218,30 +219,42 @@ def ellipse_synthesize(series: EllipseSeries) -> AnalyticSignal3:
     return AnalyticSignal3(samples, dt=series.dt)
 
 
-def _hold_last(vectors: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Replace invalid rows by the most recent valid row.
+_VERTICAL = np.array([0.0, 0.0, 1.0])
 
-    A leading run of invalid rows is backfilled from the first valid row;
-    if no row is valid the vertical unit vector is used throughout.
+
+def _hold_last(vectors: np.ndarray, valid: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Replace invalid rows by the most recent valid row, or by ``held`` before the first."""
+    idx = np.where(valid, np.arange(1, len(valid) + 1), 0)
+    np.maximum.accumulate(idx, out=idx)
+    return np.concatenate([held[None, :], vectors])[idx]
+
+
+def _unwrap(angles: np.ndarray, start: tuple | None, advance: int) -> tuple[np.ndarray, tuple]:
+    """``np.unwrap(angles)``, continued from ``start``, and the state ``advance`` samples on.
+
+    A state is ``(last, total)``: the wrapped angle at a sample and
+    numpy's running correction sum there; ``start`` is ``None`` at a
+    track's first sample.  The arithmetic is numpy's and its ``cumsum``
+    adds in sequence, so a track unwrapped in consecutive pieces, each
+    continued from the state its predecessor left, has the bits of the
+    whole track unwrapped at once.
     """
-    out = vectors.copy()
-    idx = np.where(valid, np.arange(len(valid)), -1)
-    idx = np.maximum.accumulate(idx)
-    if idx[-1] == -1:
-        out[:] = np.array([0.0, 0.0, 1.0])
-        return out
-    first = np.argmax(valid)
-    idx[idx == -1] = first
-    return out[idx]
+    last, total = (angles[0], 0.0) if start is None else start
+    dd = np.diff(angles, prepend=last)
+    ddmod = np.mod(dd + np.pi, 2.0 * np.pi) - np.pi
+    np.copyto(ddmod, np.pi, where=(ddmod == -np.pi) & (dd > 0))
+    correction = ddmod - dd
+    np.copyto(correction, 0.0, where=np.abs(dd) < np.pi)
+    correction[0] += total
+    np.cumsum(correction, out=correction)
+    unwrapped = angles + correction
+    if start is None:
+        unwrapped[0] = angles[0]  # as numpy leaves it: -0.0 + 0.0 would be +0.0
+    return unwrapped, (angles[advance - 1], correction[advance - 1])
 
 
-def normal_vector(xp: AnalyticSignal3, eps_lin: float = EPS_LIN_DEFAULT) -> NormalSeries:
-    """Normal vector to the plane of the signal and its quadrature part.
-
-    Samples where ``||n|| < eps_lin * kappa^2`` (nearly linear motion, the
-    plane is meaningless) are flagged degenerate; their unit normal is
-    held at the last well-defined value rather than interpolated.
-    """
+def _unit_normals(xp: AnalyticSignal3, eps_lin: float):
+    """Per sample: the unit normal (0 where the normal is 0), its magnitude, and the degenerate and valid flags."""
     re, im = xp.samples.real, xp.samples.imag
     n = np.cross(im, re)
     mag = np.linalg.norm(n, axis=1)
@@ -249,14 +262,75 @@ def normal_vector(xp: AnalyticSignal3, eps_lin: float = EPS_LIN_DEFAULT) -> Norm
     degenerate = mag < eps_lin * kappa2
     with np.errstate(invalid="ignore", divide="ignore"):
         n_hat = np.where((mag > 0)[:, None], n / np.where(mag > 0, mag, 1.0)[:, None], 0.0)
-    n_hat = _hold_last(n_hat, ~degenerate & (mag > 0))
-    return NormalSeries(n_hat=n_hat, mag=mag, degenerate=degenerate)
+    return n_hat, mag, degenerate, ~degenerate & (mag > 0)
+
+
+@dataclass
+class Carry:
+    """What :func:`ellipse_extract` and :func:`ellipse_rates` carry between windows of a record.
+
+    :func:`triellipse.pipeline.decompose_analytic` runs both on
+    overlapping windows of a long record, in order, with one carry.  Each
+    call reads the state its window starts from and leaves the state the
+    next window starts from, after the first ``advance`` rows.  ``peak`` is the
+    record's peak power; ``held`` the unit normal that degenerate samples
+    take until a valid one appears in the window (at first the record's
+    first valid normal, or vertical); ``shift`` is theta's branch, chosen
+    at t = 0; ``phases`` holds the unwrap state of each angle track
+    (:func:`_unwrap`), empty at the record's start.  A call given no
+    carry treats its input as a whole record.
+    """
+
+    advance: int
+    peak: float = 0.0
+    held: np.ndarray | None = None
+    shift: float | None = None
+    phases: dict = field(default_factory=dict)
+
+    @classmethod
+    def start(cls, windows, peak: float, eps_lin: float = EPS_LIN_DEFAULT) -> Carry:
+        """The carry at the first row of a record, given its ``peak`` power.
+
+        ``windows`` are the record's consecutive windows; they are searched
+        for the first valid normal, which :func:`normal_vector` holds a
+        leading run of degenerate samples at, and not past it.
+        """
+        held = _VERTICAL
+        for xp in windows:
+            n_hat, _, _, valid = _unit_normals(xp, eps_lin)
+            if valid.any():
+                held = n_hat[np.argmax(valid)].copy()
+                break
+        return cls(advance=0, peak=peak, held=held)
+
+    def unwrap(self, name: str, angles: np.ndarray) -> np.ndarray:
+        """``np.unwrap`` of the ``name`` track, continued from the previous window."""
+        unwrapped, self.phases[name] = _unwrap(angles, self.phases.get(name), self.advance)
+        return unwrapped
+
+
+def normal_vector(
+    xp: AnalyticSignal3, eps_lin: float = EPS_LIN_DEFAULT, held: np.ndarray | None = None
+) -> NormalSeries:
+    """Normal vector to the plane of the signal and its quadrature part.
+
+    Samples where ``||n|| < eps_lin * kappa^2`` (nearly linear motion, the
+    plane is meaningless) are flagged degenerate; their unit normal is
+    held at the last well-defined value rather than interpolated.  A
+    leading run of them takes ``held``: by default the first
+    well-defined value, or the vertical unit vector if there is none.
+    """
+    n_hat, mag, degenerate, valid = _unit_normals(xp, eps_lin)
+    if held is None:
+        held = n_hat[np.argmax(valid)] if valid.any() else _VERTICAL
+    return NormalSeries(n_hat=_hold_last(n_hat, valid, held), mag=mag, degenerate=degenerate)
 
 
 def ellipse_extract(
     xp: AnalyticSignal3,
     eps_lin: float = EPS_LIN_DEFAULT,
     eps_circ: float = EPS_CIRC_DEFAULT,
+    carry: Carry | None = None,
 ) -> ExtractionResult:
     """Recover the canonical ellipse parameters from an analytic 3-vector.
 
@@ -273,13 +347,19 @@ def ellipse_extract(
     alpha/beta/theta; kappa, lambda, phi are still returned.  Samples with
     ``lambda < eps_circ`` are flagged circular (orientation-indeterminate:
     only theta + phi is meaningful there).
+
+    ``carry`` continues the held normal, the unwrapped tracks and theta's
+    branch from the previous window of a record, and gives the record's
+    peak power (see :class:`Carry`).
     """
-    normals = normal_vector(xp, eps_lin=eps_lin)
-    power = xp.power
-    max_power = float(power.max(initial=0.0))
-    if max_power == 0.0:
+    if carry is None:
+        carry = Carry(advance=xp.n_samples, peak=float(xp.power.max(initial=0.0)))
+    if carry.peak == 0.0:
         raise ValueError("cannot extract ellipse parameters from a zero signal")
-    dead = power < 1e-300 * max_power
+    normals = normal_vector(xp, eps_lin=eps_lin, held=carry.held)
+    carry.held = normals.n_hat[carry.advance - 1].copy()
+    power = xp.power
+    dead = power < 1e-300 * carry.peak
 
     kappa = np.sqrt(power / 2.0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -302,15 +382,16 @@ def ellipse_extract(
 
     z_plus = (x_tilde[:, 0] + 1j * x_tilde[:, 1]) / np.sqrt(2.0)
     z_minus = (x_tilde[:, 0] - 1j * x_tilde[:, 1]) / np.sqrt(2.0)
-    phi_plus = np.unwrap(np.angle(z_plus))
-    phi_minus = np.unwrap(np.angle(z_minus))
+    phi_plus = carry.unwrap("plus", np.angle(z_plus))
+    phi_minus = carry.unwrap("minus", np.angle(z_minus))
     phi_u = 0.5 * (phi_plus + phi_minus)
     theta_u = 0.5 * (phi_plus - phi_minus)
 
     # branch choice at t=0: theta in (-pi/2, pi/2] when possible
-    shift = np.pi * np.floor((theta_u[0] + np.pi / 2.0 - 1e-12) / np.pi)
-    theta_u = theta_u - shift
-    phi_u = phi_u + shift
+    if carry.shift is None:
+        carry.shift = np.pi * np.floor((theta_u[0] + np.pi / 2.0 - 1e-12) / np.pi)
+    theta_u = theta_u - carry.shift
+    phi_u = phi_u + carry.shift
 
     circular = (lam < eps_circ) | dead
     degenerate = normals.degenerate | dead
@@ -320,7 +401,7 @@ def ellipse_extract(
         theta=wrap_angle(theta_u), phi=wrap_angle(phi_u),
         alpha=wrap_angle(alpha), beta=beta,
         theta_unwrapped=theta_u, phi_unwrapped=phi_u,
-        alpha_unwrapped=np.unwrap(alpha),
+        alpha_unwrapped=carry.unwrap("alpha", alpha),
         degenerate=degenerate, circular=circular, dt=xp.dt,
     )
     planar = PlanarProjection(
@@ -329,16 +410,19 @@ def ellipse_extract(
     return ExtractionResult(series, normals, planar)
 
 
-def ellipse_rates(series: EllipseSeries) -> EllipseRates:
+def ellipse_rates(series: EllipseSeries, carry: Carry | None = None) -> EllipseRates:
     """Finite-difference rates of change of the ellipse parameters.
 
     Central differences on ``log kappa``, ``lambda``, and the unwrapped
     angle tracks (fourth-order interior, one-sided at the record ends),
-    with the series' own ``dt``.
+    with the series' own ``dt``.  ``carry`` continues the unwrap of
+    ``beta`` from the previous window of a record (see :class:`Carry`).
     """
+    if carry is None:
+        carry = Carry(advance=series.n_samples)
     dt = series.dt
     kappa_floor = np.clip(series.kappa, 1e-300, None)
-    beta_u = np.unwrap(series.beta)
+    beta_u = carry.unwrap("beta", series.beta)
     return EllipseRates(
         dkappa_rel=finite_diff(np.log(kappa_floor), dt),
         dlambda=finite_diff(series.lam, dt),

@@ -139,21 +139,32 @@ def instantaneous_moments(
     scheme: str = "central4",
     mean_freq: float | None = None,
     eps_pow: float = EPS_POW_DEFAULT,
+    *,
+    peak: float | None = None,
+    edge: np.ndarray | None = None,
+    derivative: np.ndarray | None = None,
 ) -> MomentsSeries:
     """Compute omega, sigma2, and upsilon2 with reliability flags.
 
     Rejects an identically zero signal.  ``mean_freq`` defaults to the Fourier-domain global mean frequency, so
     the power-weighted time average of the returned ``omega`` against the
     spectral value is a genuine cross-validation rather than circular.
+    On a window of a longer record (see
+    :func:`triellipse.pipeline.decompose_analytic`), ``peak`` is the
+    record's peak power, ``edge`` the window's rows of the record's edge
+    mask, and ``derivative`` the window's rows of the record's derivative
+    when ``scheme`` cannot take it from the window alone; each defaults
+    to that of ``xp`` itself.
     """
     power = xp.power
-    peak = float(power.max(initial=0.0))
+    if peak is None:
+        peak = float(power.max(initial=0.0))
     if peak == 0.0:
         raise ValueError("zero signal: instantaneous moments are undefined")
     unreliable = power < eps_pow * peak
     if mean_freq is None:
         mean_freq = global_moments_spectral(xp).mean_freq
-    xd = differentiate(xp, scheme)
+    xd = differentiate(xp, scheme) if derivative is None else derivative
     omega = _per_power(np.sum(np.conj(xp.samples) * xd, axis=1).imag, power)
     dev_bar = xd - 1j * mean_freq * xp.samples
     sigma2 = _per_power(np.sum(np.abs(dev_bar) ** 2, axis=1), power)
@@ -166,7 +177,7 @@ def instantaneous_moments(
         power=power,
         derivative=xd,
         mean_freq=float(mean_freq),
-        edge=edge_mask(xp.n_samples),
+        edge=edge_mask(xp.n_samples) if edge is None else edge,
         unreliable=unreliable,
         dt=xp.dt,
     )

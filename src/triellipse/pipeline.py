@@ -2,24 +2,55 @@
 
 :func:`decompose_analytic` is the per-sample chain on an analytic signal;
 :func:`analyze_signal` runs it on a real record and adds the global moments.
+
+Only the analytic transform needs the whole record: the ellipse
+parameters and the joint moments are defined at each instant from x+ and
+x+', and their rates come from local differences.  So the chain runs in
+blocks of ``_BLOCK`` samples, each writing its rows into preallocated
+whole-record columns, and keeps no other whole-record array than the
+analytic signal and its power.  Each block is computed on a window that
+adds a halo of 2 samples on either side, as far as the five-point
+stencils of the derivative and of the rates reach; a window reaches
+further back where a short last block would leave it fewer than
+``MIN_SAMPLES``.  The rest of what crosses a block edge is carried
+(:class:`~triellipse.ellipse.Carry`): the held unit normal, the unwrap
+state of the two rotary phases, of alpha and of beta (numpy's running
+correction sum, not the last unwrapped angle), and theta's branch,
+chosen at t = 0.  Before the loop the record's power, its peak, the
+global mean frequency and, for ``scheme="spectral"``, the whole record's
+FFT derivative are taken once, and a pre-pass finds the first sample
+with a valid normal: a leading run of degenerate samples takes its
+normal, even when it lies in a later block.  With these given, every
+stage is pointwise, so the blocked chain has the bits of the chain run
+on the whole record at once.  The global trapezoids run on the whole
+kept columns, since numpy's pairwise sums do not split into blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import AnalyticSignal3, RealSignal3, analytic_transform
+from .analytic import (
+    MIN_SAMPLES,
+    AnalyticSignal3,
+    RealSignal3,
+    analytic_transform,
+    differentiate,
+    edge_mask,
+)
 from .ellipse import (
     EPS_CIRC_DEFAULT,
     EPS_LIN_DEFAULT,
+    Carry,
     EllipseRates,
     EllipseSeries,
     ExtractionResult,
     NormalSeries,
+    PlanarProjection,
     ellipse_extract,
     ellipse_rates,
     rot_z,
@@ -41,12 +72,20 @@ __all__ = [
     "RunConfig",
     "SampleChain",
     "CrossChecks",
+    "EllipseColumns",
+    "NormalColumns",
+    "MomentColumns",
     "AnalysisResult",
     "decompose_analytic",
     "cross_checks",
     "in_bearing_frame",
     "analyze_signal",
 ]
+
+#: Samples per block of the per-sample chain.
+_BLOCK = 1 << 15
+#: Samples the five-point stencils reach on either side.
+_HALO = 2
 
 
 @dataclass(frozen=True)
@@ -132,33 +171,131 @@ class CrossChecks(NamedTuple):
 
 
 @dataclass(frozen=True)
+class EllipseColumns:
+    """The ellipse columns ``analyze`` writes: :class:`EllipseSeries` without ``a``, ``b`` and the unwrapped angles."""
+
+    kappa: np.ndarray
+    lam: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    degenerate: np.ndarray
+    circular: np.ndarray
+
+
+@dataclass(frozen=True)
+class NormalColumns:
+    """The unit normal ``analyze`` writes: :class:`NormalSeries` without ``mag`` and ``degenerate``."""
+
+    n_hat: np.ndarray
+
+
+@dataclass(frozen=True)
+class MomentColumns:
+    """:class:`MomentsSeries` without ``derivative``: the columns ``analyze`` writes and the power its time moments weigh by."""
+
+    omega: np.ndarray
+    sigma2: np.ndarray
+    upsilon2: np.ndarray
+    power: np.ndarray
+    mean_freq: float
+    edge: np.ndarray
+    unreliable: np.ndarray
+    dt: float
+
+
+@dataclass(frozen=True)
 class AnalysisResult:
+    """What :func:`analyze_signal` keeps: the record, what ``analyze`` writes, and the power."""
+
     signal: RealSignal3
-    ellipse: EllipseSeries
-    normal: NormalSeries
-    moments: MomentsSeries
+    ellipse: EllipseColumns
+    normal: NormalColumns
+    moments: MomentColumns
     decomposition: BandwidthDecomposition
     global_time: GlobalMoments
     global_spectral: GlobalMoments
     excluded: int
 
 
+# the class each caller builds from each output of the chain; its fields name the columns kept
+_EVERYTHING = {
+    "moments": MomentsSeries, "ellipse": EllipseSeries, "normal": NormalSeries,
+    "planar": PlanarProjection, "rates": EllipseRates, "decomposition": BandwidthDecomposition,
+}
+_WRITTEN = {
+    "moments": MomentColumns, "ellipse": EllipseColumns, "normal": NormalColumns,
+    "decomposition": BandwidthDecomposition,
+}
+
+
+def _windows(n: int) -> list[tuple[int, int, int, int]]:
+    """``(lo, hi, wlo, whi)`` per block: its rows ``lo:hi`` and the window ``wlo:whi`` it is computed on."""
+    out = []
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        whi = min(hi + _HALO, n)
+        out.append((lo, hi, max(0, min(lo - _HALO, whi - MIN_SAMPLES)), whi))
+    return out
+
+
+def _chain(
+    xp: AnalyticSignal3, config: RunConfig, mean_freq: float | None, keep: dict[str, type]
+) -> dict[str, object]:
+    """Run the per-sample chain on ``xp`` block by block, and build the ``keep`` classes from its columns."""
+    n = xp.n_samples
+    peak = float(xp.power.max(initial=0.0))
+    if mean_freq is None and peak > 0.0:  # a zero signal is the moments' error
+        mean_freq = global_moments_spectral(xp).mean_freq
+    whole_derivative = differentiate(xp, "spectral") if config.scheme == "spectral" else None
+    edge = edge_mask(n)
+    windows = _windows(n)
+    carry = Carry.start((xp.rows(w[2], w[3]) for w in windows), peak, config.eps_lin)
+    columns: dict[str, dict] = {name: {} for name in keep}
+    for i, (lo, hi, wlo, whi) in enumerate(windows):
+        window = xp.rows(wlo, whi)
+        carry.advance = (windows[i + 1][2] if i + 1 < len(windows) else whi) - wlo
+        moments = instantaneous_moments(
+            window, config.scheme, mean_freq, config.eps_pow, peak=peak, edge=edge[wlo:whi],
+            derivative=None if whole_derivative is None else whole_derivative[wlo:whi],
+        )
+        ext = ellipse_extract(window, config.eps_lin, config.eps_circ, carry=carry)
+        rates = ellipse_rates(ext.ellipse, carry=carry)
+        outputs = {
+            "moments": moments, "ellipse": ext.ellipse, "normal": ext.normal,
+            "planar": ext.planar, "rates": rates,
+            "decomposition": bandwidth_decompose(ext, rates, moments),
+        }
+        for name, cls in keep.items():
+            kept = columns[name]
+            for f in fields(cls):
+                value = getattr(outputs[name], f.name)
+                if not isinstance(value, np.ndarray):  # mean_freq and dt, record-wide
+                    kept[f.name] = value
+                    continue
+                if f.name not in kept:
+                    kept[f.name] = np.empty((n,) + value.shape[1:], value.dtype)
+                kept[f.name][lo:hi] = value[lo - wlo:hi - wlo]
+    return {name: cls(**columns[name]) for name, cls in keep.items()}
+
+
 def decompose_analytic(
     xp: AnalyticSignal3, config: RunConfig = RunConfig(), mean_freq: float | None = None
 ) -> SampleChain:
-    """Moments, ellipse, rates and bandwidth split of an analytic signal.
+    """Moments, ellipse, rates and bandwidth split of an analytic signal, every field kept.
 
     Of ``config`` only ``scheme`` and the three ``eps_*`` thresholds are
     read (``bearing``, ``trim``, the taper fields and ``precision`` are
     ignored).  ``mean_freq`` goes to :func:`instantaneous_moments`
     (``None``: the Fourier-domain value); ``xp`` is not re-transformed.
+    The chain runs in blocks (see the module docstring); with
+    ``scheme="spectral"`` the derivative is the FFT derivative of the
+    whole record, taken once and sliced per block.
     """
-    moments = instantaneous_moments(
-        xp, scheme=config.scheme, mean_freq=mean_freq, eps_pow=config.eps_pow
-    )
-    ext = ellipse_extract(xp, eps_lin=config.eps_lin, eps_circ=config.eps_circ)
-    rates = ellipse_rates(ext.ellipse)
-    return SampleChain(moments, ext, rates, bandwidth_decompose(ext, rates, moments))
+    out = _chain(xp, config, mean_freq, _EVERYTHING)
+    ext = ExtractionResult(out["ellipse"], out["normal"], out["planar"])
+    return SampleChain(out["moments"], ext, out["rates"], out["decomposition"])
 
 
 def cross_checks(chain: SampleChain) -> CrossChecks:
@@ -194,23 +331,24 @@ def in_bearing_frame(x: RealSignal3, bearing: float) -> RealSignal3:
 def analyze_signal(x: RealSignal3, config: RunConfig = RunConfig()) -> AnalysisResult:
     """Run the full pipeline on a real record, in the frame ``config.bearing`` sets.
 
-    ``excluded`` counts the samples outside the trimmed interior or flagged.
+    Only what ``analyze`` writes is kept, and the power.  ``excluded``
+    counts the samples outside the trimmed interior or flagged.
     """
     x = in_bearing_frame(x, config.bearing)
     xp = analytic_transform(x)
     g_spec = global_moments_spectral(xp)
-    moments, ext, _, decomp = decompose_analytic(xp, config, g_spec.mean_freq)
+    out = _chain(xp, config, g_spec.mean_freq, _WRITTEN)
+    moments, e = out["moments"], out["ellipse"]
     n = x.n_samples
     # trim at least the wrap-around edge that moments.edge flags at each end
     k = max(int(np.ceil(config.trim * n)), int(np.count_nonzero(moments.edge)) // 2)
     k = min(k, (n - 2) // 2)
     interior = slice(k, n - k)
     g_time = global_moments_time(moments, interior)
-    e = ext.ellipse
     flagged = moments.edge | moments.unreliable | e.degenerate | e.circular
     excluded = n - int(np.count_nonzero(~flagged[interior]))
     return AnalysisResult(
-        signal=x, ellipse=ext.ellipse, normal=ext.normal, moments=moments,
-        decomposition=decomp, global_time=g_time, global_spectral=g_spec,
+        signal=x, ellipse=e, normal=out["normal"], moments=moments,
+        decomposition=out["decomposition"], global_time=g_time, global_spectral=g_spec,
         excluded=excluded,
     )

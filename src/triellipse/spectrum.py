@@ -75,18 +75,21 @@ def _concentrations(tapers: np.ndarray, half_bandwidth: float) -> np.ndarray:
 
     The Rayleigh quotient ``v' A v / v' v`` with ``A[i, j] = sin(2 pi W (i - j))
     / (pi (i - j))`` depends on ``v`` only through its autocorrelation, which a
-    zero-padded real FFT gives for every row at once.  Any length from
-    ``2 n - 1`` up keeps that autocorrelation free of wrap-around, so the
-    transform takes the 5-smooth length at or above ``2 n``.
+    zero-padded real FFT gives.  Any length from ``2 n - 1`` up keeps that
+    autocorrelation free of wrap-around, so the transform takes the 5-smooth
+    length at or above ``2 n``.  One row is transformed at a time, into a
+    (k, n) block of lags, and one matrix-vector product weighs them all.
     """
     n = tapers.shape[1]
     m = _fft_length(2 * n)
-    acf = np.fft.irfft(np.abs(np.fft.rfft(tapers, n=m, axis=1)) ** 2, n=m, axis=1)
+    acf = np.empty(tapers.shape)
+    for row, taper in zip(acf, tapers):
+        row[:] = np.fft.irfft(np.abs(np.fft.rfft(taper, n=m)) ** 2, n=m)[:n]
     lags = np.arange(1, n)
     kernel = np.empty(n)
     kernel[0] = 2.0 * half_bandwidth
     kernel[1:] = 2.0 * np.sin(2.0 * np.pi * half_bandwidth * lags) / (np.pi * lags)
-    return acf[:, :n] @ kernel / acf[:, 0]
+    return acf @ kernel / acf[:, 0]
 
 
 def eigh_tridiagonal(*args, **kwargs):

@@ -3,6 +3,7 @@ import signal
 import numpy as np
 import pytest
 
+import triellipse.pipeline
 from triellipse import EllipseSeries, ellipse_synthesize, rot_x, rot_z
 
 DEMO_ELLIPSE = dict(a=3.0, b=2.0, theta=np.pi / 3.0, alpha=np.pi / 6.0, beta=np.pi / 4.0)
@@ -34,6 +35,13 @@ def circular_signal(n=256, k=16):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Run the per-sample chain in blocks of 64 samples; the block length is returned."""
+    monkeypatch.setattr(triellipse.pipeline, "_BLOCK", 64)
+    return 64
 
 
 @pytest.fixture

@@ -208,3 +208,14 @@ def test_edge_mask_policy():
     assert not m[40:-40].any()
     small = edge_mask(100)  # max(8, 5) = 8
     assert small[:8].all() and not small[8:-8].any()
+
+
+def test_power_is_computed_once_and_windows_share_it(rng):
+    xp = analytic_transform(RealSignal3(rng.normal(size=(100, 3))))
+    power = xp.power
+    assert xp.power is power and not power.flags.writeable
+    assert power.tobytes() == np.sum(np.abs(xp.samples) ** 2, axis=1).tobytes()
+    window = xp.rows(30, 70)
+    assert window.power.base is power and np.shares_memory(window.samples, xp.samples)
+    np.testing.assert_array_equal(window.samples, xp.samples[30:70])
+    assert window.dt == xp.dt and window.n_samples == 40

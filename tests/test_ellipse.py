@@ -19,6 +19,7 @@ from triellipse import (
     rotate_frame,
     wrap_angle,
 )
+from triellipse.ellipse import _unwrap
 
 from conftest import DEMO_ELLIPSE, circular_signal, demo_series, random_rotation
 
@@ -373,3 +374,17 @@ def test_extraction_invariants_random_paths(seed):
     assert np.all(e.a >= e.b) and np.all(e.b >= 0.0)
     assert np.all(e.beta >= 0.0) and np.all(e.beta <= np.pi)
     assert np.all(np.abs(e.kappa**2 - (e.a**2 + e.b**2) / 2.0) < 1e-10 * e.kappa.max() ** 2)
+
+
+def test_unwrap_in_overlapping_windows_has_the_bits_of_np_unwrap(rng):
+    track = wrap_angle(np.cumsum(rng.normal(0.0, 2.0, 500)))
+    track[0] = -0.0  # numpy leaves the first sample as it is
+    track[29:32] = 0.0, np.pi, 0.0  # steps of exactly +pi and -pi
+    want = np.unwrap(track)
+    # windows reach 3 samples past the next one's start, as the chain's halo does
+    starts = [0, 7, 64, 65, 200, 497, 500]
+    state, pieces = None, []
+    for lo, nxt in zip(starts, starts[1:]):
+        piece, state = _unwrap(track[lo:min(nxt + 3, 500)], state, nxt - lo)
+        pieces.append(piece[: nxt - lo])
+    assert np.concatenate(pieces).tobytes() == want.tobytes()

@@ -203,7 +203,7 @@ def test_grid_holds_no_eigenspectrum():
 
 
 def test_fft_work_is_pinned(rng, monkeypatch):
-    # one rfft/irfft pair of length 2n for all concentrations, then, per
+    # one rfft/irfft pair of length 2n per taper for its concentration, then, per
     # taper and component, one L-point FFT per shift of the pad*n grid
     # (L = n, s = 8 shifts here): shift 0 real, shifts 1 .. 4 complex,
     # shifts 5 .. 7 read from 3 .. 1 reversed; no pad*n-point transform
@@ -221,5 +221,16 @@ def test_fft_work_is_pinned(rng, monkeypatch):
     ts = slepian_tapers(n, 2.0, k)
     multitaper_joint_spectrum(RealSignal3(rng.normal(size=(n, 3))), ts, pad_factor=pad)
     size, complex_shifts = n, pad // 2
-    concentrations = [k * (n + 1), k * 2 * n]
+    concentrations = [n + 1, 2 * n] * k
     assert points == concentrations + [size // 2 + 1] * k * 3 + [size] * k * 3 * complex_shifts
+
+
+@pytest.mark.parametrize("n", [64, 801, 99_999, 100_000])
+def test_concentrations_row_by_row_equal_the_batched_transform(n):
+    ts = slepian_tapers(n, 2.0, 3)
+    w = 2.0 / n
+    m = _fft_length(2 * n)
+    acf = np.fft.irfft(np.abs(np.fft.rfft(ts.tapers, n=m, axis=1)) ** 2, n=m, axis=1)
+    lags = np.arange(1, n)
+    kernel = np.concatenate([[2.0 * w], 2.0 * np.sin(2.0 * np.pi * w * lags) / (np.pi * lags)])
+    np.testing.assert_array_equal(ts.concentrations, acf[:, :n] @ kernel / acf[:, 0])

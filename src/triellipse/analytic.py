@@ -6,9 +6,9 @@ computed in the frequency domain: forward DFT, one-sided doubling, inverse
 DFT.  Everything downstream (ellipse geometry, instantaneous moments) is
 built on this representation, so the conventions fixed here matter:
 
-* bins with 0 < omega < pi are doubled; the zero bin and (for even length)
-  the Nyquist bin keep weight 1, negative bins are zeroed.  This keeps
-  ``real(analytic) == input`` exact.
+* bins with 0 < omega < pi are multiplied by 2; the zero bin and (for
+  even length) the Nyquist bin keep weight 1, negative bins are zeroed.
+  This keeps ``real(analytic) == input`` exact.
 * input series are demeaned on construction; the removed means are kept as
   metadata.
 * the discrete transform is circular, so samples near the record ends are
@@ -169,7 +169,7 @@ def analytic_transform(x: RealSignal3) -> AnalyticSignal3:
     """
     spec = np.fft.fft(x.samples, axis=0)
     spec *= _analytic_weights(x.n_samples)[:, None]
-    return AnalyticSignal3(np.fft.ifft(spec, axis=0), dt=x.dt)
+    return AnalyticSignal3(np.fft.ifft(spec, axis=0, out=spec), dt=x.dt)
 
 
 def hilbert_check(xp: AnalyticSignal3) -> float:

@@ -571,7 +571,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (DataFormatError, OSError) as exc:
             print(f"input error: {exc}", file=sys.stderr)
             code = 2
-        except (ValueError, FloatingPointError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             code = 3
         except MemoryError as exc:

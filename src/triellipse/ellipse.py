@@ -267,9 +267,9 @@ def _unit_normals(xp: AnalyticSignal3, eps_lin: float):
 
 @dataclass
 class Carry:
-    """What :func:`ellipse_extract` and :func:`ellipse_rates` carry between windows of a record.
+    """What :func:`ellipse_extract` carries between windows of a record.
 
-    :func:`triellipse.pipeline.decompose_analytic` runs both on
+    :func:`triellipse.pipeline.decompose_analytic` runs it on
     overlapping windows of a long record, in order, with one carry.  Each
     call reads the state its window starts from and leaves the state the
     next window starts from, after the first ``advance`` rows.  ``peak`` is the
@@ -410,26 +410,24 @@ def ellipse_extract(
     return ExtractionResult(series, normals, planar)
 
 
-def ellipse_rates(series: EllipseSeries, carry: Carry | None = None) -> EllipseRates:
+def ellipse_rates(series: EllipseSeries) -> EllipseRates:
     """Finite-difference rates of change of the ellipse parameters.
 
-    Central differences on ``log kappa``, ``lambda``, and the unwrapped
-    angle tracks (fourth-order interior, one-sided at the record ends),
-    with the series' own ``dt``.  ``carry`` continues the unwrap of
-    ``beta`` from the previous window of a record (see :class:`Carry`).
+    Central differences on ``log kappa``, ``lambda``, ``beta`` and the
+    unwrapped angle tracks (fourth-order interior, one-sided at the record
+    ends), with the series' own ``dt``.  ``beta`` needs no unwrapping: it
+    lies in [0, pi] (or, from :meth:`EllipseSeries.from_paths`, is taken
+    as a continuous track), so no step exceeds pi.
     """
-    if carry is None:
-        carry = Carry(advance=series.n_samples)
     dt = series.dt
     kappa_floor = np.clip(series.kappa, 1e-300, None)
-    beta_u = carry.unwrap("beta", series.beta)
     return EllipseRates(
         dkappa_rel=finite_diff(np.log(kappa_floor), dt),
         dlambda=finite_diff(series.lam, dt),
         omega_phi=finite_diff(series.phi_unwrapped, dt),
         omega_theta=finite_diff(series.theta_unwrapped, dt),
         omega_alpha=finite_diff(series.alpha_unwrapped, dt),
-        omega_beta=finite_diff(beta_u, dt),
+        omega_beta=finite_diff(series.beta, dt),
     )
 
 

@@ -21,18 +21,19 @@ is more accurate than the closed-form integral over the autocorrelation
 lags.  The padded spectrum is streamed, never built: bin ``s k + r`` of
 the ``m``-point DFT is bin ``k`` of an ``m / s``-point DFT of the
 modulated record (the decimation-in-frequency split of pruned FFTs,
-Markel 1971), so :func:`_shift_powers` takes one FFT of about ``n``
-points per component and shift, inline, and :func:`_power_moments`
-merges the trapezoid moments of the shifts exactly.  The multitaper
-moments and grid of :mod:`triellipse.spectrum` go through the same two
-functions.
+Markel 1971).  One routine, :func:`_padded_moments`, owns that stream:
+it takes one FFT of about ``n`` points per component and shift, inline,
+reduces each shift's bins to its trapezoid moments on the spot, and
+merges the shifts exactly.  The global spectral moments, and the
+multitaper moments and grid of :mod:`triellipse.spectrum`, are one call
+of it each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -127,6 +128,13 @@ def _fft_length(m: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
+
+
+def _padded_length(n: int, pad_factor: int) -> int:
+    """``_fft_length(pad_factor * n)``, once ``pad_factor`` is checked to be at least 1."""
+    if pad_factor < 1:
+        raise ValueError(f"pad_factor must be at least 1, got {pad_factor}")
+    return _fft_length(int(pad_factor) * n)
 
 
 def _per_power(x: np.ndarray, power: np.ndarray) -> np.ndarray:
@@ -243,10 +251,8 @@ def joint_analytic_spectrum(
     :func:`global_moments_spectral` takes its moments over without
     building it.
     """
-    if pad_factor < 1:
-        raise ValueError(f"pad_factor must be at least 1, got {pad_factor}")
     n = xp.n_samples
-    m = _fft_length(int(pad_factor) * n)
+    m = _padded_length(n, pad_factor)
     half = m // 2 + 1
 
     p0, p1, p2 = (np.abs(np.fft.fft(xp.samples[:, c], n=m)[:half]) ** 2 for c in range(3))
@@ -290,25 +296,55 @@ def _shift_bins(r: int, m: int, s: int) -> int:
     return (m // 2 - r) // s + 1
 
 
-def _shift_powers(
-    columns: Callable[[], Iterable[np.ndarray]], n: int, m: int, s: int, real: bool
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(r, p)``: ``p[k]`` is the power at bin ``s k + r`` of the ``m``-point DFT.
+def _shift_stats(p: np.ndarray, r: int, m: int, s: int, ends: tuple) -> tuple[float, float, float]:
+    """Weight, mean and centred second sum of the power ``p`` at bins ``s k + r``.
+
+    Bins 0 and ``m // 2`` take the trapezoid weights ``ends``, on a copy.
+    The temporaries die on return, before the next shift is transformed.
+    """
+    holds_top = (m // 2 - r) % s == 0  # bin m // 2 ends this block
+    if r == 0 or holds_top:
+        p = p.copy()
+        p[0] *= ends[0] if r == 0 else 1.0
+        p[-1] *= ends[1] if holds_top else 1.0
+    # pairwise sums, not BLAS dots: exact order, accurate on any stride
+    k = np.arange(p.size, dtype=float)
+    weight = float(p.sum())
+    mean = float(np.sum(k * p)) / weight if weight > 0 else 0.0
+    dev = k - mean
+    dev *= dev
+    dev *= p
+    return weight, r + s * mean, s * s * float(dev.sum())
+
+
+def _padded_moments(
+    columns: Callable[[], Iterable[np.ndarray]], n: int, m: int, dt: float, real: bool,
+    grid: np.ndarray | None = None,
+) -> tuple[float, float]:
+    """Mean frequency and second central moment of a power on the one-sided bins of an ``m``-point DFT.
 
     The power is ``sum |DFT_m(col)|^2`` over the length-``n`` columns that
-    ``columns()`` yields, in that order; ``s`` is ``_shift_count(n, m)``
-    and ``L = m // s``.  Bin ``s k + r`` of the ``m``-point DFT of ``col``
-    is bin ``k`` of the ``L``-point DFT of ``col * exp(-2 pi i r t / m)``,
-    so each column takes one ``L``-point FFT per shift, inline, in one
-    ``L``-point buffer that serves every column and shift.  Each ``r < s``
-    is yielded once, not in order, with the bins up to ``m // 2``.  For
-    ``real`` columns only shifts ``0 .. s // 2`` are transformed, shift 0
-    by a real FFT: for ``0 < r < s - r`` the ``L`` bins of shift ``r``,
-    reversed, are by conjugate symmetry those of shift ``s - r``, so each
-    such shift yields both blocks.
+    ``columns()`` yields, in that order; its moments are those of the
+    trapezoid rule over the bin frequencies ``2 pi j / (m dt)``,
+    ``j <= m // 2``.  ``real`` folds the two-sided power onto the positive
+    side, so every bin but 0 and, for even ``m``, ``m / 2`` weighs twice.
+    With ``s = _shift_count(n, m)`` and ``L = m // s``, bin ``s k + r`` of
+    the DFT is bin ``k`` of the ``L``-point DFT of
+    ``col * exp(-2 pi i r t / m)``: one ``L``-point FFT per column and
+    shift, inline, in one buffer.  For ``real`` columns only shifts
+    ``0 .. s // 2`` are transformed, shift 0 by a real FFT; for
+    ``0 < r < s - r`` the bins of shift ``r``, reversed, are by conjugate
+    symmetry those of shift ``s - r``.  Each shift's bins are written into
+    ``grid[r::s]`` if a one-sided ``grid`` is given and reduced on the spot
+    (:func:`_shift_stats`); the shifts are then merged in order by the
+    exact pairwise update of Chan, Golub and LeVeque (1979).  A zero power
+    raises ``ValueError``.
     """
+    s = _shift_count(n, m)
     size = m // s
+    ends = (0.25, 0.25 if m % 2 == 0 else 0.5) if real else (0.5, 0.5)
     buf, mag = np.empty(size, dtype=complex), np.empty(size)
+    stats = [(0.0, 0.0, 0.0)] * s
     for r in range(s // 2 + 1 if real else s):
         paired = real and 0 < r < s - r
         used = size if paired else _shift_bins(r, m, s)
@@ -323,46 +359,12 @@ def _shift_powers(
                 y = np.fft.fft(buf, out=buf)
             a = np.abs(y[:used], out=mag[:used])
             power += np.square(a, out=a)
-        yield r, power[: _shift_bins(r, m, s)]
-        if paired:
-            yield s - r, power[::-1][: _shift_bins(s - r, m, s)]
-
-
-def _power_moments(
-    blocks: Iterable[tuple[int, np.ndarray]], m: int, s: int, dt: float, doubled: bool = False
-) -> tuple[float, float]:
-    """Mean frequency and second central moment of a power on the one-sided bins of an ``m``-point DFT.
-
-    ``blocks`` yields ``(r, p)`` once for every shift ``r < s``, as
-    :func:`_shift_powers` does: ``p[k]`` is the power at bin
-    ``j = s k + r``, for every ``j <= m // 2``.  The moments are those of
-    the trapezoid rule over the bin frequencies ``2 pi j / (m dt)``: bins
-    0 and ``m // 2`` weigh half.  ``doubled`` folds a real signal's
-    two-sided power onto the positive side, so every bin weighs twice
-    except bin 0 and, for even ``m``, bin ``m / 2``, which have no
-    mirror.  Each block is reduced to its weight, mean and centred second
-    sum, and the blocks are merged in shift order by the exact pairwise
-    update of Chan, Golub and LeVeque (1979), whatever order they come
-    in.  A zero power raises ``ValueError``.
-    """
-    top = m // 2
-    first, last = (0.25, 0.25 if m % 2 == 0 else 0.5) if doubled else (0.5, 0.5)
-    k = np.arange(top // s + 1, dtype=float)
-    stats = [(0.0, 0.0, 0.0)] * s
-    for r, p in blocks:
-        holds_top = (top - r) % s == 0  # bin m // 2 ends this block
-        if r == 0 or holds_top:
-            p = p.copy()
-            p[0] *= first if r == 0 else 1.0
-            p[-1] *= last if holds_top else 1.0
-        # pairwise sums, not BLAS dots: exact order, accurate on any stride
-        kr = k[: p.size]
-        weight = float(p.sum())
-        mean = float(np.sum(kr * p)) / weight if weight > 0 else 0.0
-        dev = kr - mean
-        dev *= dev
-        dev *= p
-        stats[r] = weight, r + s * mean, s * s * float(dev.sum())
+        blocks = [(r, power), (s - r, power[::-1])] if paired else [(r, power)]
+        for q, p in blocks:
+            p = p[: _shift_bins(q, m, s)]
+            if grid is not None:
+                grid[q::s] = p
+            stats[q] = _shift_stats(p, q, m, s, ends)
     total, mean, second = stats[0]
     for weight, block_mean, block_second in stats[1:]:
         merged = total + weight
@@ -374,7 +376,11 @@ def _power_moments(
     if total <= 0:
         raise ValueError("zero signal: spectrum is undefined")
     unit = 2.0 * np.pi / (m * dt)
-    return mean * unit, second / total * unit**2
+    try:
+        unit2 = unit**2
+    except OverflowError:  # a Python float's power raises where numpy's gives inf
+        unit2 = math.inf
+    return mean * unit, second / total * unit2
 
 
 def global_moments_spectral(
@@ -385,17 +391,15 @@ def global_moments_spectral(
     The grid is that of :func:`joint_analytic_spectrum`: the one-sided
     bins of the DFT zero-padded to ``_fft_length(pad_factor * n)`` points
     (at least 16x by default), but the spectrum is streamed, not built:
-    :func:`_shift_powers` takes one FFT of about ``n`` points per
-    component and shift, inline, and :func:`_power_moments` merges each
-    shift's trapezoid moments, so memory stays O(n).  Energy is the
-    trapezoidal time integral of the aggregate instantaneous power.
+    one call of :func:`_padded_moments` takes one FFT of about ``n``
+    points per component and shift, inline, and merges each shift's
+    trapezoid moments, so memory stays O(n).  Energy is the trapezoidal
+    time integral of the aggregate instantaneous power.
     """
-    if pad_factor < 1:
-        raise ValueError(f"pad_factor must be at least 1, got {pad_factor}")
     n = xp.n_samples
-    m = _fft_length(int(pad_factor) * n)
-    s = _shift_count(n, m)
-    blocks = _shift_powers(lambda: (xp.samples[:, c] for c in range(3)), n, m, s, real=False)
-    mean, second = _power_moments(blocks, m, s, xp.dt)
+    m = _padded_length(n, pad_factor)
+    mean, second = _padded_moments(
+        lambda: (xp.samples[:, c] for c in range(3)), n, m, xp.dt, real=False
+    )
     energy = float(np.trapezoid(xp.power, dx=xp.dt))
     return GlobalMoments(energy=energy, mean_freq=mean, second_central=second)

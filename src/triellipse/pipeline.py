@@ -14,13 +14,14 @@ stencils of the derivative and of the rates reach; a window reaches
 further back where a short last block would leave it fewer than
 ``MIN_SAMPLES``.  The rest of what crosses a block edge is carried
 (:class:`~triellipse.ellipse.Carry`): the held unit normal, the unwrap
-state of the two rotary phases, of alpha and of beta (numpy's running
-correction sum, not the last unwrapped angle), and theta's branch,
-chosen at t = 0.  Before the loop the record's power, its peak, the
-global mean frequency and, for ``scheme="spectral"``, the whole record's
-FFT derivative are taken once, and a pre-pass finds the first sample
-with a valid normal: a leading run of degenerate samples takes its
-normal, even when it lies in a later block.  With these given, every
+state of the two rotary phases and of alpha (numpy's running correction
+sum, not the last unwrapped angle), and theta's branch, chosen at t = 0;
+beta lies in [0, pi] and needs no unwrapping.  Before the loop the
+record's power, its peak, the global mean frequency and, for
+``scheme="spectral"``, the whole record's FFT derivative are taken
+once, and a pre-pass finds the first sample with a valid normal: a
+leading run of degenerate samples takes its normal, even when it lies
+in a later block.  With these given, every
 stage is pointwise, so the blocked chain has the bits of the chain run
 on the whole record at once.  The global trapezoids run on the whole
 kept columns, since numpy's pairwise sums do not split into blocks.
@@ -261,7 +262,7 @@ def _chain(
             derivative=None if whole_derivative is None else whole_derivative[wlo:whi],
         )
         ext = ellipse_extract(window, config.eps_lin, config.eps_circ, carry=carry)
-        rates = ellipse_rates(ext.ellipse, carry=carry)
+        rates = ellipse_rates(ext.ellipse)
         outputs = {
             "moments": moments, "ellipse": ext.ellipse, "normal": ext.normal,
             "planar": ext.planar, "rates": rates,

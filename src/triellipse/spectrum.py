@@ -8,12 +8,14 @@ exact Rayleigh quotient against the sinc Toeplitz kernel (Slepian 1978),
 evaluated from the taper's autocorrelation.  The joint spectrum estimate
 averages the per-taper one-sided eigenspectra of each signal component,
 sums over components, applies one-sided doubling, and normalizes to unit
-integral.  No eigenspectrum is built: the zero-padded grid is filled
-block by block from the shifted transforms of :mod:`triellipse.moments`,
-about ``n`` points per taper, component and shift, inline in one buffer,
-and the moments are taken from the same blocks.
-:func:`multitaper_moments`, which ``analyze`` needs, takes the same
-blocks without keeping them, in O(n) memory.
+integral.  No eigenspectrum is built: both routes are one call of the
+streamed padded power of :mod:`triellipse.moments`
+(``moments._padded_moments``), which transforms about ``n`` points per
+taper, component and shift, inline in one buffer, and reduces each
+shift's bins to the moments as they are made.
+:func:`multitaper_joint_spectrum` also has each shift's bins written into
+its grid; :func:`multitaper_moments`, which ``analyze`` needs, keeps
+none, in O(n) memory.
 scipy, needed only for the tridiagonal eigensolve, is imported on first
 use.
 """
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import RealSignal3
-from .moments import GlobalMoments, _fft_length, _power_moments, _shift_count, _shift_powers
+from .moments import GlobalMoments, _padded_length, _padded_moments
 
 __all__ = [
     "MIN_TAPER_SAMPLES",
@@ -81,7 +83,7 @@ def _concentrations(tapers: np.ndarray, half_bandwidth: float) -> np.ndarray:
     (k, n) block of lags, and one matrix-vector product weighs them all.
     """
     n = tapers.shape[1]
-    m = _fft_length(2 * n)
+    m = _padded_length(n, 2)
     acf = np.empty(tapers.shape)
     for row, taper in zip(acf, tapers):
         row[:] = np.fft.irfft(np.abs(np.fft.rfft(taper, n=m)) ** 2, n=m)[:n]
@@ -169,17 +171,12 @@ def _grid_length(x: RealSignal3, tapers: TaperSet, pad_factor: int) -> int:
         )
     if not np.any(x.samples):
         raise ValueError("zero-energy record: spectrum is undefined")
-    if pad_factor < 1:
-        raise ValueError(f"pad_factor must be at least 1, got {pad_factor}")
-    return _fft_length(int(pad_factor) * n)
+    return _padded_length(n, pad_factor)
 
 
-def _tapered_powers(x: RealSignal3, tapers: TaperSet, m: int, s: int):
-    """The shift blocks of the one-sided power summed over tapers and components, in that order."""
-    return _shift_powers(
-        lambda: (taper * x.samples[:, c] for taper in tapers.tapers for c in range(3)),
-        x.n_samples, m, s, real=True,
-    )
+def _tapered(x: RealSignal3, tapers: TaperSet):
+    """The columns of the multitaper power: each taper times each component, in that order."""
+    return lambda: (taper * x.samples[:, c] for taper in tapers.tapers for c in range(3))
 
 
 def _energy(x: RealSignal3) -> float:
@@ -194,38 +191,31 @@ def multitaper_joint_spectrum(
     For each taper and each component, an eigenspectrum is the squared
     magnitude of the zero-padded one-sided real DFT of the tapered
     component.  Its length is at least ``pad_factor * n``, rounded up to a
-    5-smooth length ``m`` (``_fft_length``) so that no record length sends
-    the transforms down pocketfft's slow path.  The estimate averages
+    5-smooth length ``m`` (``moments._padded_length``) so that no record
+    length sends the transforms down pocketfft's slow path.  The estimate averages
     eigenspectra over tapers, sums over components, applies one-sided
     doubling, and normalizes to unit integral.  Padding
     (``pad_factor >= 1``) refines the grid without changing the
     resolution, which stays at the taper bandwidth ``2 pi p / n``.
 
-    The grid is filled one shift at a time: bin ``s k + r`` of every
-    eigenspectrum is bin ``k`` of an ``L``-point FFT of the modulated
-    tapered component (``moments._shift_powers``, ``L = m / s`` the
-    smallest divisor of ``m`` at least ``n``), and each shift's power,
+    The grid is filled one shift at a time by the call of
+    ``moments._padded_moments`` that :func:`multitaper_moments` makes,
+    given the grid: bin ``s k + r`` of every eigenspectrum is bin ``k`` of
+    an ``L``-point FFT of the modulated tapered component (``L = m / s``
+    the smallest divisor of ``m`` at least ``n``), and each shift's power,
     summed in taper and component order, is written into ``half[r::s]``
-    as it arrives.  The transforms run inline in one ``L``-point buffer,
-    so no transform is longer than ``L`` and the grid and its frequencies
-    are the only ``O(m)`` arrays.  The moments are taken from the same
-    blocks by the trapezoid accumulator of :func:`multitaper_moments`, so
-    they are its values, bit for bit.  For given tapers the result is the
-    same for any CPU count.  The tapers themselves are not:
-    :func:`slepian_tapers` solves on OpenBLAS, whose thread count follows
-    the CPU count and sets their last bits, and so those of the estimate.
+    and reduced to its moments as it is made.  No transform is longer than
+    ``L``, and the grid and its frequencies are the only ``O(m)`` arrays.
+    The moments are those of :func:`multitaper_moments`, bit for bit.  For
+    given tapers the result is the same for any CPU count.  The tapers
+    themselves are not: :func:`slepian_tapers` solves on OpenBLAS, whose
+    thread count follows the CPU count and sets their last bits, and so
+    those of the estimate.
     """
     m = _grid_length(x, tapers, pad_factor)
-    s = _shift_count(x.n_samples, m)
     half = np.empty(m // 2 + 1)
-
-    def filled(blocks):  # each block written into the grid as it passes
-        for r, p in blocks:
-            half[r::s] = p
-            yield r, p
-
-    mean, second = _power_moments(
-        filled(_tapered_powers(x, tapers, m, s)), m, s, x.dt, doubled=True
+    mean, second = _padded_moments(
+        _tapered(x, tapers), x.n_samples, m, x.dt, real=True, grid=half
     )
     half /= len(tapers.tapers)
     if m % 2 == 0:
@@ -246,13 +236,12 @@ def multitaper_moments(
 ) -> GlobalMoments:
     """The moments of :func:`multitaper_joint_spectrum`, streamed instead of gridded.
 
-    Same checks, shift blocks and trapezoid moments, but no grid: each
-    block is dropped once reduced, so memory stays O(n).  The values are
+    Same checks and the same call of ``moments._padded_moments``, given no
+    grid: each shift's bins are dropped once reduced, so memory stays
+    O(n).  The values are
     ``multitaper_joint_spectrum(x, tapers, pad_factor).moments``, bit for
     bit.
     """
     m = _grid_length(x, tapers, pad_factor)
-    s = _shift_count(x.n_samples, m)
-    blocks = _tapered_powers(x, tapers, m, s)
-    mean, second = _power_moments(blocks, m, s, x.dt, doubled=True)
+    mean, second = _padded_moments(_tapered(x, tapers), x.n_samples, m, x.dt, real=True)
     return GlobalMoments(energy=_energy(x), mean_freq=mean, second_central=second)

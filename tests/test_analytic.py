@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -11,6 +13,7 @@ from triellipse import (
     differentiate,
     edge_mask,
     hilbert_check,
+    make_random_modulated,
 )
 
 from conftest import circular_signal
@@ -219,3 +222,16 @@ def test_power_is_computed_once_and_windows_share_it(rng):
     assert window.power.base is power and np.shares_memory(window.samples, xp.samples)
     np.testing.assert_array_equal(window.samples, xp.samples[30:70])
     assert window.dt == xp.dt and window.n_samples == 40
+
+
+def test_analytic_transform_peaks_below_three_times_its_result():
+    # the inverse FFT runs in place, so only the spectrum and the copy that
+    # AnalyticSignal3 keeps are alive at once, beside the real input
+    x = RealSignal3(make_random_modulated(100_000, 0).samples.real)
+    tracemalloc.start()
+    try:
+        xp = analytic_transform(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * xp.samples.nbytes + x.samples.nbytes

@@ -377,13 +377,16 @@ def test_synth_mode_out_of_range_is_input_error(tmp_path, capsys, mode, flags, m
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["analyze", "spectrum"])
 def test_overflowing_record_is_numerical_failure(reference_csv, tmp_path, capsys, command):
+    # a huge record, or a --dt so small that the squared frequency unit overflows
     ds = read_dataset(reference_csv)
     f = tmp_path / "huge.csv"
     write_csv(f, ds.time, ds.channels * 1e200)
     out = tmp_path / "o"
-    assert run(command, f, "--out", out) == 3
-    assert "summary value" in capsys.readouterr().err
-    assert not out.exists()
+    for args in ([f], [reference_csv, "--dt", "1e-160"], [reference_csv, "--dt", "1e-300"]):
+        assert run(command, *args, "--out", out) == 3, args
+        err = capsys.readouterr().err
+        assert "summary value '" in err and "' is not finite" in err, (args, err)
+        assert not out.exists()
 
 
 def _child(*argv, prelude=""):

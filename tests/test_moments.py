@@ -322,7 +322,7 @@ def test_streamed_moments_match_full_grid(n):
             assert got.energy == est.moments.energy
 
 
-def test_streamed_passes_stay_o_n_and_off_the_pool(monkeypatch):
+def test_streamed_passes_stay_o_n_and_start_no_thread(monkeypatch):
     # at n = 1e5 the 16x grid alone is 1.6e6 complex points (25.6 MB);
     # no FFT may be longer than the shifted one, and no thread may start
     n = 100_000

@@ -16,13 +16,7 @@ from triellipse import (
     slepian_tapers,
 )
 from triellipse import _parallel
-from triellipse.moments import (
-    _fft_length,
-    _power_moments,
-    _shift_count,
-    _shift_powers,
-    joint_analytic_spectrum,
-)
+from triellipse.moments import _fft_length, _padded_moments, joint_analytic_spectrum
 
 def _python(code):
     env = dict(os.environ, PYTHONPATH=str(Path(triellipse.__file__).parents[1]))
@@ -47,16 +41,12 @@ def test_spectra_match_batched_reference(n, pad):
     assert np.array_equal(got_freqs, freqs)
     assert np.array_equal(got, raw * (2.0 * np.pi / np.trapezoid(raw, freqs)))
 
-    # the multitaper grid from its shift blocks, written out by hand
+    # the multitaper grid from the streamed power, normalised by hand
     ts = slepian_tapers(n, 2.0, 3)
     m = _fft_length(pad * n)
-    s = _shift_count(n, m)
     columns = lambda: (taper * x.samples[:, c] for taper in ts.tapers for c in range(3))
-    blocks = list(_shift_powers(columns, n, m, s, real=True))
     half = np.empty(m // 2 + 1)
-    for r, p in blocks:
-        half[r::s] = p
-    mean, second = _power_moments(iter(blocks), m, s, x.dt, doubled=True)
+    mean, second = _padded_moments(columns, n, m, x.dt, real=True, grid=half)
     half /= len(ts.tapers)
     if m % 2 == 0:
         half[1:-1] *= 2.0

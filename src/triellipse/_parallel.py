@@ -41,11 +41,13 @@ def _cpus() -> int:
 _FORK_BELOW = 1 << 17
 
 # Samples below which `analyze` computes its multitaper summary in-process.
-# The child hides the chain's time but imports scipy itself, copying the
-# pages it touches; measured on 2 cores in fresh `analyze` processes with
-# the writers in-process (15 alternating pairs per size), it costs 33 to
-# 49 ms at n = 800 to 9 040 and 28 ms at 18 000, breaks even near 36 000
-# and saves 128 ms of 1.34 s at 72 000.
+# The child hides the chain's time behind its own, but costs a fork and the
+# pages it copies; the taper solve loads the same LAPACK wrappers in either
+# process.  Measured on 2 cores in fresh `analyze` processes, forked against
+# in-process summary, alternating, medians of the paired differences: at
+# n = 9 040 +2.8 ms of 453 (the child won 8 of 20 pairs), at 18 000 +20 ms
+# of 738 and then -17 ms of 525 (8 and 16 of 20 pairs), at 36 000 -98 ms of
+# 775 (17 of 20).  So the child wins consistently only above 2^15.
 _SUMMARY_FORK_BELOW = 1 << 15
 
 

@@ -110,7 +110,20 @@ class AnalyticSignal3:
     dt: float = 1.0
 
     def __post_init__(self) -> None:
-        arr = np.array(self.samples, dtype=complex)
+        self._keep(np.array(self.samples, dtype=complex))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, dt: float) -> AnalyticSignal3:
+        """A signal that keeps ``arr``, a fresh complex array nothing else holds, without a copy.
+
+        The checks are those of the constructor.
+        """
+        signal = object.__new__(cls)
+        object.__setattr__(signal, "dt", dt)
+        signal._keep(arr)
+        return signal
+
+    def _keep(self, arr: np.ndarray) -> None:
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ValueError(f"expected an (n, 3) array, got shape {arr.shape}")
         if arr.shape[0] < MIN_SAMPLES:
@@ -167,9 +180,10 @@ def analytic_transform(x: RealSignal3) -> AnalyticSignal3:
     DFT.  The real part of the result equals the (demeaned) input to
     round-off.
     """
-    spec = np.fft.fft(x.samples, axis=0)
+    spec = x.samples.astype(complex)  # the transform casts a real input to this anyway
+    np.fft.fft(spec, axis=0, out=spec)
     spec *= _analytic_weights(x.n_samples)[:, None]
-    return AnalyticSignal3(np.fft.ifft(spec, axis=0, out=spec), dt=x.dt)
+    return AnalyticSignal3._adopt(np.fft.ifft(spec, axis=0, out=spec), x.dt)
 
 
 def hilbert_check(xp: AnalyticSignal3) -> float:

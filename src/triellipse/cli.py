@@ -12,11 +12,13 @@ size crossover their rows are formatted by forked processes, one per
 CPU.  Above a record length of its own, ``analyze`` forks one child,
 right after reading the record, that computes the tapers and the
 multitaper moments of the summary while this process runs the analysis
-chain; this process then never imports scipy.  Neither fork changes a
-byte of output.  The outputs are the same
+chain; this process then never loads LAPACK.  Neither fork changes a
+byte of output.  No command imports the ``scipy.linalg`` package: the
+taper solve loads only scipy's compiled LAPACK wrappers
+(:func:`triellipse.spectrum.eigh_tridiagonal`).  The outputs are the same
 for any CPU count, except the multitaper values (two fields of
 ``summary.json`` and all that ``spectrum`` writes): the last bits of the
-Slepian tapers follow scipy's OpenBLAS thread count, and so the CPU
+Slepian tapers follow the thread count of scipy's OpenBLAS, and so the CPU
 count.  A child that fails is reported
 like the same failure in this process; one that a signal ends is an
 input error (exit 2) naming what it was doing.

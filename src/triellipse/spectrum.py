@@ -16,12 +16,18 @@ shift's bins to the moments as they are made.
 :func:`multitaper_joint_spectrum` also has each shift's bins written into
 its grid; :func:`multitaper_moments`, which ``analyze`` needs, keeps
 none, in O(n) memory.
-scipy, needed only for the tridiagonal eigensolve, is imported on first
-use.
+The tridiagonal eigensolve calls LAPACK's ``dstebz`` and ``dstein``
+through scipy's compiled wrappers, loaded from their file on the first
+solve (:func:`eigh_tridiagonal`); the ``scipy.linalg`` package itself is
+imported only if that file cannot be loaded.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,15 +100,79 @@ def _concentrations(tapers: np.ndarray, half_bandwidth: float) -> np.ndarray:
     return acf @ kernel / acf[:, 0]
 
 
-def eigh_tridiagonal(*args, **kwargs):
-    """``scipy.linalg.eigh_tridiagonal``, with scipy imported on the first call.
+@functools.cache
+def _stebz_stein():
+    """LAPACK's ``dstebz`` and ``dstein``, loaded once per process (see :func:`eigh_tridiagonal`)."""
+    try:
+        scipy = importlib.util.find_spec("scipy")  # finds the package without importing it
+        if scipy is None:
+            raise ImportError("scipy is not installed")
+        linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(linalg, "_flapack" + suffix)
+            if os.path.isfile(path):
+                break
+        else:
+            raise ImportError(f"no compiled _flapack module in {linalg}")
+        # a single-phase extension module enters sys.modules under its own
+        # name as it loads, so a later `import scipy.linalg` takes this one
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        flapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+        return flapack.dstebz, flapack.dstein
+    except (ImportError, OSError):
+        from scipy.linalg import get_lapack_funcs
 
-    scipy is the slowest import of the package and only the tapers need
-    it, so a run that takes no tapers never loads it.
+        return tuple(get_lapack_funcs(("stebz", "stein"), dtype=np.float64))
+
+
+def _check_info(info: int, routine: str, failed: str) -> None:
+    """scipy's check of a LAPACK ``info`` return, with scipy's messages."""
+    if info < 0:
+        raise ValueError(
+            f"illegal value in argument {-info} of internal {routine} (eigh_tridiagonal)"
+        )
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} (eigh_tridiagonal) {failed % info}")
+
+
+def eigh_tridiagonal(
+    d: np.ndarray, e: np.ndarray, il: int, iu: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``il`` to ``iu`` (0-based, inclusive) of a symmetric tridiagonal matrix.
+
+    ``d`` is the diagonal and ``e`` the off-diagonal.  The eigenvalues come
+    back in ascending order and the unit eigenvectors as the columns of
+    the second array.  These are the LAPACK calls, in the same order and
+    with the same arguments, that ``scipy.linalg.eigh_tridiagonal(d, e,
+    select="i", select_range=(il, iu))`` makes: bisection by ``dstebz``
+    in block order, inverse iteration by ``dstein``, then a sort by
+    eigenvalue.  So the results have its bits, and its checks: ``d`` and
+    ``e`` must be finite, and a LAPACK failure raises
+    ``numpy.linalg.LinAlgError`` (an illegal argument, ``ValueError``)
+    with scipy's message.
+
+    The two routines come from scipy's compiled f2py wrappers,
+    ``scipy/linalg/_flapack``, loaded from their file on the first call
+    without importing any scipy package.  The package is avoided because
+    ``import scipy.linalg`` pulls in ``numpy.f2py``, ``numpy.testing`` and
+    ``numpy.ma`` through scipy's array-API layer: about 28 MB and 0.27 s,
+    against 4 MB and 15 ms for the extension alone (2-core x86), and more
+    than the solve itself costs at 1e5 samples.  The file's name is
+    private to scipy, so where it is missing or does not load, the
+    routines come from scipy's public ``scipy.linalg.get_lapack_funcs``,
+    with the same bits.
     """
-    from scipy.linalg import eigh_tridiagonal as solve
-
-    return solve(*args, **kwargs)
+    d = np.asarray_chkfinite(d)
+    e = np.asarray_chkfinite(e)
+    stebz, stein = _stebz_stein()
+    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, il + 1, iu + 1, 0.0, "B")
+    _check_info(info, "stebz", "did not converge (LAPACK info=%d)")
+    w = w[:m]
+    v, info = stein(d, e, w, iblock, isplit)
+    _check_info(info, "stein", "%d eigenvectors failed to converge")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | None = None) -> TaperSet:
@@ -147,9 +217,7 @@ def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | 
     i = np.arange(n_samples)
     diag = ((n_samples - 1) / 2.0 - i) ** 2 * np.cos(2.0 * np.pi * w)
     off = np.arange(1, n_samples) * np.arange(n_samples - 1, 0, -1) / 2.0
-    _, vecs = eigh_tridiagonal(
-        diag, off, select="i", select_range=(n_samples - n_tapers, n_samples - 1)
-    )
+    _, vecs = eigh_tridiagonal(diag, off, n_samples - n_tapers, n_samples - 1)
     tapers = vecs[:, ::-1].T  # descending eigenvalue order
     for row in tapers:
         lead = row[np.flatnonzero(row)[0]]

@@ -1,8 +1,13 @@
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triellipse
 import triellipse.pipeline
 from triellipse import EllipseSeries, ellipse_synthesize, rot_x, rot_z
 
@@ -30,6 +35,16 @@ def circular_signal(n=256, k=16):
         a=1.0, b=1.0, theta=0.0, phi=omega * np.arange(n), alpha=0.0, beta=0.0
     )
     return ellipse_synthesize(series), omega
+
+
+def run_python(code):
+    """Standard output of ``code`` run by a fresh interpreter that imports this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(triellipse.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture

@@ -225,13 +225,22 @@ def test_power_is_computed_once_and_windows_share_it(rng):
 
 
 def test_analytic_transform_peaks_below_three_times_its_result():
-    # the inverse FFT runs in place, so only the spectrum and the copy that
-    # AnalyticSignal3 keeps are alive at once, beside the real input
-    x = RealSignal3(make_random_modulated(100_000, 0).samples.real)
+    # both FFTs run in place and AnalyticSignal3 keeps their array, so beside
+    # the result only the weights (n doubles) and the FFT's scratch are alive
+    n = 100_000
+    x = RealSignal3(make_random_modulated(n, 0).samples.real)
     tracemalloc.start()
     try:
         xp = analytic_transform(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * xp.samples.nbytes + x.samples.nbytes
+    assert peak <= xp.samples.nbytes + 2 * n * 8
+    assert not xp.samples.flags.writeable  # kept without a copy, sealed like a copy
+
+
+def test_analytic_transform_checks_the_array_it_keeps():
+    x = np.zeros((64, 3))
+    x[::2], x[1::2] = 1e308, -1e308  # the transform overflows
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite values"):
+        analytic_transform(RealSignal3(x))

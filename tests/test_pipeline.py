@@ -157,3 +157,15 @@ def test_analyze_signal_memory_is_its_result_plus_blocks(monkeypatch, block):
     record = n * (3 * 16 + 8)
     one_block = block * 3 * 16
     assert peak <= kept + record + 32 * one_block, (peak, kept)
+
+
+def test_analyze_signal_traced_peak_at_the_default_block():
+    # at 2^15 samples a block's stage outputs, about 725 bytes per sample, were most of the peak
+    x = RealSignal3(make_random_modulated(100_000, 3).samples.real)
+    tracemalloc.start()
+    try:
+        analyze_signal(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6

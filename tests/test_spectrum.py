@@ -1,7 +1,10 @@
+import importlib.util
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +17,10 @@ from triellipse import (
     rotate_frame,
     slepian_tapers,
 )
+from triellipse import spectrum
 from triellipse.moments import _fft_length
 
-from conftest import random_rotation
+from conftest import random_rotation, run_python
 
 
 def test_tapers_orthonormal_and_concentrated():
@@ -51,6 +55,97 @@ def test_tapers_match_scipy_oracle():
         if theirs[np.flatnonzero(theirs)[0]] < 0:
             theirs = -theirs
         assert np.abs(ours - theirs).max() < 1e-10
+
+
+DPSS_SOLVES = [(n, p, k) for n in (64, 65, 800, 801, 99_999, 100_000) for p, k in ((2, 3), (4, 7))]
+
+
+def _dpss_tridiagonal(n, p):
+    """The diagonal and off-diagonal of the operator whose eigenvectors are the DPSS."""
+    d = ((n - 1) / 2.0 - np.arange(n)) ** 2 * np.cos(2.0 * np.pi * p / n)
+    return d, np.arange(1, n) * np.arange(n - 1, 0, -1) / 2.0
+
+
+@pytest.fixture
+def fresh_loader():
+    """Load the LAPACK routines again in the test, and once more after it."""
+    spectrum._stebz_stein.cache_clear()
+    yield
+    spectrum._stebz_stein.cache_clear()
+
+
+def _assert_scipy_bits(solves):
+    for (n, p, k), (w, v) in zip(DPSS_SOLVES, solves):
+        ref_w, ref_v = scipy.linalg.eigh_tridiagonal(
+            *_dpss_tridiagonal(n, p), select="i", select_range=(n - k, n - 1)
+        )
+        assert np.array_equal(w, ref_w), (n, p, k)
+        assert np.array_equal(v, ref_v), (n, p, k)
+
+
+def _solves():
+    return [
+        spectrum.eigh_tridiagonal(*_dpss_tridiagonal(n, p), n - k, n - 1) for n, p, k in DPSS_SOLVES
+    ]
+
+
+def test_eigensolve_has_the_bits_of_scipy_before_scipy_linalg_loads(tmp_path):
+    cases, solves = tmp_path / "cases.npz", tmp_path / "solves.npz"
+    arrays = {}
+    for j, (n, p, _) in enumerate(DPSS_SOLVES):
+        arrays[f"d{j}"], arrays[f"e{j}"] = _dpss_tridiagonal(n, p)
+    np.savez(cases, **arrays)
+    out = run_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "from triellipse import spectrum\n"
+        f"cases, out = np.load({str(cases)!r}), {{}}\n"
+        f"for j, (n, _, k) in enumerate({DPSS_SOLVES!r}):\n"
+        "    out[f'w{j}'], out[f'v{j}'] = spectrum.eigh_tridiagonal(\n"
+        "        cases[f'd{j}'], cases[f'e{j}'], n - k, n - 1)\n"
+        f"np.savez({str(solves)!r}, **out)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    assert out.splitlines()[-1] == "False"
+    got = np.load(solves)
+    _assert_scipy_bits([(got[f"w{j}"], got[f"v{j}"]) for j in range(len(DPSS_SOLVES))])
+
+
+def test_eigensolve_has_the_bits_of_scipy_after_scipy_linalg_loads(fresh_loader):
+    assert "scipy.linalg" in sys.modules
+    _assert_scipy_bits(_solves())
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize("attr, broken", [
+    ("find_spec", lambda name, package=None: None),  # scipy not found
+    ("module_from_spec", _raise(OSError("cannot open shared object file"))),
+    ("module_from_spec", _raise(ImportError("undefined symbol"))),
+])
+def test_eigensolve_falls_back_to_scipy_lookup(monkeypatch, fresh_loader, attr, broken):
+    monkeypatch.setattr(importlib.util, attr, broken)
+    lookups = []
+    lookup = scipy.linalg.get_lapack_funcs
+    monkeypatch.setattr(
+        scipy.linalg, "get_lapack_funcs", lambda *a, **kw: lookups.append(a) or lookup(*a, **kw)
+    )
+    _assert_scipy_bits(_solves())
+    assert lookups == [(("stebz", "stein"),)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", [0, 1])
+def test_eigensolve_rejects_non_finite_input(bad, where):
+    arrays = _dpss_tridiagonal(64, 2)
+    arrays[where][5] = bad
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        spectrum.eigh_tridiagonal(*arrays, 61, 63)
 
 
 def test_taper_argument_validation():

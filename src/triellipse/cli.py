@@ -23,8 +23,13 @@ count.  A child that fails is reported
 like the same failure in this process; one that a signal ends is an
 input error (exit 2) naming what it was doing.
 
-Input CSV: header row (default columns ``t,x,y,z``), comma separated,
-``#`` comment lines ignored, uniform time grid.  Exit codes: 0 success,
+Input CSV (the grammar is :func:`read_dataset`'s): UTF-8 with an optional
+byte-order mark; RFC 4180 fields, stripped of whitespace; records whose first
+field starts with ``#`` and empty lines skipped; a header row (default
+columns ``t,x,y,z``, ``--columns`` names stripped like it); used values
+finite numbers in ``np.loadtxt``'s syntax (Python's float, ASCII only,
+no ``_``); a uniform time grid.  An error names its row, counting
+records with the header as row 1, and its column.  Exit codes: 0 success,
 2 input error (a bad file, a bad flag value such as a non-positive
 ``--dt``, a non-finite ``--bearing`` or a ``--taper-p`` of half the
 record length or more, a negative or non-finite ``--noise``, a negative
@@ -87,9 +92,27 @@ def read_dataset(
 ) -> Dataset:
     """Parse a CSV record, with row/column context on failure.
 
+    The grammar:
+
+    - UTF-8 text with an optional byte-order mark; a file that does not
+      decode is an input error naming the offset of the first bad byte;
+    - RFC 4180 fields, separated by commas and stripped of surrounding
+      whitespace;
+    - a record whose first field starts with ``#`` is a comment, and an
+      empty line is skipped; a line of blanks is a record of one empty
+      field, and a ``#`` after a value is not a comment;
+    - the first other record is the header; every later record is a row,
+      with at least as many fields as the header;
+    - every value in the used columns is a finite number in the syntax
+      ``np.loadtxt`` converts: Python's float syntax, but ASCII only and
+      with no underscores.  Other columns may hold any text.
+
+    A message's "row N" counts records, the header as row 1; comments
+    and empty lines are not counted.
+
     ``columns`` names the time column and the three channels, in that
-    order, matching the file header.  Every value in those columns must
-    be a finite number.  The time grid must be strictly increasing and
+    order; each name is stripped of surrounding whitespace, as the
+    header's fields are.  The time grid must be strictly increasing and
     uniform to a relative tolerance of 1e-6; ``dt``, finite and positive,
     overrides the inferred spacing.
     """
@@ -99,9 +122,10 @@ def read_dataset(
         )
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise DataFormatError(f"--dt must be finite and positive, got {dt}")
+    columns = [name.strip() for name in columns]
     try:
         data = _parse_fast(path, columns)
-    except (ValueError, csv.Error):
+    except (ValueError, Warning, csv.Error):  # _parse_fast raises loadtxt's warnings
         data = _parse_rows(path, columns)
     time = data[:, 0]
     steps = np.diff(time)
@@ -121,6 +145,11 @@ def read_dataset(
     )
 
 
+def _open(path):
+    """The record as UTF-8 text, any byte-order mark dropped and line ends left to ``csv``."""
+    return open(path, encoding="utf-8-sig", newline="")
+
+
 def _records(fh):
     """Stripped fields of each CSV record that is neither empty nor a ``#`` comment."""
     for raw in csv.reader(fh):
@@ -129,28 +158,22 @@ def _records(fh):
 
 
 def _parse_fast(path, columns: Sequence[str]) -> np.ndarray:
-    """Parse the body with one ``np.loadtxt`` call, or raise ``ValueError``.
+    """Parse the body with one ``np.loadtxt`` call, or raise.
 
-    The header is found by the same rules as :func:`_parse_rows`.  Every
-    body field must then be a plain number (no quotes, no inline ``#``),
-    every row must have the same field count, at least the header's, and
-    every used value must be finite.  Anything else raises, and the
-    caller runs :func:`_parse_rows`, which accepts the same inputs with
-    the same values and owns every error message.
+    The header is found by :func:`_records`, as :func:`_parse_rows` finds
+    it, and ``np.loadtxt`` reads the rest of the open file.  It takes only
+    rows of plain numbers, all with the same field count, and skips only
+    empty lines; this function also requires at least the header's field
+    count and finite used values.  Anything else, such as a quoted field,
+    a comment or blank line in the body or an empty body, raises
+    (``ValueError``, or loadtxt's warning as an error), and the caller
+    runs :func:`_parse_rows`, which owns every rule and message.
     """
-    with open(path, newline="") as fh:
-        header = next(_records(fh), None)
-        if header is None:
-            raise ValueError("no header")
-        idx = [header.index(name) for name in columns]
-        # _records' rule on unquoted lines; a quoted field fails np.loadtxt
-        body = [
-            line for line in fh
-            if line not in ("\n", "\r\n", "\r") and not line.lstrip().startswith("#")
-        ]
-    if not body:
-        raise ValueError("no data rows")
-    data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    with _open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        header = next(_records(fh), [])
+        idx = [header.index(name) for name in columns]  # ValueError if one is missing
+        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     if data.shape[1] < len(header):
         raise ValueError("rows shorter than the header")
     # row-major like _parse_rows: the layout sets numpy's summation order,
@@ -162,38 +185,45 @@ def _parse_fast(path, columns: Sequence[str]) -> np.ndarray:
 
 
 def _parse_rows(path, columns: Sequence[str]) -> np.ndarray:
-    """Parse row by row; raise :class:`DataFormatError` naming the first bad row."""
-    with open(path, newline="") as fh:
-        rows = list(_records(fh))
-    if not rows:
+    """Parse record by record; raise :class:`DataFormatError` naming the first fault."""
+    with _open(path) as fh:
+        try:
+            rows = list(_records(fh))
+        except UnicodeDecodeError as exc:
+            # decoded a chunk at a time: exc.object is the chunk just read,
+            # after any bytes the decoder held back from the one before
+            at = fh.buffer.tell() - len(exc.object) + exc.start
+            raise DataFormatError(f"{path}: not UTF-8 text at byte {at}: {exc.reason}") from None
+        except csv.Error as exc:  # such as a field, comments too, over csv's size limit
+            raise DataFormatError(f"{path}: {exc}") from None
+    if len(rows) < 2:
         raise DataFormatError(f"{path}: no data rows")
     header, body = rows[0], rows[1:]
-    if not body:
-        raise DataFormatError(f"{path}: no data rows")
-    try:
-        idx = [header.index(name) for name in columns]
-    except ValueError as exc:
-        raise DataFormatError(
-            f"{path}: column {exc.args[0].split()[0]} not found in header {header}"
-        ) from None
+    missing = [name for name in columns if name not in header]
+    if missing:
+        raise DataFormatError(f"{path}: column {missing[0]!r} not found in header {header}")
+    idx = [header.index(name) for name in columns]
     data = np.empty((len(body), 4))
     for r, row in enumerate(body):
         if len(row) < len(header):
             raise DataFormatError(
                 f"{path}: row {r + 2} has {len(row)} fields, expected {len(header)}"
             )
-        for c, j in enumerate(idx):
+        for c, cell in enumerate([row[j] for j in idx]):
             try:
-                value = float(row[j])
+                # np.loadtxt's syntax: Python's float without `_` or non-ASCII digits
+                if not cell.isascii() or "_" in cell:
+                    raise ValueError
+                value = float(cell)
             except ValueError:
                 raise DataFormatError(
                     f"{path}: row {r + 2}, column {columns[c]!r}: "
-                    f"cannot parse {row[j]!r} as a number"
+                    f"cannot parse {cell!r} as a number"
                 ) from None
             if not math.isfinite(value):
                 raise DataFormatError(
                     f"{path}: row {r + 2}, column {columns[c]!r}: "
-                    f"non-finite value {row[j]!r}"
+                    f"non-finite value {cell!r}"
                 )
             data[r, c] = value
     return data
@@ -505,7 +535,7 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--taper-p", dest="taper_p", type=float, default=argparse.SUPPRESS,
                    help="taper time-bandwidth product")
     p.add_argument("--tapers", dest="n_tapers", type=int, default=argparse.SUPPRESS,
-                   help="number of tapers, from 1 to 2*taper_p - 1")
+                   help="number of tapers, from 1 to floor(2*taper_p - 1)")
     p.add_argument("--pad", dest="pad_factor", type=int, default=argparse.SUPPRESS,
                    help="spectrum zero-pad factor, at least 1: the grid has at least "
                         "pad*n points, rounded up to a 5-smooth length")

@@ -68,6 +68,7 @@ from .moments import (
     global_moments_time,
     instantaneous_moments,
 )
+from .spectrum import _max_tapers
 
 __all__ = [
     "RunConfig",
@@ -128,8 +129,11 @@ class RunConfig:
             raise ValueError(f"taper_p must be finite and positive, got {self.taper_p}")
         if self.n_tapers < 1:
             raise ValueError(f"n_tapers must be at least 1, got {self.n_tapers}")
-        if self.n_tapers > int(round(2 * self.taper_p - 1)):
-            raise ValueError("n_tapers must not exceed 2*taper_p - 1")
+        if self.n_tapers > _max_tapers(self.taper_p):
+            raise ValueError(
+                f"n_tapers must not exceed 2*taper_p - 1 = {2 * self.taper_p - 1:g}, "
+                f"got {self.n_tapers}"
+            )
         if self.pad_factor < 1:
             raise ValueError(f"pad_factor must be at least 1, got {self.pad_factor}")
         if self.precision < 0:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 from dataclasses import dataclass
 
@@ -55,8 +56,8 @@ class TaperSet:
     ``tapers`` has shape (k, n), rows ordered by decreasing concentration.
     ``concentrations`` are the exact fractions of each taper's energy in
     ``|f| <= p / n``: Rayleigh quotients against the sinc Toeplitz kernel.
-    Only the first ``2 p - 1`` tapers are admitted: beyond that the
-    concentration drops quickly and the eigenspectra stop being useful.
+    At most ``2 p - 1`` tapers, rounded down, are admitted: beyond that
+    the concentration drops quickly and the eigenspectra stop being useful.
     """
 
     tapers: np.ndarray
@@ -175,6 +176,11 @@ def eigh_tridiagonal(
     return w[order], v[:, order]
 
 
+def _max_tapers(time_bandwidth: float) -> int:
+    """The most tapers a time-bandwidth product p admits: the largest integer not above 2p - 1."""
+    return math.floor(2 * time_bandwidth - 1)
+
+
 def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | None = None) -> TaperSet:
     """Compute the first discrete prolate spheroidal sequences.
 
@@ -187,7 +193,8 @@ def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | 
         bandwidth is ``p / n_samples`` in cycles per sample.
     n_tapers : int, optional
         Number of tapers k, at most ``2 p - 1`` (the well-concentrated
-        ones).  Defaults to that maximum.
+        ones).  Defaults to that maximum, the largest integer not above
+        ``2 p - 1``.
 
     Returns
     -------
@@ -206,12 +213,13 @@ def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | 
             f"time-bandwidth product must lie in (0, n/2) = (0, {n_samples / 2:g}), "
             f"so the half bandwidth p/n stays below 0.5 cycles/sample; got {time_bandwidth}"
         )
-    k_max = int(round(2 * time_bandwidth - 1))
+    k_max = _max_tapers(time_bandwidth)
     if n_tapers is None:
         n_tapers = k_max
     if not 1 <= n_tapers <= k_max:
         raise ValueError(
-            f"n_tapers must be between 1 and 2*p-1 = {k_max}, got {n_tapers}"
+            f"n_tapers must be between 1 and {k_max}, the largest integer not above "
+            f"2*p-1 = {2 * time_bandwidth - 1:g}; got {n_tapers}"
         )
     w = time_bandwidth / n_samples
     i = np.arange(n_samples)

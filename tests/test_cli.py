@@ -206,6 +206,17 @@ def test_bad_taper_config_is_input_error(reference_csv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+def test_tapers_above_2p_minus_1_is_input_error(reference_csv, tmp_path, capsys, command):
+    # 2p - 1 = 3.5 admits 3 tapers, not round(3.5) = 4
+    out = tmp_path / "o"
+    assert run(command, reference_csv, "--taper-p", "2.25", "--tapers", "4", "--out", out) == 2
+    assert capsys.readouterr() == (
+        "", "input error: --tapers must not exceed 2*taper_p - 1 = 3.5, got 4\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectrum"])
 @pytest.mark.parametrize("flag, value", [("--pad", "0"), ("--pad", "-2"), ("--tapers", "0")])
 def test_taper_or_pad_below_one_is_input_error(
     reference_csv, tmp_path, capsys, command, flag, value

@@ -1,12 +1,18 @@
 """The CLI table writer and CSV reader against their per-cell and row-by-row references."""
 
+import contextlib
+import io
 import os
 import signal
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import triellipse.cli as cli
 from triellipse import _format, _parallel, make_random_modulated
@@ -359,16 +365,19 @@ def _file(tmp_path, text):
 
 
 PARSED_FAST = {
-    "comments": "# before\n# more\nt,x,y,z\n# after\n" + "\n".join(_rows()) + "\n  # indented\n",
+    "comments": "# before\n# more\nt,x,y,z\n" + "\n".join(_rows()) + "\n",
     "padded": " t , x ,\ty, z \n" + "\n".join(_rows(fmt=" {t} ,\t{x}, {y} ,{z}  ")) + "\n",
     "reordered_extra": "z,extra,t,y,x,more\n"
     + "\n".join(_rows(fmt="{z},7,{t},{y},{x},-1")) + "\n",
     "crlf": "t,x,y,z\r\n" + "\r\n".join(_rows()) + "\r\n",
     "trailing_blank": "t,x,y,z\n" + "\n".join(_rows()) + "\n\n",
+    "byte_order_mark": "\ufefft,x,y,z\n" + "\n".join(_rows()) + "\n",
+    "cr": "t,x,y,z\r" + "\r".join(_rows()) + "\r",
 }
 
 PARSED_BY_ROWS = {
     "quoted": '"t","x","y","z"\n' + "\n".join(_rows(fmt='"{t}","{x}",{y},"{z}"')) + "\n",
+    "body_comments": "t,x,y,z\n# after\n" + "\n".join(_rows()) + "\n  # indented\n",
 }
 
 REJECTED = {
@@ -383,6 +392,14 @@ REJECTED = {
     "whitespace_line": ("t,x,y,z\n" + "\n".join(_rows()[:30]) + "\n   \n"
                         + "\n".join(_rows()[30:]) + "\n",
                         "row 32 has 1 fields, expected 4"),
+    "underscore": ("t,x,y,z\n" + "\n".join(_rows()[:30]) + "\n15,0_0,1,2\n"
+                   + "\n".join(_rows()[31:]) + "\n",
+                   "row 32, column 'x': cannot parse '0_0' as a number"),
+    "non_ascii_digits": ("t,x,y,z\n" + "\n".join(_rows()[:30]) + "\n15,1,\u0661\u0662,2\n"
+                         + "\n".join(_rows()[31:]) + "\n",
+                         "row 32, column 'y': cannot parse '\u0661\u0662' as a number"),
+    "huge_comment": ("t,x,y,z\n" + "\n".join(_rows()) + "\n# " + "a" * 200_000 + "\n",
+                     "field larger than field limit"),
 }
 
 
@@ -420,3 +437,195 @@ def test_fast_reader_rejects_what_row_parser_rejects(tmp_path, case):
         _parse_fast(path, COLUMNS)
     with pytest.raises(DataFormatError, match=message):
         read_dataset(path)
+
+
+def test_body_comments_keep_their_values(tmp_path):
+    # the row parser reads them now, to the bits the fast reader gave the plain body
+    plain = _parse_fast(_file(tmp_path, "t,x,y,z\n" + "\n".join(_rows()) + "\n"), COLUMNS)
+    _assert_same(read_dataset(_file(tmp_path, PARSED_BY_ROWS["body_comments"])), plain)
+
+
+@pytest.mark.parametrize("text", ["t,x,y,z\n", "t,x,y,z\n\n# only a comment\n\r\n"])
+def test_empty_body_declines_quietly(tmp_path, capsys, text):
+    path = _file(tmp_path, text)
+    assert cli.main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr() == ("", f"input error: {path}: no data rows\n")
+
+
+BODY = "t,x,y,z\n" + "\n".join(_rows(3000)) + "\n"
+
+
+@pytest.mark.parametrize("encoding, at, reason", [
+    # a Latin-1 comment before the header, and one after many 8 kB chunks of rows
+    ("latin-1", 7, "invalid continuation byte"),
+    ("latin-1", len(BODY) + 6, "invalid start byte"),
+    ("utf-16", 0, "invalid start byte"),
+])
+def test_file_that_is_not_utf8_is_input_error(tmp_path, capsys, encoding, at, reason):
+    text = "# Montréal\n" + BODY if at < len(BODY) else BODY + "# end °C\n"
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode(encoding))
+    assert cli.main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: {path}: not UTF-8 text at byte {at}: {reason}\n"
+    )
+
+
+@pytest.mark.parametrize("names", ["t, x, y, z", " t,x ,\ty,z "])
+def test_column_names_are_stripped_like_the_header(tmp_path, names):
+    path = _file(tmp_path, PARSED_FAST["padded"])
+    _assert_same(read_dataset(path, columns=names.split(",")), _parse_rows(path, COLUMNS))
+    assert cli.main(["analyze", str(path), "--columns", names, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_missing_column_is_named_from_the_request(tmp_path, capsys):
+    path = _file(tmp_path, PARSED_FAST["crlf"])
+    assert cli.main(["analyze", str(path), "--columns", "t,x,y,w z",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {path}: column 'w z' not found in header ['t', 'x', 'y', 'z']\n"
+    )
+
+
+# The grammar, generated: files built from cells known to be valid or not,
+# each with the outcome the grammar gives it.  Each file draws which
+# liberties it takes, so that many files are plain enough for np.loadtxt.
+
+NON_FINITE = ["nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "INF"]
+NOT_NUMBERS = ["", "abc", "1.5.2", "0x1p3", "--1", "1e", "e5", "in f", "1 2"]
+# digits Python's float reads and the grammar does not: Arabic-Indic,
+# Devanagari and fullwidth
+DIGITS = ["\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+          "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",
+          "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"]
+
+
+class _Style:
+    """The liberties one generated file takes: blanks around fields, quoted fields,
+    faults, and text where loadtxt takes none (unused columns, extra fields, body comments)."""
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.blanks = draw(st.booleans())
+        self.quotes, self.faults, self.text = (draw(st.integers(0, 2)) == 0 for _ in range(3))
+
+    def dress(self, text):
+        """``text``, padded with blanks and quoted as RFC 4180 allows, if the file does that."""
+        if self.blanks:
+            lead = self.draw(st.sampled_from(["", " ", "\t", "  ", "\u00a0"]))
+            text = lead + text + " " * self.draw(st.integers(0, 2))
+        return f'"{text}"' if self.quotes and self.draw(st.integers(0, 3)) == 0 else text
+
+    def spell(self, value, digits):
+        """``value`` in the grammar's number syntax, with at least ``digits`` digits."""
+        form, places = self.draw(st.sampled_from("reEgG")), self.draw(st.integers(digits, 17))
+        text = repr(value) if form == "r" else f"{value:.{places}{form}}"
+        return "+" + text if text[0] != "-" and self.draw(st.booleans()) else text
+
+    def not_grammar(self):
+        """A cell that Python's float may read but the grammar does not take as a number."""
+        kind = self.draw(st.integers(0, 2))
+        if kind == 0:  # an underscore between digits
+            text = str(self.draw(st.integers(10, 10**6)))
+            cut = self.draw(st.integers(1, len(text) - 1))
+            return text[:cut] + "_" + text[cut:]
+        if kind == 1:
+            script = self.draw(st.sampled_from(DIGITS))
+            return "".join(script[int(d)] for d in str(self.draw(st.integers(0, 10**4))))
+        return self.draw(st.sampled_from(NOT_NUMBERS))
+
+    def used(self, value, digits):
+        """A used cell, the value it reads as, and its fault or None."""
+        if self.faults and self.draw(st.integers(0, 9)) == 0:
+            if self.draw(st.booleans()):
+                return self.dress(self.draw(st.sampled_from(NON_FINITE))), None, "non-finite value"
+            return self.dress(self.not_grammar()), None, "cannot parse"
+        text = self.spell(value, digits)
+        return self.dress(text), float(text), None
+
+    def unused(self):
+        kind = self.draw(st.integers(0, 4 if self.text else 1))
+        if kind == 0:
+            return self.dress(self.spell(self.draw(st.floats(allow_nan=False)), 0))
+        if kind == 1:
+            return self.dress(self.draw(st.sampled_from(NON_FINITE)))
+        if kind == 2:
+            return self.dress(self.not_grammar())
+        return self.draw(st.sampled_from(['station', '"a,b"', 'x y', '""']))
+
+    def comment(self):
+        return self.draw(st.sampled_from(["", " ", "\t"])) + "#" + self.draw(
+            st.text("ab XY09,.-#", max_size=8))
+
+
+@st.composite
+def csv_files(draw):
+    """(bytes, columns, expected array, expected fault) of one generated record."""
+    style = _Style(draw)
+    header = draw(st.permutations(list(COLUMNS) + ["e0", "e1"][: draw(st.integers(0, 2))]))
+    lines = [style.comment() if draw(st.booleans()) else "" for _ in range(draw(st.integers(0, 2)))]
+    lines.append(",".join(style.dress(name) for name in header))
+    t0 = draw(st.integers(-50, 50))
+    faults, values = [], []  # of each record after the header: row 2, 3, ...
+    for i in range(draw(st.integers(2, 4))):
+        kind = draw(st.integers(0, 9))
+        if kind < 2 and style.text:
+            lines.append(style.comment())
+        elif kind < 4:
+            lines.append("")
+        elif kind == 4 and style.faults:  # a line of blanks is a record of one empty field
+            lines.append(draw(st.sampled_from([" ", "\t", " \t"])))
+            faults.append(f" has 1 fields, expected {len(header)}")
+        cells, numbers, bad = {}, {}, {}
+        for name in header:
+            if name not in COLUMNS:
+                cells[name] = style.unused()
+            elif name == "t":  # spelled exactly, so that the time grid stays uniform
+                cells[name], numbers[name], bad[name] = style.used(t0 + 0.5 * i, 4)
+            else:
+                value = draw(st.floats(-1e300, 1e300))
+                cells[name], numbers[name], bad[name] = style.used(value, 0)
+        fields = [cells[name] for name in header]
+        if style.text and draw(st.integers(0, 4)) == 0:
+            fields.append(style.unused())  # a field past the header's, which no column names
+        fault = next((f", column {name!r}: {bad[name]}" for name in COLUMNS if bad[name]), None)
+        if style.faults and draw(st.integers(0, 9)) == 0:
+            fields = fields[: draw(st.integers(2, len(header) - 1))]
+            fault = f" has {len(fields)} fields, expected {len(header)}"
+        lines.append(",".join(fields))
+        faults.append(fault)
+        values.append([numbers[name] for name in COLUMNS])
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ("\ufeff" if draw(st.booleans()) else "") + eol.join(lines)
+    text += eol if draw(st.booleans()) else ""
+    columns = [name if style.quotes else style.dress(name) for name in COLUMNS]  # never quoted
+    fault = next((f"row {r + 2}{f}" for r, f in enumerate(faults) if f), None)
+    return text.encode(), columns, None if fault else np.array(values), fault
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(csv_files())
+def test_read_dataset_follows_the_grammar(case):
+    data, columns, expected, fault = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_bytes(data)
+        try:
+            fast = _parse_fast(path, [name.strip() for name in columns])
+        except (ValueError, Warning):
+            fast = None
+        if fault is None:
+            ds = read_dataset(path, columns=columns)
+            assert np.column_stack([ds.time, ds.channels]).tobytes() == expected.tobytes()
+            assert fast is None or fast.tobytes() == expected.tobytes()
+            return
+        assert fast is None
+        with pytest.raises(DataFormatError) as raised:
+            read_dataset(path, columns=columns)
+        assert str(raised.value).startswith(f"{path}: {fault}")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["analyze", str(path), "--columns", ",".join(columns),
+                             "--out", str(Path(tmp) / "out")])
+        assert (code, err.getvalue()) == (2, f"input error: {raised.value}\n")

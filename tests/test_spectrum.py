@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from triellipse import (
     RealSignal3,
+    RunConfig,
     make_random_modulated,
     multitaper_joint_spectrum,
     multitaper_moments,
@@ -153,6 +154,17 @@ def test_taper_argument_validation():
         slepian_tapers(800, 2.0, 4)  # K > 2P-1
     with pytest.raises(ValueError):
         slepian_tapers(32, 2.0, 3)  # too short
+
+
+@pytest.mark.parametrize("p, k", [(1.25, 1), (1.75, 2), (2.25, 3), (3.25, 5)])
+def test_taper_count_is_at_most_2p_minus_1(p, k):
+    # rounding 2p - 1 half to even would admit 2, 2, 4 and 6
+    assert len(slepian_tapers(800, p).tapers) == k
+    with pytest.raises(ValueError, match="n_tapers"):
+        slepian_tapers(800, p, k + 1)
+    assert RunConfig(taper_p=p, n_tapers=k).n_tapers == k
+    with pytest.raises(ValueError, match="n_tapers"):
+        RunConfig(taper_p=p, n_tapers=k + 1)
 
 
 @pytest.mark.parametrize("p", [400.0, 1e9, 0.0, -1.0, np.nan, np.inf])

@@ -4,9 +4,9 @@
 Mimics the structure of a two-arrival surface-wave record: a linearly
 polarized oscillation in the transverse direction followed by a circularly
 polarized wave in the radial/vertical plane, plus seeded noise.  Runs the
-full pipeline and prints per-segment statistics showing how the linearity
-and the unit normal separate the two regimes; writes the per-sample table
-and the unit-sphere tracks through the CLI.
+full pipeline once, through the CLI, which writes the per-sample table and
+the unit-sphere tracks; then prints per-segment statistics from that table,
+showing how the linearity and the unit normal separate the two regimes.
 
 Usage: python scripts/seismic_demo.py [--out DIR] [--snr-db 20]
 """
@@ -16,12 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from triellipse import (
-    SynthSpec,
-    analytic_transform,
-    ellipse_extract,
-    make_composite_seismic_like,
-)
+from triellipse import SynthSpec, make_composite_seismic_like
 from triellipse.cli import main as cli_main
 
 
@@ -39,21 +34,23 @@ def run(out: Path, snr_db: float, seed: int) -> None:
     np.savetxt(csv, np.column_stack([t, raw]), delimiter=",",
                header="t,x,y,z", comments="", fmt="%.12e")
 
-    ext = ellipse_extract(analytic_transform(comp.signal), eps_lin=0.25)
+    if cli_main(["analyze", str(csv), "--eps-lin", "0.25", "--out", str(out)]) != 0:
+        return
+    table = out / "analysis.csv"
+    with open(table) as fh:
+        names = fh.readline().strip().split(",")
+    col = dict(zip(names, np.loadtxt(table, delimiter=",", skiprows=1, unpack=True)))
+    n_hat = np.column_stack([col["nhat_x"], col["nhat_y"], col["nhat_z"]])
     labels = ("linear (transverse)", "circular (radial/vertical)")
     for label, seg in zip(labels, comp.segments):
         sl = slice(seg.interior.start + 8, seg.interior.stop - 8)
-        lam = ext.ellipse.lam[sl]
-        dots = ext.normal.n_hat[sl] @ seg.n_hat_nominal
+        dots = n_hat[sl] @ seg.n_hat_nominal
         print(f"{label:28s} samples [{seg.start},{seg.stop}): "
-              f"median lam={np.median(lam):.3f}, "
+              f"median lam={np.median(col['lambda'][sl]):.3f}, "
               f"median normal alignment={np.median(dots):.4f}, "
-              f"degenerate flags={ext.ellipse.degenerate[sl].mean():.0%}")
-
-    code = cli_main(["analyze", str(csv), "--eps-lin", "0.25", "--out", str(out)])
-    if code == 0:
-        print(f"full analysis written to {out}/ "
-              "(analysis.csv, summary.json, sphere_xhat.csv, sphere_nhat.csv)")
+              f"degenerate flags={col['flag_degenerate'][sl].mean():.0%}")
+    print(f"full analysis written to {out}/ "
+          "(analysis.csv, summary.json, sphere_xhat.csv, sphere_nhat.csv)")
 
 
 if __name__ == "__main__":

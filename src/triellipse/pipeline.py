@@ -8,7 +8,11 @@ parameters and the joint moments are defined at each instant from x+ and
 x+', and their rates come from local differences.  So the chain runs in
 blocks of ``_BLOCK`` samples, each writing its rows into preallocated
 whole-record columns, and keeps no other whole-record array than the
-analytic signal and its power.  Each block is computed on a window that
+analytic signal and its power.  Each is held once: the moments'
+``power`` column is the record's own power, as ``edge`` is its edge mask
+and a ``scheme="spectral"`` derivative the whole record's, and a block's
+outputs are freed once copied, so one block of them is live at a time.
+Each block is computed on a window that
 adds a halo of 2 samples on either side, as far as the five-point
 stencils of the derivative and of the rates reach; a window reaches
 further back where a short last block would leave it fewer than
@@ -86,8 +90,9 @@ __all__ = [
 
 #: Samples per block of the per-sample chain.  A block's stage outputs take
 #: about 725 bytes per sample, so at 2^15 they were most of the traced peak
-#: of ``analyze_signal`` at 1e5 samples (43.7 MB; 22.8 MB at 2^12), and
-#: the per-block Python overhead stays within run-to-run noise at 2^12.
+#: of ``analyze_signal`` at 1e5 samples (43.7 MB; 20.5 MB at 2^12, with
+#: one block's outputs live at a time), and the per-block Python overhead
+#: stays within run-to-run noise at 2^12.
 _BLOCK = 1 << 12
 #: Samples the five-point stencils reach on either side.
 _HALO = 2
@@ -131,7 +136,7 @@ class RunConfig:
             raise ValueError(f"n_tapers must be at least 1, got {self.n_tapers}")
         if self.n_tapers > _max_tapers(self.taper_p):
             raise ValueError(
-                f"n_tapers must not exceed 2*taper_p - 1 = {2 * self.taper_p - 1:g}, "
+                f"n_tapers must not exceed 2 * taper_p - 1 = {2 * self.taper_p - 1:g}, "
                 f"got {self.n_tapers}"
             )
         if self.pad_factor < 1:
@@ -258,6 +263,8 @@ def _chain(
         mean_freq = global_moments_spectral(xp).mean_freq
     whole_derivative = differentiate(xp, "spectral") if config.scheme == "spectral" else None
     edge = edge_mask(n)
+    # the moment columns the record holds whole already: kept as they are, not copied
+    whole = {"power": xp.power, "edge": edge, "derivative": whole_derivative}
     windows = _windows(n)
     carry = Carry.start((xp.rows(w[2], w[3]) for w in windows), peak, config.eps_lin)
     columns: dict[str, dict] = {name: {} for name in keep}
@@ -281,10 +288,14 @@ def _chain(
                 value = getattr(outputs[name], f.name)
                 if not isinstance(value, np.ndarray):  # mean_freq and dt, record-wide
                     kept[f.name] = value
-                    continue
-                if f.name not in kept:
-                    kept[f.name] = np.empty((n,) + value.shape[1:], value.dtype)
-                kept[f.name][lo:hi] = value[lo - wlo:hi - wlo]
+                elif name == "moments" and whole.get(f.name) is not None:
+                    kept[f.name] = whole[f.name]
+                else:
+                    if f.name not in kept:
+                        kept[f.name] = np.empty((n,) + value.shape[1:], value.dtype)
+                    kept[f.name][lo:hi] = value[lo - wlo:hi - wlo]
+        # this block's outputs are copied: free them before the next block makes its own
+        del moments, ext, rates, outputs, value
     return {name: cls(**columns[name]) for name, cls in keep.items()}
 
 

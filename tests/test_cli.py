@@ -211,7 +211,7 @@ def test_tapers_above_2p_minus_1_is_input_error(reference_csv, tmp_path, capsys,
     out = tmp_path / "o"
     assert run(command, reference_csv, "--taper-p", "2.25", "--tapers", "4", "--out", out) == 2
     assert capsys.readouterr() == (
-        "", "input error: --tapers must not exceed 2*taper_p - 1 = 3.5, got 4\n"
+        "", "input error: --tapers must not exceed 2 * --taper-p - 1 = 3.5, got 4\n"
     )
     assert not out.exists()
 

@@ -7,6 +7,7 @@ import signal
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import triellipse.cli as cli
+from conftest import run_python
 from triellipse import _format, _parallel, make_random_modulated
 from triellipse.cli import (
     _BLOCK_ROWS,
@@ -400,6 +402,8 @@ REJECTED = {
                          "row 32, column 'y': cannot parse '\u0661\u0662' as a number"),
     "huge_comment": ("t,x,y,z\n" + "\n".join(_rows()) + "\n# " + "a" * 200_000 + "\n",
                      "field larger than field limit"),
+    "blank_header": ("  \nt,x,y,z\n" + "\n".join(_rows()) + "\n",
+                     r"the header \(row 1\) is blank"),
 }
 
 
@@ -450,6 +454,58 @@ def test_empty_body_declines_quietly(tmp_path, capsys, text):
     path = _file(tmp_path, text)
     assert cli.main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr() == ("", f"input error: {path}: no data rows\n")
+
+
+def test_blank_line_before_the_header_is_named(tmp_path, capsys):
+    # a line of blanks is a record of one empty field, so it is the header
+    path = _file(tmp_path, REJECTED["blank_header"][0])
+    assert cli.main(["analyze", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr() == ("", f"input error: {path}: the header (row 1) is blank\n")
+
+
+def test_median_is_numpys_to_the_bit():
+    rng = np.random.default_rng(5)
+    zeros = [np.array(z) for z in ([-0.0], [0.0, -0.0], [-0.0, -0.0], [-0.0, 1.0, -0.0])]
+    cases = zeros + [
+        np.round(rng.normal(size=n) * 10.0 ** rng.integers(-8, 8), int(rng.integers(0, 4)))
+        for n in rng.integers(1, 400, size=3000)
+    ]
+    assert {a.size % 2 for a in cases} == {0, 1}
+    for a in cases:
+        assert np.float64(cli._median(a)).tobytes() == np.median(a).tobytes(), a
+
+
+def test_read_dataset_imports_no_numpy_ma(tmp_path):
+    path = _file(tmp_path, "t,x,y,z\n" + "\n".join(_rows()) + "\n")
+    out = run_python(
+        "import sys\n"
+        "from triellipse.cli import read_dataset\n"
+        f"read_dataset({str(path)!r})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert out == "False\n"
+
+
+@pytest.mark.parametrize("text", [PARSED_FAST["comments"], PARSED_BY_ROWS["body_comments"]],
+                         ids=["fast_reader", "row_parser"])
+def test_parsed_table_is_freed_before_the_analysis(tmp_path, monkeypatch, text):
+    tables = []
+    for name in ("_parse_fast", "_parse_rows"):
+        def parse(*args, _parse=getattr(cli, name)):
+            table = _parse(*args)
+            tables.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(cli, name, parse)
+    alive = []
+
+    def analyze(*args, _analyze=cli.analyze_signal):
+        alive.extend(ref() is not None for ref in tables)
+        return _analyze(*args)
+
+    monkeypatch.setattr(cli, "analyze_signal", analyze)
+    assert cli.main(["analyze", str(_file(tmp_path, text)), "--out", str(tmp_path / "o")]) == 0
+    assert alive == [False]
 
 
 BODY = "t,x,y,z\n" + "\n".join(_rows(3000)) + "\n"

@@ -1,12 +1,15 @@
 """Forked processes for the table writers and the summary of ``analyze``.
 
-The table writers format a block of rows in many short numpy calls, with
-the interpreter lock held between them, and the multitaper summary of
-``analyze`` can run beside the analysis chain, so both go to forked
-processes: :func:`fork_count` and :func:`summary_in_child` decide, each
-from its own measured crossover, and :func:`forked` runs them and brings
-back their results, exceptions and warnings.  Every FFT runs inline, in
-the calling thread.
+The table writers of ``synth`` and ``spectrum`` format a block of rows
+in many short numpy calls, with the interpreter lock held between them,
+so above a size crossover they share the rows out to forked processes
+(:func:`fork_count`).  ``analyze`` streams its chain's rows into its own
+tables as they are made; beside that it runs the multitaper summary and
+writes ``sphere_xhat.csv``, which need only the record, in one forked
+child on long records (:func:`summary_in_child`), or in this process
+before the chain (:func:`beside`).  :func:`forked` runs the children and
+brings back their results, exceptions and warnings.  Every FFT runs
+inline, in the calling thread.
 """
 
 from __future__ import annotations
@@ -29,25 +32,31 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Table cells below which the table writers format in-process.  Measured on
-# 2 cores in fresh `analyze` processes (29 columns over three tables, numpy
-# formatting, 15 alternating pairs per size): a fork, its temp files and
-# the wait cost 4 ms, so at 2.3e4 cells (n = 800) the forked writers take
-# 12.5 ms against 8.5 ms inline.  They break even at about 1e5 cells:
-# +1.1 ms of 19 at 6.6e4 (n = 2 260; forks won 3 of 15 pairs), -4.6 ms of
-# 36 at 1.3e5 (9 of 15) and -11 ms of 53 at 2.6e5 (14 of 15).  Another
-# process on the same cores slows a fork down, so the crossover sits at
-# the first of these, 1.3e5 cells (n = 4 520 for `analyze`).
+# Table cells below which the table writers of `synth` and `spectrum` format
+# in-process.  A fork, its temp files and the wait cost a few ms.  Measured
+# on 2 cores in fresh processes, forked writers against in-process ones,
+# 20 alternating pairs per size, medians of the paired differences: `synth`
+# (19 columns) +13 ms of 259 at 3.8e4 cells (forks won 4 of 20), +0.2 ms of
+# 291 at 7.6e4 (10), +4.6 ms of 307 at 1.3e5 (7), -25 ms of 367 at 2.7e5
+# (15) and -35 ms of 422 at 5.3e5 (13); `spectrum` (3 columns of the
+# multitaper grid) +4.4 ms of 367 at 1.3e5 cells (9), -22 ms of 510 at
+# 2.6e5 (15) and -82 ms of 719 at 5.3e5 (17).  So forks break even near
+# 1.3e5 cells and win from twice that; the crossover stays at the first.
 _FORK_BELOW = 1 << 17
 
-# Samples below which `analyze` computes its multitaper summary in-process.
-# The child hides the chain's time behind its own, but costs a fork and the
-# pages it copies; the taper solve loads the same LAPACK wrappers in either
-# process.  Measured on 2 cores in fresh `analyze` processes, forked against
-# in-process summary, alternating, medians of the paired differences: at
-# n = 9 040 +2.8 ms of 453 (the child won 8 of 20 pairs), at 18 000 +20 ms
-# of 738 and then -17 ms of 525 (8 and 16 of 20 pairs), at 36 000 -98 ms of
-# 775 (17 of 20).  So the child wins consistently only above 2^15.
+# Samples below which `analyze` runs its multitaper summary and writes
+# `sphere_xhat.csv` in-process, before the chain, instead of in a child
+# beside it.  The child hides the shorter of the two halves, but costs a
+# fork and the pages it copies; the taper solve loads the same LAPACK
+# wrappers in either process.  Measured on 2 cores in fresh `analyze`
+# processes, forked against in-process, alternating, medians of the paired
+# differences: -11 ms of 305 at n = 4 520 (the child won 18 of 30 pairs),
+# -24 of 358 at 6 000 (20 of 30), -12 of 389 at 8 192 (19 of 30), -33 and
+# -29 of about 405 at 9 040 (14 of 20, 22 of 30), -17 of 486 at 12 000
+# (18 of 30), -5 and -41 of about 530 at 18 000 (11 of 20, 22 of 30), -60
+# and -87 of 650-758 at 32 768 (13 of 20, 25 of 30) and -75 of 758 at
+# 36 000 (19 of 20).  Below 2^15 the child gains at most a few percent and
+# loses a quarter to a third of the pairs; from 2^15 it gains about 10 %.
 _SUMMARY_FORK_BELOW = 1 << 15
 
 
@@ -63,7 +72,7 @@ def fork_count(cells: int) -> int:
 
 
 def summary_in_child(samples: int) -> bool:
-    """Whether ``analyze`` should compute the multitaper summary of a record in a forked child.
+    """Whether ``analyze`` should run its summary and ``sphere_xhat.csv`` for a record in a forked child.
 
     Only from its own crossover up, with more than one CPU and ``os.fork``.
     """
@@ -129,6 +138,41 @@ def forked(task: Callable[[int], R], count: int, what: str) -> Iterator[list[R]]
         raise failures[0]
 
 
+@contextmanager
+def beside(task: Callable[[], R], in_child: bool, what: str) -> Iterator[list[R]]:
+    """Run ``task`` in a forked child while the block runs, or, if not ``in_child``, in this process before it.
+
+    In a child it runs as the one task of :func:`forked` (``what`` names
+    it there).  In this process it is handled as :func:`forked` handles a
+    child: its warnings are recorded and issued again after a block that
+    ends normally, and then an exception it raised is raised, so the
+    block's own exception comes first and the ``note:`` and the message
+    are those of a run in a child.  After the block the yielded list holds
+    the task's result.
+    """
+    if in_child:
+        with forked(lambda _: task(), 2, what) as results:
+            yield results
+        return
+    failed = None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            value = task()
+    except Exception as exc:
+        failed = exc
+    results: list[R] = []
+    yield results
+    _warn_again(_recorded(caught))
+    if failed is not None:
+        raise failed
+    results.append(value)
+
+
+def _recorded(caught: list) -> list:
+    """What ``warnings.catch_warnings(record=True)`` caught, as :func:`_warn_again` takes it."""
+    return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
 def _run_child(task: Callable[[int], R], j: int, write_end: int) -> NoReturn:
     code = 1
     try:
@@ -137,7 +181,7 @@ def _run_child(task: Callable[[int], R], j: int, write_end: int) -> NoReturn:
                 ok, value = True, task(j)
             except BaseException as exc:
                 ok, value = False, exc
-        warned = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        warned = _recorded(caught)
         with open(write_end, "wb") as fh:
             fh.write(_report(ok, value, warned))
         code = 0 if ok else 1

@@ -1,20 +1,27 @@
 """Command-line front end: analyze, synth, and spectrum subcommands.
 
 I/O only: CSV parsing, the summary and table writers, and argparse; the
-analysis is :func:`triellipse.pipeline.analyze_signal`.  ``analyze``
-writes a per-sample table, a JSON summary with both the time-domain and
-Fourier-domain global moments, and unit-sphere track files for the
-signal direction and the ellipse-plane normal.  ``synth`` writes the
-reference signals as CSV plus a ground-truth sidecar; ``spectrum`` writes
-the multitaper joint-spectrum estimate.  Each command writes all of its
-tables in one :func:`_write_tables` call, formatted in numpy; above a
-size crossover their rows are formatted by forked processes, one per
-CPU.  Above a record length of its own, ``analyze`` forks one child,
-right after reading the record, that computes the tapers and the
-multitaper moments of the summary while this process runs the analysis
-chain; this process then never loads LAPACK.  Neither fork changes a
-byte of output.  No command imports the ``scipy.linalg`` package: the
-taper solve loads only scipy's compiled LAPACK wrappers
+analysis is :mod:`triellipse.pipeline`.  ``analyze`` writes a per-sample
+table, a JSON summary with both the time-domain and Fourier-domain global
+moments, and unit-sphere track files for the signal direction and the
+ellipse-plane normal.  ``synth`` writes the reference signals as CSV plus
+a ground-truth sidecar; ``spectrum`` writes the multitaper joint-spectrum
+estimate.  Tables are formatted in numpy, a block of rows at a time.
+``synth`` and ``spectrum`` write all of their tables in one
+:func:`_write_tables` call; above a size crossover their rows are
+formatted by forked processes, one per CPU.  ``analyze`` formats the rows
+of ``analysis.csv`` and ``sphere_nhat.csv`` as the chain
+(:func:`triellipse.pipeline.analyze_blocks`) makes them, so no written
+column is ever held whole.  Its multitaper summary and
+``sphere_xhat.csv`` need only the record: above a record length of its
+own they go to one child, forked right after the record is read, that
+runs them beside the chain, so this process never loads LAPACK; else this
+process runs them first.  ``analyze`` publishes all or nothing: its files
+are written under temporary names in the output directory and renamed
+into place only once the summary is known to be finite, ``summary.json``
+last; a failed run removes them and leaves the directory as it was.  No
+fork changes a byte of output.  No command imports the ``scipy.linalg``
+package: the taper solve loads only scipy's compiled LAPACK wrappers
 (:func:`triellipse.spectrum.eigh_tridiagonal`).  The outputs are the same
 for any CPU count, except the multitaper values (two fields of
 ``summary.json`` and all that ``spectrum`` writes): the last bits of the
@@ -34,8 +41,9 @@ records with the header as row 1, and its column.  Exit codes: 0 success,
 ``--dt``, a non-finite ``--bearing`` or a ``--taper-p`` of half the
 record length or more, a negative or non-finite ``--noise``, a negative
 ``--seed``, a ``spectrum`` record shorter than the tapers' 64 samples,
-or a failed write), 3 numerical failure or a request for more memory
-than the machine has (one ``out of memory`` line with numpy's message).
+an output file that is a directory, or a failed write), 3 numerical
+failure or a request for more memory than the machine has (one ``out of
+memory`` line with numpy's message).
 Floating-point warnings are counted into one note on standard error.
 """
 
@@ -43,18 +51,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 import re
 import shutil
 import sys
 import tempfile
 import warnings
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, fields, replace
+from itertools import takewhile
 from pathlib import Path
-from typing import Collection, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -62,10 +73,16 @@ from . import _parallel
 from ._format import RowFormat
 from .analytic import RealSignal3
 from .moments import GlobalMoments
-from .pipeline import AnalysisResult, RunConfig, analyze_signal, in_bearing_frame
+from .pipeline import (
+    AnalysisTotals,
+    Block,
+    RunConfig,
+    analyze_blocks,
+    analyze_signal,  # not called here: bound for callers that take the chain from the CLI module
+    in_bearing_frame,
+)
 from .spectrum import (
     MIN_TAPER_SAMPLES,
-    JointSpectrum,
     multitaper_joint_spectrum,
     multitaper_moments,
     slepian_tapers,
@@ -319,7 +336,7 @@ def _json_text(summary: dict) -> str:
     return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _summary_dict(res: AnalysisResult) -> dict:
+def _summary_dict(res: AnalysisTotals) -> dict:
     """The summary of the chain's results; the multitaper fields are added by the caller."""
     gt, gs = res.global_time, res.global_spectral
     summary = {
@@ -351,16 +368,15 @@ def _summary_dict(res: AnalysisResult) -> dict:
     return summary
 
 
-def _multitaper(x: RealSignal3, config: RunConfig) -> JointSpectrum:
-    """The multitaper estimate of ``x`` with the taper and pad settings of ``config``."""
-    tapers = slepian_tapers(x.n_samples, config.taper_p, config.n_tapers)
-    return multitaper_joint_spectrum(x, tapers, pad_factor=config.pad_factor)
+def _multitaper(estimate, x: RealSignal3, config: RunConfig):
+    """``estimate(x, tapers, pad_factor=...)`` with the Slepian tapers and pad factor ``config`` sets.
 
-
-def _multitaper_summary(x: RealSignal3, config: RunConfig) -> GlobalMoments:
-    """The moments of :func:`_multitaper`, streamed: the summary needs no grid."""
+    ``estimate`` is :func:`multitaper_joint_spectrum` for ``spectrum``'s
+    grid, or :func:`multitaper_moments` for the summary of ``analyze``,
+    which streams the grid's moments and builds no grid.
+    """
     tapers = slepian_tapers(x.n_samples, config.taper_p, config.n_tapers)
-    return multitaper_moments(x, tapers, pad_factor=config.pad_factor)
+    return estimate(x, tapers, pad_factor=config.pad_factor)
 
 
 # RunConfig and SynthSpec fields whose flag is not the field name with dashes
@@ -423,6 +439,119 @@ _ANALYSIS_HEADER = [
 _SPHERE_HEADER = ["t", "x", "y", "z"]
 
 
+# the files of analyze, published in this order: the summary last
+_ANALYZE_FILES = ("analysis.csv", "sphere_xhat.csv", "sphere_nhat.csv", "summary.json")
+_BESIDE_CHAIN = "computing the multitaper summary and writing sphere_xhat.csv"
+
+
+@contextmanager
+def _staged(out: Path, names: Sequence[str]) -> Iterator[dict[str, Path]]:
+    """A new temporary file in ``out`` for each of ``names``, all published when the block ends.
+
+    ``out`` and its missing parents are made, and a name whose file is a
+    directory is an input error before anything is written.  After the
+    block each temporary file is renamed onto its name, in order, by
+    ``os.replace``; the temporary files get the permissions ``open``
+    would give.  If the block raises, the temporary files and the
+    directories made are removed instead, so ``out`` keeps what it held.
+    """
+    made = list(takewhile(lambda p: not p.exists(), (out, *out.parents)))
+    temps: dict[str, Path] = {}
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            if (out / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+        umask = os.umask(0o022)  # read by setting it, then put back
+        os.umask(umask)
+        for name in names:
+            with _naming(out / name):
+                fd, temp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=out)
+                os.close(fd)
+                temps[name] = Path(temp)
+                os.chmod(temp, 0o666 & ~umask)
+        yield temps
+        for name, temp in temps.items():
+            os.replace(temp, out / name)
+    except BaseException:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        for directory in made:  # the deepest first; each is empty again
+            with suppress(OSError):
+                directory.rmdir()
+        raise
+
+
+@contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """Raise an ``OSError`` of the block, or of the function it decorates, again with ``path`` in front."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"{path}: {exc}") from None
+
+
+@contextmanager
+def _table(path: Path, temp: Path, header: list[str], precision: int) -> Iterator[Callable]:
+    """A function that appends rows to the table ``path``, written to ``temp``.
+
+    The header is written first.  Each call takes whole columns of the
+    next rows and formats them by :func:`_write_rows`, ``_BLOCK_ROWS``
+    at a time, in the :class:`RowFormat` of the first call; the bytes are
+    those :func:`_write_tables` writes.  A failed write names ``path``.
+    """
+    fmt = None
+
+    @_naming(path)
+    def append(cols: list[np.ndarray]) -> None:
+        nonlocal fmt
+        fmt = fmt or RowFormat(cols, precision)
+        _write_rows(fh, cols, fmt, 0, len(cols[0]))
+
+    with _naming(path):
+        fh = open(temp, "wb")
+        fh.write((",".join(header) + "\n").encode())
+    try:
+        yield append
+    finally:
+        with _naming(path):
+            fh.close()
+
+
+def _write_xhat(path: Path, temp: Path, time: np.ndarray, x: RealSignal3, precision: int) -> None:
+    """``sphere_xhat.csv``: the unit vector of each sample of ``x``, a block of rows at a time."""
+    with _table(path, temp, _SPHERE_HEADER, precision) as append:
+        for lo in range(0, x.n_samples, _BLOCK_ROWS):
+            rows = x.samples[lo:lo + _BLOCK_ROWS]
+            norms = np.linalg.norm(rows, axis=1)
+            xhat = rows / np.where(norms > 0, norms, 1.0)[:, None]
+            append([time[lo:lo + _BLOCK_ROWS], *xhat.T])
+
+
+def _write_analysis(
+    out: Path, temps: dict[str, Path], time: np.ndarray, x: RealSignal3, config: RunConfig
+) -> AnalysisTotals:
+    """Run the chain, writing ``analysis.csv`` and ``sphere_nhat.csv`` a block at a time."""
+    p = config.precision
+    with (
+        _table(out / "analysis.csv", temps["analysis.csv"], _ANALYSIS_HEADER, p) as analysis,
+        _table(out / "sphere_nhat.csv", temps["sphere_nhat.csv"], _SPHERE_HEADER, p) as nhat,
+    ):
+
+        def write(block: Block) -> None:
+            rows, t = block.outputs, time[block.lo:block.hi]
+            e, m, d, nrm = rows["ellipse"], rows["moments"], rows["decomposition"], rows["normal"]
+            analysis([
+                t, e.kappa, e.lam, e.theta, e.phi, e.alpha, e.beta, *nrm.n_hat.T,
+                m.omega, m.sigma2, m.upsilon2,
+                d.term_amplitude, d.term_deformation, d.term_precession, d.term_normal,
+                m.edge, e.degenerate, e.circular, m.unreliable,
+            ])
+            nhat([t, *nrm.n_hat.T])
+
+        return analyze_blocks(x, config, write)
+
+
 def _run_analyze(args) -> int:
     config = _config(args)
     time, x = _read_input(args, config)
@@ -431,48 +560,36 @@ def _run_analyze(args) -> int:
     config = replace(config, bearing=0.0)
     n = x.n_samples
     tapered = n >= MIN_TAPER_SAMPLES
-    # the tapered summary needs only the record, so on long records it runs
-    # in a child beside the chain
-    count = 2 if tapered and _parallel.summary_in_child(n) else 1
-    with _parallel.forked(
-        lambda _: _multitaper_summary(x, config), count, "computing the multitaper summary"
-    ) as from_child:
-        res = analyze_signal(x, config)
-        summary = _summary_dict(res)
-    if tapered:
-        # raw-DFT moments of a non-windowed finite record carry leakage bias;
-        # the tapered estimate is the robust reference for such inputs
-        tapered_moments = from_child[0] if from_child else _multitaper_summary(x, config)
-        summary["mean_freq_multitaper"] = tapered_moments.mean_freq
-        summary["second_central_multitaper"] = tapered_moments.second_central
-    summary_text = _json_text(summary)
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    e, m, d, nrm = res.ellipse, res.moments, res.decomposition, res.normal
-    cols = [
-        time, e.kappa, e.lam, e.theta, e.phi, e.alpha, e.beta,
-        nrm.n_hat[:, 0], nrm.n_hat[:, 1], nrm.n_hat[:, 2],
-        m.omega, m.sigma2, m.upsilon2,
-        d.term_amplitude, d.term_deformation, d.term_precession, d.term_normal,
-        m.edge, e.degenerate, e.circular, m.unreliable,
-    ]
-    demeaned = res.signal.samples
-    norms = np.linalg.norm(demeaned, axis=1)
-    xhat = demeaned / np.where(norms > 0, norms, 1.0)[:, None]
-    _write_tables(
-        [(out / "analysis.csv", _ANALYSIS_HEADER, cols)]
-        + [(out / name, _SPHERE_HEADER, [time, *xyz.T])
-           for name, xyz in (("sphere_xhat.csv", xhat), ("sphere_nhat.csv", nrm.n_hat))],
-        config.precision,
-    )
-    (out / "summary.json").write_text(summary_text)
+    with _staged(out, _ANALYZE_FILES) as temps:
 
-    gt, gs = res.global_time, res.global_spectral
-    print(f"n={res.signal.n_samples} dt={res.signal.dt:g} excluded={res.excluded}")
+        def beside_chain() -> GlobalMoments | None:
+            # all they need is the record and the time column
+            moments = _multitaper(multitaper_moments, x, config) if tapered else None
+            _write_xhat(out / "sphere_xhat.csv", temps["sphere_xhat.csv"], time, x,
+                        config.precision)
+            return moments
+
+        # on long records a child runs the tapered summary beside the chain;
+        # else this process runs it first, before the chain's arrays exist
+        in_child = tapered and _parallel.summary_in_child(n)
+        with _parallel.beside(beside_chain, in_child, _BESIDE_CHAIN) as done:
+            totals = _write_analysis(out, temps, time, x, config)
+            summary = _summary_dict(totals)
+        if tapered:
+            # raw-DFT moments of a non-windowed finite record carry leakage bias;
+            # the tapered estimate is the robust reference for such inputs
+            summary["mean_freq_multitaper"] = done[0].mean_freq
+            summary["second_central_multitaper"] = done[0].second_central
+        summary_text = _json_text(summary)
+        with _naming(out / "summary.json"):
+            temps["summary.json"].write_text(summary_text)
+
+    gt, gs = totals.global_time, totals.global_spectral
+    print(f"n={n} dt={x.dt:g} excluded={totals.excluded}")
     print(
         f"mean freq: time {gt.mean_freq:.6g} rad "
-        f"({gt.mean_freq / (2 * np.pi) * res.signal.dt:.6g} cyc/sample), "
+        f"({gt.mean_freq / (2 * np.pi) * x.dt:.6g} cyc/sample), "
         f"spectral {gs.mean_freq:.6g} rad; "
         f"rel diff {summary['mean_freq_rel_diff']:.3g}"
     )
@@ -523,7 +640,7 @@ def _run_synth(args) -> int:
 def _run_spectrum(args) -> int:
     config = _config(args)
     _, sig = _read_input(args, config, need=MIN_TAPER_SAMPLES)
-    est = _multitaper(sig, config)
+    est = _multitaper(multitaper_joint_spectrum, sig, config)
     norm = float(np.trapezoid(est.values, est.freqs) / (2 * np.pi))
     summary_text = _json_text({
         "mean_freq_spectral": est.moments.mean_freq,

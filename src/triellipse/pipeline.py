@@ -1,17 +1,24 @@
 """The analysis chain, written once.
 
 :func:`decompose_analytic` is the per-sample chain on an analytic signal;
-:func:`analyze_signal` runs it on a real record and adds the global moments.
+:func:`analyze_signal` runs it on a real record and adds the global
+moments, and :func:`analyze_blocks` runs the same chain but hands each
+block's rows to its caller as they are made.
 
 Only the analytic transform needs the whole record: the ellipse
 parameters and the joint moments are defined at each instant from x+ and
-x+', and their rates come from local differences.  So the chain runs in
-blocks of ``_BLOCK`` samples, each writing its rows into preallocated
-whole-record columns, and keeps no other whole-record array than the
-analytic signal and its power.  Each is held once: the moments'
-``power`` column is the record's own power, as ``edge`` is its edge mask
-and a ``scheme="spectral"`` derivative the whole record's, and a block's
-outputs are freed once copied, so one block of them is live at a time.
+x+', and their rates come from local differences.  So the chain is a
+generator over blocks of ``_BLOCK`` samples: it yields each block's rows,
+and keeps whole only what its consumer asks for.  :func:`analyze_signal`
+and :func:`decompose_analytic` gather every row into whole-record
+columns; :func:`analyze_blocks`, which ``triellipse analyze`` formats
+block by block, keeps whole only ``omega``, ``sigma2`` and the four
+flags, which the global time trapezoids and the exclusion count read
+(numpy's pairwise sums do not split into blocks).  Each record-length
+array is held once: the moments' ``power`` column is the record's own
+power, as ``edge`` is its edge mask and a ``scheme="spectral"``
+derivative the whole record's, and a block's outputs are freed once
+consumed, so one block of them is live at a time.
 Each block is computed on a window that
 adds a halo of 2 samples on either side, as far as the five-point
 stencils of the derivative and of the rates reach; a window reaches
@@ -27,15 +34,15 @@ once, and a pre-pass finds the first sample with a valid normal: a
 leading run of degenerate samples takes its normal, even when it lies
 in a later block.  With these given, every
 stage is pointwise, so the blocked chain has the bits of the chain run
-on the whole record at once.  The global trapezoids run on the whole
-kept columns, since numpy's pairwise sums do not split into blocks.
+on the whole record at once, whichever consumer takes its rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import Callable, Generator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -82,11 +89,16 @@ __all__ = [
     "NormalColumns",
     "MomentColumns",
     "AnalysisResult",
+    "AnalysisTotals",
+    "Block",
     "decompose_analytic",
     "cross_checks",
     "in_bearing_frame",
     "analyze_signal",
+    "analyze_blocks",
 ]
+
+R = TypeVar("R")
 
 #: Samples per block of the per-sample chain.  A block's stage outputs take
 #: about 725 bytes per sample, so at 2^15 they were most of the traced peak
@@ -232,7 +244,25 @@ class AnalysisResult:
     excluded: int
 
 
-# the class each caller builds from each output of the chain; its fields name the columns kept
+class Block(NamedTuple):
+    """Rows ``lo:hi`` of the chain: each kept output's class, built on those rows alone."""
+
+    lo: int
+    hi: int
+    outputs: dict[str, object]
+
+
+class AnalysisTotals(NamedTuple):
+    """The record-wide results of :func:`analyze_blocks`: the fields of :class:`AnalysisResult` that are not columns."""
+
+    signal: RealSignal3
+    global_time: GlobalMoments
+    global_spectral: GlobalMoments
+    excluded: int
+
+
+# per consumer, the class each output of the chain is built as, per block and
+# gathered; its fields name the columns kept
 _EVERYTHING = {
     "moments": MomentsSeries, "ellipse": EllipseSeries, "normal": NormalSeries,
     "planar": PlanarProjection, "rates": EllipseRates, "decomposition": BandwidthDecomposition,
@@ -241,6 +271,9 @@ _WRITTEN = {
     "moments": MomentColumns, "ellipse": EllipseColumns, "normal": NormalColumns,
     "decomposition": BandwidthDecomposition,
 }
+# the written columns held whole beside the power and the edge mask: the
+# time moments' trapezoids and the exclusion count read them
+_WHOLE = {"moments": ("omega", "sigma2", "unreliable"), "ellipse": ("degenerate", "circular")}
 
 
 def _windows(n: int) -> list[tuple[int, int, int, int]]:
@@ -254,9 +287,19 @@ def _windows(n: int) -> list[tuple[int, int, int, int]]:
 
 
 def _chain(
-    xp: AnalyticSignal3, config: RunConfig, mean_freq: float | None, keep: dict[str, type]
-) -> dict[str, object]:
-    """Run the per-sample chain on ``xp`` block by block, and build the ``keep`` classes from its columns."""
+    xp: AnalyticSignal3,
+    config: RunConfig,
+    mean_freq: float | None,
+    keep: dict[str, type],
+    whole: dict[str, tuple[str, ...]] | None = None,
+) -> Generator[Block, None, dict[str, dict]]:
+    """Run the per-sample chain on ``xp`` block by block, yielding each block's rows of the ``keep`` classes.
+
+    Returns each kept output's record-wide scalars and whole-record
+    columns: the record's own (power, edge mask and a spectral
+    derivative) as they are, and the fields ``whole`` names, every field
+    where it is None, gathered block by block.
+    """
     n = xp.n_samples
     peak = float(xp.power.max(initial=0.0))
     if mean_freq is None and peak > 0.0:  # a zero signal is the moments' error
@@ -264,7 +307,7 @@ def _chain(
     whole_derivative = differentiate(xp, "spectral") if config.scheme == "spectral" else None
     edge = edge_mask(n)
     # the moment columns the record holds whole already: kept as they are, not copied
-    whole = {"power": xp.power, "edge": edge, "derivative": whole_derivative}
+    record = {"power": xp.power, "edge": edge, "derivative": whole_derivative}
     windows = _windows(n)
     carry = Carry.start((xp.rows(w[2], w[3]) for w in windows), peak, config.eps_lin)
     columns: dict[str, dict] = {name: {} for name in keep}
@@ -282,21 +325,39 @@ def _chain(
             "planar": ext.planar, "rates": rates,
             "decomposition": bandwidth_decompose(ext, rates, moments),
         }
+        rows = {}
         for name, cls in keep.items():
-            kept = columns[name]
+            kept, part = columns[name], {}
             for f in fields(cls):
                 value = getattr(outputs[name], f.name)
                 if not isinstance(value, np.ndarray):  # mean_freq and dt, record-wide
-                    kept[f.name] = value
-                elif name == "moments" and whole.get(f.name) is not None:
-                    kept[f.name] = whole[f.name]
+                    part[f.name] = kept[f.name] = value
+                elif name == "moments" and record.get(f.name) is not None:
+                    kept[f.name] = record[f.name]
+                    part[f.name] = record[f.name][lo:hi]
                 else:
-                    if f.name not in kept:
-                        kept[f.name] = np.empty((n,) + value.shape[1:], value.dtype)
-                    kept[f.name][lo:hi] = value[lo - wlo:hi - wlo]
-        # this block's outputs are copied: free them before the next block makes its own
-        del moments, ext, rates, outputs, value
-    return {name: cls(**columns[name]) for name, cls in keep.items()}
+                    part[f.name] = value = value[lo - wlo:hi - wlo]
+                    if whole is None or f.name in whole.get(name, ()):
+                        if f.name not in kept:
+                            kept[f.name] = np.empty((n,) + value.shape[1:], value.dtype)
+                        kept[f.name][lo:hi] = value
+            rows[name] = cls(**part)
+        yield Block(lo, hi, rows)
+        # this block is consumed: free it before the next block makes its own
+        del moments, ext, rates, outputs, rows, part, value
+    return columns
+
+
+def _drain(blocks: Generator[Block, None, R], each: Callable[[Block], None] | None = None) -> R:
+    """Hand each block of ``blocks`` to ``each``, if given, and return the stream's value."""
+    while True:
+        try:
+            block = next(blocks)
+        except StopIteration as stop:
+            return stop.value
+        if each is not None:
+            each(block)
+        del block  # not held while the next block is made
 
 
 def decompose_analytic(
@@ -312,7 +373,8 @@ def decompose_analytic(
     ``scheme="spectral"`` the derivative is the FFT derivative of the
     whole record, taken once and sliced per block.
     """
-    out = _chain(xp, config, mean_freq, _EVERYTHING)
+    columns = _drain(_chain(xp, config, mean_freq, _EVERYTHING))
+    out = {name: cls(**columns[name]) for name, cls in _EVERYTHING.items()}
     ext = ExtractionResult(out["ellipse"], out["normal"], out["planar"])
     return SampleChain(out["moments"], ext, out["rates"], out["decomposition"])
 
@@ -347,27 +409,53 @@ def in_bearing_frame(x: RealSignal3, bearing: float) -> RealSignal3:
     return rotate_frame(x, rot_z(-np.deg2rad(bearing)))
 
 
+def _analysis(
+    x: RealSignal3, config: RunConfig, whole: dict[str, tuple[str, ...]] | None
+) -> Generator[Block, None, tuple[AnalysisTotals, dict[str, dict]]]:
+    """The chain of :func:`analyze_signal` as a stream of its written rows; see :func:`_chain` for ``whole``."""
+    x = in_bearing_frame(x, config.bearing)
+    xp = analytic_transform(x)
+    g_spec = global_moments_spectral(xp)
+    columns = yield from _chain(xp, config, g_spec.mean_freq, _WRITTEN, whole)
+    moments, e = columns["moments"], columns["ellipse"]
+    n = x.n_samples
+    # trim at least the wrap-around edge that moments.edge flags at each end
+    k = max(int(np.ceil(config.trim * n)), int(np.count_nonzero(moments["edge"])) // 2)
+    k = min(k, (n - 2) // 2)
+    interior = slice(k, n - k)
+    # the time moments read only power, omega, sigma2 and dt
+    g_time = global_moments_time(SimpleNamespace(**moments), interior)
+    flagged = moments["edge"] | moments["unreliable"] | e["degenerate"] | e["circular"]
+    excluded = n - int(np.count_nonzero(~flagged[interior]))
+    return AnalysisTotals(x, g_time, g_spec, excluded), columns
+
+
 def analyze_signal(x: RealSignal3, config: RunConfig = RunConfig()) -> AnalysisResult:
     """Run the full pipeline on a real record, in the frame ``config.bearing`` sets.
 
     Only what ``analyze`` writes is kept, and the power.  ``excluded``
     counts the samples outside the trimmed interior or flagged.
     """
-    x = in_bearing_frame(x, config.bearing)
-    xp = analytic_transform(x)
-    g_spec = global_moments_spectral(xp)
-    out = _chain(xp, config, g_spec.mean_freq, _WRITTEN)
-    moments, e = out["moments"], out["ellipse"]
-    n = x.n_samples
-    # trim at least the wrap-around edge that moments.edge flags at each end
-    k = max(int(np.ceil(config.trim * n)), int(np.count_nonzero(moments.edge)) // 2)
-    k = min(k, (n - 2) // 2)
-    interior = slice(k, n - k)
-    g_time = global_moments_time(moments, interior)
-    flagged = moments.edge | moments.unreliable | e.degenerate | e.circular
-    excluded = n - int(np.count_nonzero(~flagged[interior]))
+    totals, columns = _drain(_analysis(x, config, None))
+    out = {name: cls(**columns[name]) for name, cls in _WRITTEN.items()}
     return AnalysisResult(
-        signal=x, ellipse=e, normal=out["normal"], moments=moments,
-        decomposition=out["decomposition"], global_time=g_time, global_spectral=g_spec,
-        excluded=excluded,
+        signal=totals.signal, ellipse=out["ellipse"], normal=out["normal"],
+        moments=out["moments"], decomposition=out["decomposition"],
+        global_time=totals.global_time, global_spectral=totals.global_spectral,
+        excluded=totals.excluded,
     )
+
+
+def analyze_blocks(
+    x: RealSignal3, config: RunConfig, each: Callable[[Block], None]
+) -> AnalysisTotals:
+    """Run :func:`analyze_signal`'s chain, handing each block of its written rows to ``each``.
+
+    A block's ``outputs`` are the :class:`AnalysisResult` column classes
+    (``"ellipse"``, ``"normal"``, ``"moments"``, ``"decomposition"``)
+    built on rows ``lo:hi`` alone, with the bits of
+    :func:`analyze_signal`'s columns; ``each`` must not keep them.  Only
+    ``omega``, ``sigma2``, the power and the four flags are held whole,
+    for the totals.
+    """
+    return _drain(_analysis(x, config, _WHOLE), each)[0]

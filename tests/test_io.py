@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 import triellipse.cli as cli
 from conftest import run_python
-from triellipse import _format, _parallel, make_random_modulated
+from triellipse import (
+    RealSignal3,
+    SynthSpec,
+    _format,
+    _parallel,
+    make_random_modulated,
+    make_reference_signal,
+)
 from triellipse.cli import (
     _BLOCK_ROWS,
     DataFormatError,
@@ -109,12 +116,17 @@ def test_short_long_double_takes_python_percent(tmp_path, monkeypatch):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-SUMMARY = "computing the multitaper summary"
+SUMMARY = "computing the multitaper summary and writing sphere_xhat.csv"
 
 
 @pytest.fixture
 def forking(monkeypatch, deadline):
-    """Send every table and summary through forked children; return what each fork was for."""
+    """Send every table of synth and spectrum, and analyze's summary, through forked children.
+
+    Returns what each fork was for.  ``analyze`` forks no table writer: its
+    summary child writes ``sphere_xhat.csv``, and this process the tables
+    the chain streams.
+    """
     forks = []
     fork = os.fork
 
@@ -159,35 +171,57 @@ def _no_child_left():
     return pid == 0
 
 
+def _failing_on(table, call, fail):
+    """A ``_write_rows`` that runs ``fail()`` on its ``call``-th call for ``table``'s file, in any process."""
+    write_rows = cli._write_rows
+    calls = []
+
+    def failing(fh, cols, fmt, start, stop):
+        # analyze writes each table to a temporary file named after it
+        if Path(fh.name).name.startswith(f".{table}."):
+            calls.append(start)
+            if len(calls) == call:
+                fail()
+        write_rows(fh, cols, fmt, start, stop)
+
+    return failing
+
+
+def _no_space():
+    raise OSError(28, "No space left on device")
+
+
+def _killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 @pytest.mark.parametrize("how", ["raises", "killed"])
 def test_failed_writer_is_input_error_naming_the_table(
-    tmp_path, monkeypatch, capsys, forking, how
+    tmp_path, monkeypatch, capsys, forking, small_blocks, how
 ):
     monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
-    parent = os.getpid()
-    write_rows = cli._write_rows
-
-    def failing(fh, cols, row, start, stop):
-        if os.getpid() != parent and len(cols) == 4 and start > 0:  # a sphere table's part
-            if how == "killed":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise OSError(28, "No space left on device")
-        write_rows(fh, cols, row, start, stop)
-
     assert cli.main(["synth", "--mode", "amplitude", "--out", str(tmp_path / "s")]) == 0
     csv = tmp_path / "s" / "signal_amplitude.csv"
-    monkeypatch.setattr(cli, "_write_rows", failing)
-    assert cli.main(["analyze", str(csv), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    if how == "raises":
-        assert "sphere_xhat.csv: [Errno 28] No space left on device" in err
-    else:
-        assert "writing analysis.csv, sphere_xhat.csv, sphere_nhat.csv ended by SIGKILL" in err
-    assert not (tmp_path / "o" / "summary.json").exists()
-    # one writer child each for synth and analyze, one summary child for analyze
-    writers = [what for what in forking if what != SUMMARY]
-    assert len(writers) == 2 and forking.count(SUMMARY) == 1 and _no_child_left()
+    out = tmp_path / "o"
+    # the summary child writes sphere_xhat.csv and this process the other two; a
+    # SIGKILL can end only the child
+    tables = ["sphere_xhat.csv"] if how == "killed" else [
+        "analysis.csv", "sphere_xhat.csv", "sphere_nhat.csv"
+    ]
+    for table in tables:
+        monkeypatch.setattr(cli, "_write_rows",
+                            _failing_on(table, 2, _killed if how == "killed" else _no_space))
+        assert cli.main(["analyze", str(csv), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        if how == "raises":
+            assert err == f"input error: {out / table}: [Errno 28] No space left on device\n"
+        else:
+            assert err == f"input error: worker process 1 of 2 {SUMMARY} ended by SIGKILL\n"
+        assert not out.exists()
+    # one writer child for synth, and one summary child per analyze
+    synth = "writing signal_amplitude.csv, truth_amplitude.csv"
+    assert forking == [synth] + [SUMMARY] * len(tables) and _no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -249,8 +283,111 @@ def test_summary_child_matches_inline_run(tmp_path, monkeypatch, capsys, forking
         if cpus == 1:
             assert forking == []
     assert runs[1] == runs[2] and len(runs[1][1]) == 4
-    assert sorted(forking) == [SUMMARY, "writing analysis.csv, sphere_xhat.csv, sphere_nhat.csv"]
-    assert _no_child_left()
+    assert forking == [SUMMARY] and _no_child_left()
+
+
+def _reference_tables(csv, flags, out):
+    """``analyze``'s three tables as :func:`_write_tables` writes ``analyze_signal``'s whole columns."""
+    config = cli._config(cli.build_parser().parse_args(["analyze", str(csv), *flags]))
+    ds = read_dataset(csv)
+    res = cli.analyze_signal(RealSignal3(ds.channels, dt=ds.dt), config)
+    e, m, d, nrm = res.ellipse, res.moments, res.decomposition, res.normal
+    cols = [
+        ds.time, e.kappa, e.lam, e.theta, e.phi, e.alpha, e.beta,
+        nrm.n_hat[:, 0], nrm.n_hat[:, 1], nrm.n_hat[:, 2], m.omega, m.sigma2, m.upsilon2,
+        d.term_amplitude, d.term_deformation, d.term_precession, d.term_normal,
+        m.edge, e.degenerate, e.circular, m.unreliable,
+    ]
+    norms = np.linalg.norm(res.signal.samples, axis=1)
+    xhat = res.signal.samples / np.where(norms > 0, norms, 1.0)[:, None]
+    out.mkdir()
+    _write_tables([
+        (out / "analysis.csv", cli._ANALYSIS_HEADER, cols),
+        (out / "sphere_xhat.csv", cli._SPHERE_HEADER, [ds.time, *xhat.T]),
+        (out / "sphere_nhat.csv", cli._SPHERE_HEADER, [ds.time, *nrm.n_hat.T]),
+    ], config.precision)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("cpus", [1, 2], ids=["summary_in_process", "summary_forked"])
+@pytest.mark.parametrize("flags", [
+    [], ["--scheme", "spectral"], ["--bearing", "30"], ["--scheme", "spectral", "--bearing", "-112.5"],
+], ids=["central4", "spectral", "bearing", "spectral_bearing"])
+def test_streamed_analyze_writes_the_tables_of_analyze_signal(
+    tmp_path, monkeypatch, forking, small_blocks, cpus, flags
+):
+    monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
+    n = 9 * small_blocks + 37  # odd, and the last block short
+    csv = _record_csv(tmp_path, n, 7)
+    out = tmp_path / "o"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["analyze", str(csv), "--out", str(out), *flags]) == 0
+    assert forking == ([SUMMARY] if cpus == 2 else []) and _no_child_left()
+    assert sorted(p.name for p in out.iterdir()) == sorted(cli._ANALYZE_FILES)
+    _reference_tables(csv, flags, tmp_path / "ref")
+    for name in ("analysis.csv", "sphere_xhat.csv", "sphere_nhat.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+
+FAILED_RUN = {
+    "writer_error": (2, "input error: {out}/analysis.csv: [Errno 28] No space left on device"),
+    "killed_child": (2, f"input error: worker process 1 of 2 {SUMMARY} ended by SIGKILL"),
+    "non_finite_summary": (3, "numerical failure: summary value 'second_central_multitaper' "
+                              "is not finite (inf); no output written"),
+    "directory": (2, "input error: [Errno 21] Is a directory: '{out}/sphere_nhat.csv'"),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("route", FAILED_RUN)
+def test_failed_analyze_keeps_the_previous_run(
+    tmp_path, monkeypatch, capsys, forking, small_blocks, route
+):
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+    out = tmp_path / "o"
+    assert cli.main(["analyze", str(_record_csv(tmp_path, 800, 0)), "--out", str(out)]) == 0
+    if route == "directory":
+        (out / "sphere_nhat.csv").unlink()
+        (out / "sphere_nhat.csv").mkdir()
+
+        def no_chain(*args):
+            raise AssertionError("the chain ran")
+
+        monkeypatch.setattr(cli, "analyze_blocks", no_chain)
+    elif route == "writer_error":  # in this process, after two blocks of rows
+        monkeypatch.setattr(cli, "_write_rows", _failing_on("analysis.csv", 3, _no_space))
+    elif route == "killed_child":  # the summary child, after a block of rows
+        monkeypatch.setattr(cli, "_write_rows", _failing_on("sphere_xhat.csv", 2, _killed))
+    before = {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    # another record, so that no table of a finished run would keep its bytes
+    if route == "non_finite_summary":
+        x = make_reference_signal(SynthSpec(n_samples=800, mode="amplitude")).signal.samples
+        csv = tmp_path / "huge.csv"
+        np.savetxt(csv, np.column_stack([np.arange(800.0), x.real * 1e75]),
+                   fmt="%.17g", delimiter=",", header="t,x,y,z", comments="")
+    else:
+        csv = _record_csv(tmp_path, 800, 1)
+    code = cli.main(["analyze", str(csv), "--out", str(out)])
+    want_code, want_err = FAILED_RUN[route]
+    assert (code, capsys.readouterr().err.splitlines()[0]) == (want_code, want_err.format(out=out))
+    assert {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()} == before
+    assert forking == [SUMMARY] * (1 if route == "directory" else 2) and _no_child_left()
+
+
+def test_analyze_traced_peak_is_the_spectral_pass(tmp_path, monkeypatch, capsys):
+    # one CPU: the summary runs in this process too, before the chain; the peak
+    # is then the global spectral pass or the taper solve (15.0 MB), not the
+    # written columns (29.1 MB when they were built whole)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 1)
+    csv = _record_csv(tmp_path, 100_000, 3)
+    tracemalloc.start()
+    try:
+        assert cli.main(["analyze", str(csv), "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16.5e6
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -296,6 +433,23 @@ def test_failed_summary_child(tmp_path, monkeypatch, capsys, forking, how):
     assert forking == [SUMMARY] and _no_child_left()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_chain_failure_is_reported_before_the_summarys(tmp_path, monkeypatch, capsys, forking):
+    # a constant record is zero once demeaned, and the chain and the multitaper
+    # both refuse it: the chain's message is reported whether the summary ran
+    # first in this process or beside the chain in a child
+    csv = tmp_path / "constant.csv"
+    np.savetxt(csv, np.column_stack([np.arange(800.0), np.ones((800, 3))]), fmt="%.17g",
+               delimiter=",", header="t,x,y,z", comments="")
+    for cpus in (1, 2):
+        monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        message = "numerical failure: zero signal: spectrum is undefined\n"
+        assert _analyze([csv, "--out", out], capsys) == (3, "", message)
+        assert not out.exists()
+    assert forking == [SUMMARY] and _no_child_left()
+
+
 try:
     from numpy._core._exceptions import _ArrayMemoryError
 except ImportError:  # numpy < 2
@@ -303,7 +457,7 @@ except ImportError:  # numpy < 2
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-@pytest.mark.parametrize("stage", ["analyze_signal", "multitaper_moments"])
+@pytest.mark.parametrize("stage", ["analyze_blocks", "multitaper_moments"])
 def test_out_of_memory_is_numerical_failure(tmp_path, monkeypatch, capsys, forking, stage):
     # numpy's own error, as a huge --pad raises it; building it allocates nothing
     error = _ArrayMemoryError((800 * 10**8,), np.dtype(complex))
@@ -499,11 +653,11 @@ def test_parsed_table_is_freed_before_the_analysis(tmp_path, monkeypatch, text):
         monkeypatch.setattr(cli, name, parse)
     alive = []
 
-    def analyze(*args, _analyze=cli.analyze_signal):
+    def analyze(*args, _analyze=cli.analyze_blocks):
         alive.extend(ref() is not None for ref in tables)
         return _analyze(*args)
 
-    monkeypatch.setattr(cli, "analyze_signal", analyze)
+    monkeypatch.setattr(cli, "analyze_blocks", analyze)
     assert cli.main(["analyze", str(_file(tmp_path, text)), "--out", str(tmp_path / "o")]) == 0
     assert alive == [False]
 

@@ -94,7 +94,7 @@ class RowFormat:
         present[self.floats, p + 6:p + 8] = True
         present[:, 2] &= p > 0
         self.template, self.present = template, present
-        # built here, so forked writers inherit them
+        # the lookup tables, built once per process, by the first numpy-formatted table
         self.powers, self.quads, self.exponents = _powers(), _quads(), _exponents()
 
     def text(self, cols: list[np.ndarray], start: int, stop: int) -> bytes | np.ndarray:

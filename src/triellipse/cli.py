@@ -6,21 +6,20 @@ table, a JSON summary with both the time-domain and Fourier-domain global
 moments, and unit-sphere track files for the signal direction and the
 ellipse-plane normal.  ``synth`` writes the reference signals as CSV plus
 a ground-truth sidecar; ``spectrum`` writes the multitaper joint-spectrum
-estimate.  Tables are formatted in numpy, a block of rows at a time.
-``synth`` and ``spectrum`` write all of their tables in one
-:func:`_write_tables` call; above a size crossover their rows are
-formatted by forked processes, one per CPU.  ``analyze`` formats the rows
-of ``analysis.csv`` and ``sphere_nhat.csv`` as the chain
-(:func:`triellipse.pipeline.analyze_blocks`) makes them, so no written
-column is ever held whole.  Its multitaper summary and
-``sphere_xhat.csv`` need only the record: above a record length of its
-own they go to one child, forked right after the record is read, that
-runs them beside the chain, so this process never loads LAPACK; else this
-process runs them first.  ``analyze`` publishes all or nothing: its files
-are written under temporary names in the output directory and renamed
-into place only once the summary is known to be finite, ``summary.json``
-last; a failed run removes them and leaves the directory as it was.  No
-fork changes a byte of output.  No command imports the ``scipy.linalg``
+estimate.  Every table is written by one writer (:func:`_table`), which
+formats a block of rows at a time in numpy; no table writer forks.
+``analyze`` formats the rows of ``analysis.csv`` and ``sphere_nhat.csv``
+as the chain (:func:`triellipse.pipeline.analyze_blocks`) makes them, so
+no written column is ever held whole.  Its multitaper summary and
+``sphere_xhat.csv`` need only the record: above a record length they go
+to one child, forked right after the record is read, that runs them
+beside the chain, so this process never loads LAPACK; else this process
+runs them first.  No fork changes a byte of output.  Every command
+publishes all or nothing (:func:`_staged`): its files are written under
+temporary names in the output directory and renamed into place only once
+all are written, ``analyze``'s once its summary is known to be finite,
+``summary.json`` last; a failed run removes them and leaves the
+directory as it was.  No command imports the ``scipy.linalg``
 package: the taper solve loads only scipy's compiled LAPACK wrappers
 (:func:`triellipse.spectrum.eigh_tridiagonal`).  The outputs are the same
 for any CPU count, except the multitaper values (two fields of
@@ -56,12 +55,11 @@ import json
 import math
 import os
 import re
-import shutil
 import sys
 import tempfile
 import warnings
 from collections import Counter
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from itertools import takewhile
 from pathlib import Path
@@ -277,55 +275,6 @@ def _write_rows(fh, cols: list[np.ndarray], fmt: RowFormat, start: int, stop: in
         fh.write(fmt.text(cols, lo, min(lo + _BLOCK_ROWS, stop)))
 
 
-def _write_tables(tables: list[tuple[Path, list[str], list[np.ndarray]]], precision: int):
-    """Write each ``(path, header, columns)`` table as CSV: bools as 0/1, others as ``%.{precision}e``.
-
-    The bytes are those of one ``%``-format per row.  A block of rows at a
-    time is formatted by :class:`triellipse._format.RowFormat`, in numpy
-    (or, from precision 14 and where long double is no wider than double,
-    by Python's ``%``), so only one block is ever held as text.
-    ``_parallel.fork_count`` sets how many processes share the rows.  With
-    more than one, each table's rows are split into that many contiguous
-    ranges; forked children format all but the first range of every table
-    into unlinked temp files in the output directory, while this process
-    writes the headers and the first ranges, then appends the children's
-    parts in order.  The files are the same bytes for any process count.
-    """
-    count = _parallel.fork_count(sum(len(cols) * len(cols[0]) for _, _, cols in tables))
-    formats = [RowFormat(cols, precision) for _, _, cols in tables]
-
-    def bounds(cols, j):
-        n = len(cols[0])
-        return n * j // count, n * (j + 1) // count
-
-    with ExitStack() as stack:
-        outs = [stack.enter_context(open(path, "wb")) for path, _, _ in tables]
-        parts = [
-            [stack.enter_context(tempfile.TemporaryFile(dir=path.parent)) for path, _, _ in tables]
-            for _ in range(1, count)
-        ]
-
-        def write_part(j):
-            for fh, (path, _, cols), fmt in zip(parts[j - 1], tables, formats):
-                try:
-                    _write_rows(fh, cols, fmt, *bounds(cols, j))
-                    fh.flush()
-                except MemoryError:
-                    raise  # out of memory, as in this process
-                except Exception as exc:
-                    raise OSError(f"{path}: {exc}") from None
-
-        names = ", ".join(path.name for path, _, _ in tables)
-        with _parallel.forked(write_part, count, f"writing {names}"):
-            for fh, (_, header, cols), fmt in zip(outs, tables, formats):
-                fh.write((",".join(header) + "\n").encode())
-                _write_rows(fh, cols, fmt, *bounds(cols, 0))
-        for fh, *own in zip(outs, *parts):
-            for part in own:
-                part.seek(0)
-                shutil.copyfileobj(part, fh)
-
-
 def _json_text(summary: dict) -> str:
     """Serialise a summary; a non-finite value raises ``ValueError`` naming its key."""
     for key in sorted(summary):
@@ -452,7 +401,8 @@ def _staged(out: Path, names: Sequence[str]) -> Iterator[dict[str, Path]]:
     directory is an input error before anything is written.  After the
     block each temporary file is renamed onto its name, in order, by
     ``os.replace``; the temporary files get the permissions ``open``
-    would give.  If the block raises, the temporary files and the
+    would give, and one that cannot be made fails as opening its name
+    would.  If the block raises, the temporary files and the
     directories made are removed instead, so ``out`` keeps what it held.
     """
     made = list(takewhile(lambda p: not p.exists(), (out, *out.parents)))
@@ -465,11 +415,13 @@ def _staged(out: Path, names: Sequence[str]) -> Iterator[dict[str, Path]]:
         umask = os.umask(0o022)  # read by setting it, then put back
         os.umask(umask)
         for name in names:
-            with _naming(out / name):
+            try:
                 fd, temp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=out)
-                os.close(fd)
-                temps[name] = Path(temp)
-                os.chmod(temp, 0o666 & ~umask)
+            except OSError as exc:  # worded as opening the file itself would word it
+                raise type(exc)(exc.errno, exc.strerror, str(out / name)) from None
+            temps[name] = Path(temp)
+            os.close(fd)
+            os.chmod(temp, 0o666 & ~umask)
         yield temps
         for name, temp in temps.items():
             os.replace(temp, out / name)
@@ -493,12 +445,15 @@ def _naming(path: Path) -> Iterator[None]:
 
 @contextmanager
 def _table(path: Path, temp: Path, header: list[str], precision: int) -> Iterator[Callable]:
-    """A function that appends rows to the table ``path``, written to ``temp``.
+    """A function that appends rows to the table ``path``, written to ``temp`` as CSV.
 
     The header is written first.  Each call takes whole columns of the
-    next rows and formats them by :func:`_write_rows`, ``_BLOCK_ROWS``
-    at a time, in the :class:`RowFormat` of the first call; the bytes are
-    those :func:`_write_tables` writes.  A failed write names ``path``.
+    next rows and writes them by :func:`_write_rows`, ``_BLOCK_ROWS`` at
+    a time, in the :class:`RowFormat` of the first call: bools as 0/1,
+    others as ``%.{precision}e``, the bytes of one ``%``-format per row.
+    A block is formatted in numpy (or, from precision 14 and where long
+    double is no wider than double, by Python's ``%``), so only one block
+    is ever held as text.  A failed write names ``path``.
     """
     fmt = None
 
@@ -621,18 +576,21 @@ def _run_synth(args) -> int:
         real = real + rng.normal(0.0, sigma, real.shape)
     t = np.arange(spec.n_samples) * spec.dt
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tr, rr = res.truth, res.truth_rates
-    _write_tables([
-        (out / f"signal_{args.mode}.csv", ["t", "x", "y", "z"], [t, *real.T]),
-        (out / f"truth_{args.mode}.csv",
-         ["t", "a", "b", "kappa", "lambda", "theta", "phi", "alpha", "beta",
-          "dkappa_rel", "dlambda", "omega_phi", "omega_theta", "omega_alpha",
-          "omega_beta"],
-         [t, tr.a, tr.b, tr.kappa, tr.lam, tr.theta_unwrapped, tr.phi_unwrapped,
-          tr.alpha_unwrapped, tr.beta, rr.dkappa_rel, rr.dlambda, rr.omega_phi,
-          rr.omega_theta, rr.omega_alpha, rr.omega_beta]),
-    ], precision)
+    tables = {
+        f"signal_{args.mode}.csv": (["t", "x", "y", "z"], [t, *real.T]),
+        f"truth_{args.mode}.csv": (
+            ["t", "a", "b", "kappa", "lambda", "theta", "phi", "alpha", "beta",
+             "dkappa_rel", "dlambda", "omega_phi", "omega_theta", "omega_alpha",
+             "omega_beta"],
+            [t, tr.a, tr.b, tr.kappa, tr.lam, tr.theta_unwrapped, tr.phi_unwrapped,
+             tr.alpha_unwrapped, tr.beta, rr.dkappa_rel, rr.dlambda, rr.omega_phi,
+             rr.omega_theta, rr.omega_alpha, rr.omega_beta]),
+    }
+    with _staged(out, list(tables)) as temps:
+        for name, (header, cols) in tables.items():
+            with _table(out / name, temps[name], header, precision) as append:
+                append(cols)
     print(f"wrote {out / f'signal_{args.mode}.csv'} ({spec.n_samples} rows)")
     return 0
 
@@ -650,13 +608,12 @@ def _run_spectrum(args) -> int:
         "n_tapers": config.n_tapers,
     })
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_tables(
-        [(out / "spectrum.csv", ["freq_rad", "freq_cycles", "s_x"],
-          [est.freqs, est.freqs * sig.dt / (2 * np.pi), est.values])],
-        config.precision,
-    )
-    (out / "spectrum_summary.json").write_text(summary_text)
+    with _staged(out, ("spectrum.csv", "spectrum_summary.json")) as temps:
+        with _table(out / "spectrum.csv", temps["spectrum.csv"],
+                    ["freq_rad", "freq_cycles", "s_x"], config.precision) as append:
+            append([est.freqs, est.freqs * sig.dt / (2 * np.pi), est.values])
+        with _naming(out / "spectrum_summary.json"):
+            temps["spectrum_summary.json"].write_text(summary_text)
     print(
         f"spectral mean freq {est.moments.mean_freq:.6g} rad "
         f"({est.moments.mean_freq / (2 * np.pi) * sig.dt:.6g} cyc/sample), "

@@ -1,6 +1,7 @@
 """The CLI table writer and CSV reader against their per-cell and row-by-row references."""
 
 import contextlib
+import errno
 import io
 import os
 import signal
@@ -30,7 +31,6 @@ from triellipse.cli import (
     DataFormatError,
     _parse_fast,
     _parse_rows,
-    _write_tables,
     read_dataset,
 )
 
@@ -50,6 +50,12 @@ def per_cell_write(path, header, cols, precision):
                 )
                 + "\n"
             )
+
+
+def write_table(path, header, cols, precision):
+    """The CLI's table writer, given whole columns: ``path`` written through ``cli._table``."""
+    with cli._table(path, path, header, precision) as append:
+        append(cols)
 
 
 SPECIAL = np.array([
@@ -73,7 +79,7 @@ def test_write_table_matches_per_cell_writer(tmp_path, precision, n):
         np.arange(n) % 3 == 0,
     ]
     header = [f"c{j}" for j in range(len(cols))]
-    _write_tables([(tmp_path / "new.csv", header, cols)], precision)
+    write_table(tmp_path / "new.csv", header, cols, precision)
     per_cell_write(tmp_path / "ref.csv", header, cols, precision)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -86,7 +92,7 @@ def test_write_table_holds_one_block_of_text(tmp_path):
     path = tmp_path / "wide.csv"
     tracemalloc.start()
     try:
-        _write_tables([(path, [f"c{j}" for j in range(21)], cols)], 12)
+        write_table(path, [f"c{j}" for j in range(21)], cols, 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -111,7 +117,7 @@ def test_short_long_double_takes_python_percent(tmp_path, monkeypatch):
     monkeypatch.setattr(_format, "_long_double_is_wide", lambda: False)
     monkeypatch.setattr(_format.RowFormat, "_text", numpy_path)
     header, cols = _table(_BLOCK_ROWS + 1, 0, 7)
-    _write_tables([(tmp_path / "new.csv", header, cols)], 12)
+    write_table(tmp_path / "new.csv", header, cols, 12)
     per_cell_write(tmp_path / "ref.csv", header, cols, 12)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -121,11 +127,11 @@ SUMMARY = "computing the multitaper summary and writing sphere_xhat.csv"
 
 @pytest.fixture
 def forking(monkeypatch, deadline):
-    """Send every table of synth and spectrum, and analyze's summary, through forked children.
+    """Send analyze's summary through a forked child at any record length.
 
-    Returns what each fork was for.  ``analyze`` forks no table writer: its
-    summary child writes ``sphere_xhat.csv``, and this process the tables
-    the chain streams.
+    Returns what each fork was for.  No table writer forks: the summary
+    child writes ``sphere_xhat.csv``, this process the tables the chain
+    streams, and ``synth`` and ``spectrum`` write theirs in this process.
     """
     forks = []
     fork = os.fork
@@ -133,34 +139,13 @@ def forking(monkeypatch, deadline):
     def counted():
         pid = fork()
         if pid:
-            # the caller is _parallel.forked, whose `what` names the task
+            # the caller is _parallel.beside, whose `what` names the task
             forks.append(sys._getframe(1).f_locals["what"])
         return pid
 
-    monkeypatch.setattr(_parallel, "_FORK_BELOW", 0)
     monkeypatch.setattr(_parallel, "_SUMMARY_FORK_BELOW", 0)
     monkeypatch.setattr(os, "fork", counted)
     return forks
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-@pytest.mark.parametrize("cpus", [2, 3])
-@pytest.mark.parametrize("precision", [0, 12, 17])
-def test_forked_writers_match_per_cell_writer(tmp_path, monkeypatch, forking, cpus, precision):
-    monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
-    lengths = [1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 1000]
-    tables = [
-        (tmp_path / f"new{n}.csv", *_table(n, n + precision, 3 + k % 5))
-        for k, n in enumerate(lengths)
-    ]
-    _write_tables(tables, precision)
-    assert len(forking) == cpus - 1  # once per call, not per table
-    for path, header, cols in tables:
-        per_cell_write(tmp_path / "ref.csv", header, cols, precision)
-        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), path.name
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [p.name for p, _, _ in tables] + ["ref.csv"]
-    )
 
 
 def _no_child_left():
@@ -177,8 +162,10 @@ def _failing_on(table, call, fail):
     calls = []
 
     def failing(fh, cols, fmt, start, stop):
-        # analyze writes each table to a temporary file named after it
-        if Path(fh.name).name.startswith(f".{table}."):
+        # the table's own file, or the temporary file named after it that
+        # every command writes instead
+        name = Path(fh.name).name
+        if name == table or name.startswith(f".{table}."):
             calls.append(start)
             if len(calls) == call:
                 fail()
@@ -219,31 +206,13 @@ def test_failed_writer_is_input_error_naming_the_table(
         else:
             assert err == f"input error: worker process 1 of 2 {SUMMARY} ended by SIGKILL\n"
         assert not out.exists()
-    # one writer child for synth, and one summary child per analyze
-    synth = "writing signal_amplitude.csv, truth_amplitude.csv"
-    assert forking == [synth] + [SUMMARY] * len(tables) and _no_child_left()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_failure_in_this_process_still_reaps_the_writers(tmp_path, monkeypatch, forking):
-    monkeypatch.setattr(_parallel, "_cpus", lambda: 3)
-    parent = os.getpid()
-    write_rows = cli._write_rows
-
-    def failing(fh, cols, row, start, stop):
-        if os.getpid() == parent:
-            raise OSError(5, "Input/output error")
-        write_rows(fh, cols, row, start, stop)
-
-    monkeypatch.setattr(cli, "_write_rows", failing)
-    header, cols = _table(600, 0, 5)
-    with pytest.raises(OSError, match="Input/output error"):
-        _write_tables([(tmp_path / "t.csv", header, cols)], 12)
-    assert len(forking) == 2 and _no_child_left()
+    # one summary child per analyze, and none for synth
+    assert forking == [SUMMARY] * len(tables) and _no_child_left()
 
 
 def test_short_records_start_no_process(tmp_path, monkeypatch):
-    # the crossover, not the CPU count, keeps every n = 800 table in this process
+    # on any CPU count no table writer forks, even above 2^17 cells; only the
+    # summary of analyze may, from its crossover up, so at n = 800 none does
     def no_fork():
         raise AssertionError("forked")
 
@@ -253,6 +222,12 @@ def test_short_records_start_no_process(tmp_path, monkeypatch):
     csv = str(tmp_path / "signal_nutation.csv")
     assert cli.main(["analyze", csv, "--out", str(tmp_path / "a")]) == 0
     assert cli.main(["spectrum", csv, "--out", str(tmp_path / "s")]) == 0
+    # 20 000 rows of 19 columns, and a grid of 80 001 rows of 3 at --pad 8
+    assert cli.main(["synth", "--mode", "amplitude", "--n", "20000",
+                     "--out", str(tmp_path / "long")]) == 0
+    csv = str(tmp_path / "long" / "signal_amplitude.csv")
+    assert cli.main(["spectrum", csv, "--pad", "8", "--out", str(tmp_path / "ls")]) == 0
+    assert len((tmp_path / "ls" / "spectrum.csv").read_text().splitlines()) == 80_002
 
 
 def _record_csv(tmp_path, n, seed, scale=1.0):
@@ -287,7 +262,7 @@ def test_summary_child_matches_inline_run(tmp_path, monkeypatch, capsys, forking
 
 
 def _reference_tables(csv, flags, out):
-    """``analyze``'s three tables as :func:`_write_tables` writes ``analyze_signal``'s whole columns."""
+    """``analyze``'s three tables as the table writer writes ``analyze_signal``'s whole columns."""
     config = cli._config(cli.build_parser().parse_args(["analyze", str(csv), *flags]))
     ds = read_dataset(csv)
     res = cli.analyze_signal(RealSignal3(ds.channels, dt=ds.dt), config)
@@ -301,11 +276,10 @@ def _reference_tables(csv, flags, out):
     norms = np.linalg.norm(res.signal.samples, axis=1)
     xhat = res.signal.samples / np.where(norms > 0, norms, 1.0)[:, None]
     out.mkdir()
-    _write_tables([
-        (out / "analysis.csv", cli._ANALYSIS_HEADER, cols),
-        (out / "sphere_xhat.csv", cli._SPHERE_HEADER, [ds.time, *xhat.T]),
-        (out / "sphere_nhat.csv", cli._SPHERE_HEADER, [ds.time, *nrm.n_hat.T]),
-    ], config.precision)
+    write_table(out / "analysis.csv", cli._ANALYSIS_HEADER, cols, config.precision)
+    write_table(out / "sphere_xhat.csv", cli._SPHERE_HEADER, [ds.time, *xhat.T], config.precision)
+    write_table(out / "sphere_nhat.csv", cli._SPHERE_HEADER, [ds.time, *nrm.n_hat.T],
+                config.precision)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -373,6 +347,47 @@ def test_failed_analyze_keeps_the_previous_run(
     assert (code, capsys.readouterr().err.splitlines()[0]) == (want_code, want_err.format(out=out))
     assert {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()} == before
     assert forking == [SUMMARY] * (1 if route == "directory" else 2) and _no_child_left()
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["synth", "--mode", "amplitude"], "truth_amplitude.csv"),
+    (["spectrum", "{csv}"], "spectrum.csv"),
+], ids=["synth", "spectrum"])
+def test_failed_synth_or_spectrum_write_keeps_the_previous_run(
+    tmp_path, monkeypatch, capsys, argv, table
+):
+    out = tmp_path / "o"
+    argv = [a.format(csv=_record_csv(tmp_path, 800, 0)) for a in argv] + ["--out", str(out)]
+    assert cli.main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    # synth's signal table is written before its truth table fails
+    monkeypatch.setattr(cli, "_write_rows", _failing_on(table, 1, _no_space))
+    assert cli.main([*argv, "--precision", "6"]) == 2  # every table would change
+    err = capsys.readouterr().err
+    assert err == f"input error: {out / table}: [Errno 28] No space left on device\n"
+    # the same files and bytes, and no temporary file
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["synth", "--mode", "amplitude"], "signal_amplitude.csv"),
+    (["spectrum", "{csv}"], "spectrum.csv"),
+    (["analyze", "{csv}"], "analysis.csv"),
+], ids=["synth", "spectrum", "analyze"])
+def test_unwritable_output_directory_names_the_file(tmp_path, monkeypatch, capsys, argv, first):
+    # the line opening the file itself gives, not the temporary file's random name
+    def denied(prefix, suffix, dir):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), f"{dir}/{prefix}x{suffix}")
+
+    monkeypatch.setattr(tempfile, "mkstemp", denied)
+    out = tmp_path / "o"
+    argv = [a.format(csv=_record_csv(tmp_path, 800, 0)) for a in argv] + ["--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: [Errno 13] Permission denied: '{out / first}'\n"
+    )
+    assert not out.exists()
 
 
 def test_analyze_traced_peak_is_the_spectral_pass(tmp_path, monkeypatch, capsys):
@@ -494,17 +509,18 @@ def test_out_of_memory_in_a_writer_is_numerical_failure(tmp_path, monkeypatch, c
     write_rows = cli._write_rows
 
     def failing(fh, cols, row, start, stop):
-        if stop == len(cols[0]):  # the last rows: this process inline, a child when forked
+        if stop == len(cols[0]):  # the last rows of a table
             raise error
         write_rows(fh, cols, row, start, stop)
 
     monkeypatch.setattr(cli, "_write_rows", failing)
-    for cpus in (1, 2):
+    for cpus in (1, 2):  # in this process on any CPU count
         monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
         out = tmp_path / f"cpus{cpus}"
         assert cli.main(["synth", "--mode", "amplitude", "--out", str(out)]) == 3
         assert capsys.readouterr() == ("", f"out of memory: {error}\n")
-    assert forking == ["writing signal_amplitude.csv, truth_amplitude.csv"] and _no_child_left()
+        assert not out.exists()
+    assert forking == [] and _no_child_left()
 
 
 def _rows(n=80, fmt="{t},{x},{y},{z}"):

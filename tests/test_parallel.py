@@ -129,26 +129,23 @@ class TwoPartError(Exception):
 def test_forked_brings_back_results_exceptions_and_warnings(deadline):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
-        with _parallel.forked(lambda j: (j, os.getpid(), _overflow()), 4, "probing") as results:
+        with _parallel.beside(lambda: (os.getpid(), _overflow()), True, "probing") as results:
             assert results == []
             _overflow()
-    assert [(j, v) for j, _, v in results] == [(1, np.inf), (2, np.inf), (3, np.inf)]
-    assert os.getpid() not in {pid for _, pid, _ in results}
-    # the children warned where this process had: shown once, as if all ran here
+    [(pid, value)] = results
+    assert pid != os.getpid() and value == np.inf
+    # the child warned where this process had: shown once, as if both ran here
     assert [str(w.message) for w in caught] == ["overflow encountered in scalar multiply"]
 
-    def failing(j):
-        if j == 2:
-            raise ZeroDivisionError(f"task {j}")
-        if j == 3:
-            raise TwoPartError("left", "right")
+    def failing(error):
+        raise error
 
-    with pytest.raises(ZeroDivisionError, match="^task 2$"):  # the first failure, type kept
-        with _parallel.forked(failing, 4, "probing"):
+    with pytest.raises(ZeroDivisionError, match="^task 2$"):  # the type kept
+        with _parallel.beside(lambda: failing(ZeroDivisionError("task 2")), True, "probing"):
             pass
     with pytest.raises(ChildProcessError, match="^left and right$"):
-        with _parallel.forked(lambda j: failing(3), 2, "probing"):
+        with _parallel.beside(lambda: failing(TwoPartError("left", "right")), True, "probing"):
             pass
     with pytest.raises(ChildProcessError, match="^worker process 1 of 2 probing exited 7$"):
-        with _parallel.forked(lambda j: os._exit(7), 2, "probing"):
+        with _parallel.beside(lambda: os._exit(7), True, "probing"):
             pass

@@ -143,8 +143,15 @@ class AnalyticSignal3:
 
     @cached_property
     def power(self) -> np.ndarray:
-        """Aggregate instantaneous power ``||x+(t)||^2`` per sample, computed once (read-only)."""
-        power = np.sum(np.abs(self.samples) ** 2, axis=1)
+        """Aggregate instantaneous power ``||x+(t)||^2`` per sample, computed once (read-only).
+
+        Summed one component at a time, ``(p0 + p1) + p2``: the bits of
+        ``np.sum(np.abs(samples) ** 2, axis=1)`` without its two
+        ``(n, 3)`` temporaries.
+        """
+        power = np.abs(self.samples[:, 0]) ** 2
+        for c in (1, 2):
+            power += np.abs(self.samples[:, c]) ** 2
         power.flags.writeable = False
         return power
 
@@ -179,11 +186,20 @@ def analytic_transform(x: RealSignal3) -> AnalyticSignal3:
     bins, keep the zero and Nyquist bins, zero the negative bins, inverse
     DFT.  The real part of the result equals the (demeaned) input to
     round-off.
+
+    Both transforms run in place on the result's own ``(n, 3)`` array,
+    one column at a time: a 2-D call allocates scratch of its own in
+    pocketfft, which ``tracemalloc`` does not see, about 3 MB more
+    resident memory at 1e5 samples.  The bits are those of the 2-D call.
     """
     spec = x.samples.astype(complex)  # the transform casts a real input to this anyway
-    np.fft.fft(spec, axis=0, out=spec)
-    spec *= _analytic_weights(x.n_samples)[:, None]
-    return AnalyticSignal3._adopt(np.fft.ifft(spec, axis=0, out=spec), x.dt)
+    weights = _analytic_weights(x.n_samples)
+    for c in range(3):
+        col = spec[:, c]
+        np.fft.fft(col, out=col)
+        col *= weights
+        np.fft.ifft(col, out=col)
+    return AnalyticSignal3._adopt(spec, x.dt)
 
 
 def hilbert_check(xp: AnalyticSignal3) -> float:
@@ -262,6 +278,12 @@ def differentiate(xp: AnalyticSignal3, scheme: str = "central4") -> np.ndarray:
         omega = 2.0 * np.pi * np.fft.fftfreq(n, d=xp.dt)
         if n % 2 == 0:
             omega[n // 2] = 0.0
-        spec = np.fft.fft(xp.samples, axis=0)
-        return np.fft.ifft(1j * omega[:, None] * spec, axis=0)
+        i_omega = 1j * omega
+        out = np.empty(xp.samples.shape, dtype=complex)
+        for c in range(3):  # one column per transform, as in analytic_transform
+            col = out[:, c]
+            np.fft.fft(xp.samples[:, c], out=col)
+            np.multiply(i_omega, col, out=col)
+            np.fft.ifft(col, out=col)
+        return out
     raise ValueError(f"unknown derivative scheme {scheme!r}")

@@ -14,12 +14,15 @@ no written column is ever held whole.  Its multitaper summary and
 ``sphere_xhat.csv`` need only the record: above a record length they go
 to one child, forked right after the record is read, that runs them
 beside the chain, so this process never loads LAPACK; else this process
-runs them first.  No fork changes a byte of output.  Every command
-publishes all or nothing (:func:`_staged`): its files are written under
-temporary names in the output directory and renamed into place only once
-all are written, ``analyze``'s once its summary is known to be finite,
-``summary.json`` last; a failed run removes them and leaves the
-directory as it was.  No command imports the ``scipy.linalg``
+runs them first.  Either way the summary has the real record before the
+chain starts, so this process drops it once the analytic signal exists,
+and the chain runs on that alone.  No fork changes a byte of output.
+Every command publishes all or nothing (:func:`_staged`): its files are
+written under temporary names in the output directory and renamed into
+place only once all are written, ``analyze``'s once its summary is known
+to be finite, ``summary.json`` last; a failed run removes them and
+leaves the directory as it was.  The renames run one file at a time, and
+one that fails names its file.  No command imports the ``scipy.linalg``
 package: the taper solve loads only scipy's compiled LAPACK wrappers
 (:func:`triellipse.spectrum.eigh_tridiagonal`).  The outputs are the same
 for any CPU count, except the multitaper values (two fields of
@@ -60,7 +63,7 @@ import tempfile
 import warnings
 from collections import Counter
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import takewhile
 from pathlib import Path
 from typing import Callable, Collection, Iterator, Sequence
@@ -69,7 +72,7 @@ import numpy as np
 
 from . import _parallel
 from ._format import RowFormat
-from .analytic import RealSignal3
+from .analytic import AnalyticSignal3, RealSignal3, analytic_transform
 from .moments import GlobalMoments
 from .pipeline import (
     AnalysisTotals,
@@ -81,6 +84,7 @@ from .pipeline import (
 )
 from .spectrum import (
     MIN_TAPER_SAMPLES,
+    _trapezoid,
     multitaper_joint_spectrum,
     multitaper_moments,
     slepian_tapers,
@@ -298,10 +302,10 @@ def _summary_dict(res: AnalysisTotals) -> dict:
         "second_central_rel_diff": abs(gt.second_central - gs.second_central)
         / max(abs(gs.second_central), 1e-300),
         "flags_excluded": res.excluded,
-        "n_samples": res.signal.n_samples,
-        "dt": res.signal.dt,
+        "n_samples": res.n_samples,
+        "dt": res.dt,
     }
-    n = res.signal.n_samples
+    n = res.n_samples
     if n < MIN_TAPER_SAMPLES:
         print(
             f"note: {n} samples is below the {MIN_TAPER_SAMPLES} the tapers need; "
@@ -400,7 +404,8 @@ def _staged(out: Path, names: Sequence[str]) -> Iterator[dict[str, Path]]:
     ``out`` and its missing parents are made, and a name whose file is a
     directory is an input error before anything is written.  After the
     block each temporary file is renamed onto its name, in order, by
-    ``os.replace``; the temporary files get the permissions ``open``
+    ``os.replace``, and a failed rename names the file; the files
+    renamed before it stay.  The temporary files get the permissions ``open``
     would give, and one that cannot be made fails as opening its name
     would.  If the block raises, the temporary files and the
     directories made are removed instead, so ``out`` keeps what it held.
@@ -424,7 +429,8 @@ def _staged(out: Path, names: Sequence[str]) -> Iterator[dict[str, Path]]:
             os.chmod(temp, 0o666 & ~umask)
         yield temps
         for name, temp in temps.items():
-            os.replace(temp, out / name)
+            with _naming(out / name):
+                os.replace(temp, out / name)
     except BaseException:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
@@ -484,9 +490,9 @@ def _write_xhat(path: Path, temp: Path, time: np.ndarray, x: RealSignal3, precis
 
 
 def _write_analysis(
-    out: Path, temps: dict[str, Path], time: np.ndarray, x: RealSignal3, config: RunConfig
+    out: Path, temps: dict[str, Path], time: np.ndarray, xp: AnalyticSignal3, config: RunConfig
 ) -> AnalysisTotals:
-    """Run the chain, writing ``analysis.csv`` and ``sphere_nhat.csv`` a block at a time."""
+    """Run the chain on ``xp``, writing ``analysis.csv`` and ``sphere_nhat.csv`` a block at a time."""
     p = config.precision
     with (
         _table(out / "analysis.csv", temps["analysis.csv"], _ANALYSIS_HEADER, p) as analysis,
@@ -504,7 +510,7 @@ def _write_analysis(
             ])
             nhat([t, *nrm.n_hat.T])
 
-        return analyze_blocks(x, config, write)
+        return analyze_blocks(xp, config, write)
 
 
 def _run_analyze(args) -> int:
@@ -512,7 +518,6 @@ def _run_analyze(args) -> int:
     time, x = _read_input(args, config)
     # rotated once, here: the chain and the summary child take the same record
     x = in_bearing_frame(x, config.bearing)
-    config = replace(config, bearing=0.0)
     n = x.n_samples
     tapered = n >= MIN_TAPER_SAMPLES
     out = Path(args.out)
@@ -529,7 +534,11 @@ def _run_analyze(args) -> int:
         # else this process runs it first, before the chain's arrays exist
         in_child = tapered and _parallel.summary_in_child(n)
         with _parallel.beside(beside_chain, in_child, _BESIDE_CHAIN) as done:
-            totals = _write_analysis(out, temps, time, x, config)
+            xp = analytic_transform(x)
+            # the summary has the record (a child's copy, or it has run): from
+            # here on the chain needs only the analytic signal
+            del x
+            totals = _write_analysis(out, temps, time, xp, config)
             summary = _summary_dict(totals)
         if tapered:
             # raw-DFT moments of a non-windowed finite record carry leakage bias;
@@ -541,10 +550,10 @@ def _run_analyze(args) -> int:
             temps["summary.json"].write_text(summary_text)
 
     gt, gs = totals.global_time, totals.global_spectral
-    print(f"n={n} dt={x.dt:g} excluded={totals.excluded}")
+    print(f"n={n} dt={totals.dt:g} excluded={totals.excluded}")
     print(
         f"mean freq: time {gt.mean_freq:.6g} rad "
-        f"({gt.mean_freq / (2 * np.pi) * x.dt:.6g} cyc/sample), "
+        f"({gt.mean_freq / (2 * np.pi) * totals.dt:.6g} cyc/sample), "
         f"spectral {gs.mean_freq:.6g} rad; "
         f"rel diff {summary['mean_freq_rel_diff']:.3g}"
     )
@@ -599,7 +608,7 @@ def _run_spectrum(args) -> int:
     config = _config(args)
     _, sig = _read_input(args, config, need=MIN_TAPER_SAMPLES)
     est = _multitaper(multitaper_joint_spectrum, sig, config)
-    norm = float(np.trapezoid(est.values, est.freqs) / (2 * np.pi))
+    norm = _trapezoid(est.values, est.freqs) / (2 * np.pi)
     summary_text = _json_text({
         "mean_freq_spectral": est.moments.mean_freq,
         "second_central_spectral": est.moments.second_central,

@@ -274,21 +274,27 @@ def _shift_count(n: int, m: int) -> int:
     return next(s for s in range(m // n, 0, -1) if m % s == 0)
 
 
-def _twiddles(r: int, n: int, m: int) -> np.ndarray:
-    """``exp(-2 pi i r t / m)`` for ``t < n``.
+def _twiddle(out: np.ndarray, r: int, m: int) -> None:
+    """Write ``exp(-2 pi i r t / m)`` into ``out[t]`` for every ``t < out.size``.
 
-    With ``b = ceil(sqrt(n))`` and ``t = a b + q``, each value is the
-    product of two table entries, ``exp(-2 pi i r a b / m)`` and
-    ``exp(-2 pi i r q / m)``, whose phases are reduced modulo ``m`` as
+    With ``n = out.size``, ``b = ceil(sqrt(n))`` and ``t = a b + q``, each
+    value is the product of two table entries, ``exp(-2 pi i r a b / m)``
+    and ``exp(-2 pi i r q / m)``, whose phases are reduced modulo ``m`` as
     integers: about ``2 sqrt(n)`` complex exponentials instead of ``n``.
+    The products are the rows of the tables' outer product, written in
+    place: no other array of ``n`` points is made.
     """
+    n = out.size
     b = math.isqrt(n - 1) + 1
-    rows = -(-n // b)
 
     def table(step: int, size: int) -> np.ndarray:
         return np.exp((-2j * np.pi / m) * ((r * step * np.arange(size)) % m))
 
-    return np.multiply.outer(table(b, rows), table(1, b)).ravel()[:n]
+    hi, lo = table(b, -(-n // b)), table(1, b)
+    full, rest = divmod(n, b)
+    np.multiply.outer(hi[:full], lo, out=out[:full * b].reshape(full, b))
+    if rest:
+        np.multiply(hi[full], lo[:rest], out=out[full * b:])
 
 
 def _shift_bins(r: int, m: int, s: int) -> int:
@@ -318,23 +324,28 @@ def _shift_stats(p: np.ndarray, r: int, m: int, s: int, ends: tuple) -> tuple[fl
 
 
 def _padded_moments(
-    columns: Callable[[], Iterable[np.ndarray]], n: int, m: int, dt: float, real: bool,
+    columns: Callable[[np.ndarray], Iterable[np.ndarray]], n: int, m: int, dt: float, real: bool,
     grid: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Mean frequency and second central moment of a power on the one-sided bins of an ``m``-point DFT.
 
     The power is ``sum |DFT_m(col)|^2`` over the length-``n`` columns that
-    ``columns()`` yields, in that order; its moments are those of the
-    trapezoid rule over the bin frequencies ``2 pi j / (m dt)``,
-    ``j <= m // 2``.  ``real`` folds the two-sided power onto the positive
-    side, so every bin but 0 and, for even ``m``, ``m / 2`` weighs twice.
-    With ``s = _shift_count(n, m)`` and ``L = m // s``, bin ``s k + r`` of
-    the DFT is bin ``k`` of the ``L``-point DFT of
-    ``col * exp(-2 pi i r t / m)``: one ``L``-point FFT per column and
-    shift, inline, in one buffer.  For ``real`` columns only shifts
-    ``0 .. s // 2`` are transformed, shift 0 by a real FFT; for
-    ``0 < r < s - r`` the bins of shift ``r``, reversed, are by conjugate
-    symmetry those of shift ``s - r``.  Each shift's bins are written into
+    ``columns(scratch)`` yields, in that order; a column may be written
+    into ``scratch``, ``n`` doubles that are overwritten once it is
+    transformed and before the next column is asked for.  Its moments are
+    those of the trapezoid rule over the bin frequencies
+    ``2 pi j / (m dt)``, ``j <= m // 2``.  ``real`` folds the two-sided
+    power onto the positive side, so every bin but 0 and, for even ``m``,
+    ``m / 2`` weighs twice.  With ``s = _shift_count(n, m)`` and
+    ``L = m // s``, bin ``s k + r`` of the DFT is bin ``k`` of the
+    ``L``-point DFT of ``col * exp(-2 pi i r t / m)``: one ``L``-point FFT
+    per column and shift, inline, in one buffer.  The twiddle is written
+    into that buffer from two tables of about ``sqrt(n)`` points
+    (:func:`_twiddle`) and then multiplied by the column, so no array of
+    ``n`` points is made per shift.  For ``real`` columns only shifts
+    ``0 .. s // 2`` are transformed, shift 0 by a real FFT into the same
+    buffer; for ``0 < r < s - r`` the bins of shift ``r``, reversed, are
+    by conjugate symmetry those of shift ``s - r``.  Each shift's bins are written into
     ``grid[r::s]`` if a one-sided ``grid`` is given and reduced on the spot
     (:func:`_shift_stats`); the shifts are then merged in order by the
     exact pairwise update of Chan, Golub and LeVeque (1979).  A zero power
@@ -348,13 +359,15 @@ def _padded_moments(
     for r in range(s // 2 + 1 if real else s):
         paired = real and 0 < r < s - r
         used = size if paired else _shift_bins(r, m, s)
-        twiddle = None if real and not r else _twiddles(r, n, m)
         power = np.zeros(used)
-        for col in columns():
-            if twiddle is None:
-                y = np.fft.rfft(col, n=size)
+        for col in columns(mag[:n]):
+            if real and not r:
+                y = np.fft.rfft(col, n=size, out=buf[: size // 2 + 1])
             else:
-                np.multiply(col, twiddle, out=buf[:n])
+                # the twiddle is built in the buffer, then the column times it:
+                # that operand order keeps the bits of a separate twiddle array
+                _twiddle(buf[:n], r, m)
+                np.multiply(col, buf[:n], out=buf[:n])
                 buf[n:] = 0.0
                 y = np.fft.fft(buf, out=buf)
             a = np.abs(y[:used], out=mag[:used])
@@ -399,7 +412,7 @@ def global_moments_spectral(
     n = xp.n_samples
     m = _padded_length(n, pad_factor)
     mean, second = _padded_moments(
-        lambda: (xp.samples[:, c] for c in range(3)), n, m, xp.dt, real=False
+        lambda _: (xp.samples[:, c] for c in range(3)), n, m, xp.dt, real=False
     )
     energy = float(np.trapezoid(xp.power, dx=xp.dt))
     return GlobalMoments(energy=energy, mean_freq=mean, second_central=second)

@@ -2,8 +2,9 @@
 
 :func:`decompose_analytic` is the per-sample chain on an analytic signal;
 :func:`analyze_signal` runs it on a real record and adds the global
-moments, and :func:`analyze_blocks` runs the same chain but hands each
-block's rows to its caller as they are made.
+moments, and :func:`analyze_blocks` runs the same chain and global
+moments on an analytic signal, so that its caller may drop the real
+record, and hands each block's rows to its caller as they are made.
 
 Only the analytic transform needs the whole record: the ellipse
 parameters and the joint moments are defined at each instant from x+ and
@@ -253,9 +254,13 @@ class Block(NamedTuple):
 
 
 class AnalysisTotals(NamedTuple):
-    """The record-wide results of :func:`analyze_blocks`: the fields of :class:`AnalysisResult` that are not columns."""
+    """The record-wide results of :func:`analyze_blocks`: the fields of :class:`AnalysisResult` that are not columns.
 
-    signal: RealSignal3
+    The record itself is not kept, only its length and sample interval.
+    """
+
+    n_samples: int
+    dt: float
     global_time: GlobalMoments
     global_spectral: GlobalMoments
     excluded: int
@@ -410,15 +415,16 @@ def in_bearing_frame(x: RealSignal3, bearing: float) -> RealSignal3:
 
 
 def _analysis(
-    x: RealSignal3, config: RunConfig, whole: dict[str, tuple[str, ...]] | None
+    xp: AnalyticSignal3, config: RunConfig, whole: dict[str, tuple[str, ...]] | None
 ) -> Generator[Block, None, tuple[AnalysisTotals, dict[str, dict]]]:
-    """The chain of :func:`analyze_signal` as a stream of its written rows; see :func:`_chain` for ``whole``."""
-    x = in_bearing_frame(x, config.bearing)
-    xp = analytic_transform(x)
+    """The chain of :func:`analyze_signal` on the analytic signal ``xp``, as a stream of its written rows.
+
+    See :func:`_chain` for ``whole``.
+    """
     g_spec = global_moments_spectral(xp)
     columns = yield from _chain(xp, config, g_spec.mean_freq, _WRITTEN, whole)
     moments, e = columns["moments"], columns["ellipse"]
-    n = x.n_samples
+    n = xp.n_samples
     # trim at least the wrap-around edge that moments.edge flags at each end
     k = max(int(np.ceil(config.trim * n)), int(np.count_nonzero(moments["edge"])) // 2)
     k = min(k, (n - 2) // 2)
@@ -427,7 +433,7 @@ def _analysis(
     g_time = global_moments_time(SimpleNamespace(**moments), interior)
     flagged = moments["edge"] | moments["unreliable"] | e["degenerate"] | e["circular"]
     excluded = n - int(np.count_nonzero(~flagged[interior]))
-    return AnalysisTotals(x, g_time, g_spec, excluded), columns
+    return AnalysisTotals(n, xp.dt, g_time, g_spec, excluded), columns
 
 
 def analyze_signal(x: RealSignal3, config: RunConfig = RunConfig()) -> AnalysisResult:
@@ -436,10 +442,11 @@ def analyze_signal(x: RealSignal3, config: RunConfig = RunConfig()) -> AnalysisR
     Only what ``analyze`` writes is kept, and the power.  ``excluded``
     counts the samples outside the trimmed interior or flagged.
     """
-    totals, columns = _drain(_analysis(x, config, None))
+    x = in_bearing_frame(x, config.bearing)
+    totals, columns = _drain(_analysis(analytic_transform(x), config, None))
     out = {name: cls(**columns[name]) for name, cls in _WRITTEN.items()}
     return AnalysisResult(
-        signal=totals.signal, ellipse=out["ellipse"], normal=out["normal"],
+        signal=x, ellipse=out["ellipse"], normal=out["normal"],
         moments=out["moments"], decomposition=out["decomposition"],
         global_time=totals.global_time, global_spectral=totals.global_spectral,
         excluded=totals.excluded,
@@ -447,15 +454,18 @@ def analyze_signal(x: RealSignal3, config: RunConfig = RunConfig()) -> AnalysisR
 
 
 def analyze_blocks(
-    x: RealSignal3, config: RunConfig, each: Callable[[Block], None]
+    xp: AnalyticSignal3, config: RunConfig, each: Callable[[Block], None]
 ) -> AnalysisTotals:
-    """Run :func:`analyze_signal`'s chain, handing each block of its written rows to ``each``.
+    """Run :func:`analyze_signal`'s chain on an analytic signal, handing each block of its written rows to ``each``.
 
-    A block's ``outputs`` are the :class:`AnalysisResult` column classes
-    (``"ellipse"``, ``"normal"``, ``"moments"``, ``"decomposition"``)
-    built on rows ``lo:hi`` alone, with the bits of
-    :func:`analyze_signal`'s columns; ``each`` must not keep them.  Only
-    ``omega``, ``sigma2``, the power and the four flags are held whole,
-    for the totals.
+    ``xp`` is ``analytic_transform`` of the record in the frame to
+    analyse, as :func:`decompose_analytic` takes it, so ``config.bearing``
+    is not read, and the caller may drop the real record before the
+    chain's spectral pass.  A block's ``outputs`` are the
+    :class:`AnalysisResult` column classes (``"ellipse"``, ``"normal"``,
+    ``"moments"``, ``"decomposition"``) built on rows ``lo:hi`` alone,
+    with the bits of :func:`analyze_signal`'s columns; ``each`` must not
+    keep them.  Only ``omega``, ``sigma2``, the power and the four flags
+    are held whole, for the totals.
     """
-    return _drain(_analysis(x, config, _WHOLE), each)[0]
+    return _drain(_analysis(xp, config, _WHOLE), each)[0]

@@ -169,7 +169,7 @@ def eigh_tridiagonal(
     stebz, stein = _stebz_stein()
     m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, il + 1, iu + 1, 0.0, "B")
     _check_info(info, "stebz", "did not converge (LAPACK info=%d)")
-    w = w[:m]
+    w = w[:m].copy()  # frees stebz's n-point array of eigenvalues
     v, info = stein(d, e, w, iblock, isplit)
     _check_info(info, "stein", "%d eigenvectors failed to converge")
     order = np.argsort(w)
@@ -224,8 +224,10 @@ def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | 
     w = time_bandwidth / n_samples
     i = np.arange(n_samples)
     diag = ((n_samples - 1) / 2.0 - i) ** 2 * np.cos(2.0 * np.pi * w)
+    del i
     off = np.arange(1, n_samples) * np.arange(n_samples - 1, 0, -1) / 2.0
     _, vecs = eigh_tridiagonal(diag, off, n_samples - n_tapers, n_samples - 1)
+    del diag, off  # the matrix is solved: not held through the concentrations
     tapers = vecs[:, ::-1].T  # descending eigenvalue order
     for row in tapers:
         lead = row[np.flatnonzero(row)[0]]
@@ -251,12 +253,36 @@ def _grid_length(x: RealSignal3, tapers: TaperSet, pad_factor: int) -> int:
 
 
 def _tapered(x: RealSignal3, tapers: TaperSet):
-    """The columns of the multitaper power: each taper times each component, in that order."""
-    return lambda: (taper * x.samples[:, c] for taper in tapers.tapers for c in range(3))
+    """The columns of the multitaper power: each taper times each component, in that order, written into the scratch buffer."""
+    return lambda out: (
+        np.multiply(taper, x.samples[:, c], out=out) for taper in tapers.tapers for c in range(3)
+    )
 
 
 def _energy(x: RealSignal3) -> float:
-    return 2.0 * float(np.trapezoid(np.sum(x.samples**2, axis=1), dx=x.dt))
+    # summed a component at a time, (p0 + p1) + p2: the bits of sum(axis=1)
+    power = x.samples[:, 0] ** 2
+    for c in (1, 2):
+        power += x.samples[:, c] ** 2
+    return 2.0 * float(np.trapezoid(power, dx=x.dt))
+
+
+def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    """``np.trapezoid(y, x)`` of two 1-d arrays, to the bit, with one temporary of their size.
+
+    numpy forms ``diff(x) * (y[1:] + y[:-1]) / 2.0`` in temporaries of
+    that size and sums it pairwise.  Here the terms are formed in place in
+    one array, ``diff(x)`` is taken a block at a time into a small buffer,
+    and the one pairwise sum is numpy's.
+    """
+    terms = y[1:] + y[:-1]
+    step = np.empty(1 << 12)
+    for lo in range(0, terms.size, step.size):
+        d = step[: min(step.size, terms.size - lo)]
+        np.subtract(x[lo + 1:lo + 1 + d.size], x[lo:lo + d.size], out=d)
+        terms[lo:lo + d.size] *= d
+    terms /= 2.0
+    return float(np.add.reduce(terms))
 
 
 def multitaper_joint_spectrum(
@@ -299,7 +325,7 @@ def multitaper_joint_spectrum(
     else:
         half[1:] *= 2.0
     freqs = 2.0 * np.pi * np.arange(half.size) / (m * x.dt)
-    half /= np.trapezoid(half, freqs) / (2.0 * np.pi)
+    half /= _trapezoid(half, freqs) / (2.0 * np.pi)
     return JointSpectrum(
         freqs=freqs,
         values=half,

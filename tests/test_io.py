@@ -25,6 +25,7 @@ from triellipse import (
     _parallel,
     make_random_modulated,
     make_reference_signal,
+    pipeline,
 )
 from triellipse.cli import (
     _BLOCK_ROWS,
@@ -392,8 +393,9 @@ def test_unwritable_output_directory_names_the_file(tmp_path, monkeypatch, capsy
 
 def test_analyze_traced_peak_is_the_spectral_pass(tmp_path, monkeypatch, capsys):
     # one CPU: the summary runs in this process too, before the chain; the peak
-    # is then the global spectral pass or the taper solve (15.0 MB), not the
-    # written columns (29.1 MB when they were built whole)
+    # is then the taper solve (12.9 MB) or the global spectral pass (10.3 MB),
+    # not the written columns (29.1 MB when they were built whole), and the
+    # real record is freed before the pass (15.0 MB while it was kept)
     monkeypatch.setattr(_parallel, "_cpus", lambda: 1)
     csv = _record_csv(tmp_path, 100_000, 3)
     tracemalloc.start()
@@ -402,7 +404,67 @@ def test_analyze_traced_peak_is_the_spectral_pass(tmp_path, monkeypatch, capsys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 13.5e6
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_record_is_freed_before_the_spectral_pass(tmp_path, monkeypatch, forking, cpus):
+    # the chain needs only the analytic signal; the summary has the record
+    # already, in its child (two CPUs) or having run first (one)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
+    records = []
+
+    def read_input(*args, _read=cli._read_input):
+        time, x = _read(*args)
+        records.append(weakref.ref(x.samples))
+        return time, x
+
+    alive = []
+
+    def spectral(*args, _spectral=pipeline.global_moments_spectral):
+        alive.append(records[0]() is not None)
+        return _spectral(*args)
+
+    monkeypatch.setattr(cli, "_read_input", read_input)
+    monkeypatch.setattr(pipeline, "global_moments_spectral", spectral)
+    csv = _record_csv(tmp_path, 800, 0)
+    assert cli.main(["analyze", str(csv), "--out", str(tmp_path / "o")]) == 0
+    assert alive == [False]
+    assert forking == [SUMMARY] * (cpus - 1)
+
+
+def test_spectrum_traced_peak_has_no_trapezoid_temporaries(tmp_path):
+    # the normalisation forms its terms in one array the size of the grid
+    # (3.2 MB here): 15.5 MB in all, 18.6 MB through np.trapezoid's
+    # temporaries
+    csv = _record_csv(tmp_path, 100_000, 0)
+    tracemalloc.start()
+    try:
+        assert cli.main(["spectrum", str(csv), "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 16.5e6
+
+
+def test_failed_publish_names_the_file(tmp_path, monkeypatch, capsys):
+    # the renames run one file at a time: the second one fails here
+    out = tmp_path / "o"
+    replace, calls = os.replace, []
+
+    def failing(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    assert cli.main(["synth", "--mode", "amplitude", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {out / 'truth_amplitude.csv'}: [Errno 5] {os.strerror(errno.EIO)}\n"
+    )
+    assert not list(out.glob(".*.tmp"))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

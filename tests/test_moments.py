@@ -340,13 +340,16 @@ def test_streamed_passes_stay_o_n_and_start_no_thread(monkeypatch):
             return out
 
         monkeypatch.setattr(np.fft, name, counted)
+    # each pass's traced peak stays below the analytic signal's size (4.8 MB):
+    # 4.0 and 4.3 MB, where an n-point twiddle per shift and a new array per
+    # tapered column made them 6.3 and 7.6 MB; 64 MB through the full grid
     tracemalloc.start()
     try:
         global_moments_spectral(xp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * xp.samples.nbytes  # 64 MB through the full grid
+    assert peak < xp.samples.nbytes
     assert points == [n] * 16 * 3  # m = 16 n: one n-point FFT per shift and component
     points.clear()
     tracemalloc.start()
@@ -355,7 +358,7 @@ def test_streamed_passes_stay_o_n_and_start_no_thread(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * xp.samples.nbytes
+    assert peak < xp.samples.nbytes
     # shift 0 as a real FFT, shifts 1 .. 4 as complex ones that also serve 7 .. 5
     assert points == ([n // 2 + 1] * 9) + [n] * 4 * 9
     assert threading.active_count() == threads

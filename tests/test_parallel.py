@@ -34,7 +34,7 @@ def test_spectra_match_batched_reference(n, pad):
     # the multitaper grid from the streamed power, normalised by hand
     ts = slepian_tapers(n, 2.0, 3)
     m = _fft_length(pad * n)
-    columns = lambda: (taper * x.samples[:, c] for taper in ts.tapers for c in range(3))
+    columns = lambda scratch: (taper * x.samples[:, c] for taper in ts.tapers for c in range(3))
     half = np.empty(m // 2 + 1)
     mean, second = _padded_moments(columns, n, m, x.dt, real=True, grid=half)
     half /= len(ts.tapers)

@@ -24,11 +24,13 @@ to be finite, ``summary.json`` last; a failed run removes them and
 leaves the directory as it was.  The renames run one file at a time, and
 one that fails names its file.  No command imports the ``scipy.linalg``
 package: the taper solve loads only scipy's compiled LAPACK wrappers
-(:func:`triellipse.spectrum.eigh_tridiagonal`).  The outputs are the same
-for any CPU count, except the multitaper values (two fields of
-``summary.json`` and all that ``spectrum`` writes): the last bits of the
-Slepian tapers follow the thread count of scipy's OpenBLAS, and so the CPU
-count.  A child that fails is reported
+(:func:`triellipse.spectrum.eigh_tridiagonal`).  On one host class (CPU
+features and BLAS) the outputs are the same for any CPU count, except the
+multitaper values (two fields of ``summary.json`` and all that
+``spectrum`` writes): the last bits of the Slepian tapers follow the
+thread count of scipy's OpenBLAS, and so the CPU count.  Another host
+class can write other last digits: numpy's SIMD loops follow the CPU's
+features (see the README's CPUs section).  A child that fails is reported
 like the same failure in this process; one that a signal ends is an
 input error (exit 2) naming what it was doing.
 
@@ -273,10 +275,11 @@ def _parse_rows(path, columns: Sequence[str]) -> np.ndarray:
 _BLOCK_ROWS = 256
 
 
-def _write_rows(fh, cols: list[np.ndarray], fmt: RowFormat, start: int, stop: int) -> None:
-    """Write rows ``start:stop`` of the columns in the row format ``fmt``, one block at a time."""
-    for lo in range(start, stop, _BLOCK_ROWS):
-        fh.write(fmt.text(cols, lo, min(lo + _BLOCK_ROWS, stop)))
+def _write_rows(fh, cols: list[np.ndarray], fmt: RowFormat) -> None:
+    """Write the rows of the columns in the row format ``fmt``, one block at a time."""
+    n = len(cols[0])
+    for lo in range(0, n, _BLOCK_ROWS):
+        fh.write(fmt.text(cols, lo, min(lo + _BLOCK_ROWS, n)))
 
 
 def _json_text(summary: dict) -> str:
@@ -467,7 +470,7 @@ def _table(path: Path, temp: Path, header: list[str], precision: int) -> Iterato
     def append(cols: list[np.ndarray]) -> None:
         nonlocal fmt
         fmt = fmt or RowFormat(cols, precision)
-        _write_rows(fh, cols, fmt, 0, len(cols[0]))
+        _write_rows(fh, cols, fmt)
 
     with _naming(path):
         fh = open(temp, "wb")
@@ -606,7 +609,7 @@ def _run_synth(args) -> int:
 
 def _run_spectrum(args) -> int:
     config = _config(args)
-    _, sig = _read_input(args, config, need=MIN_TAPER_SAMPLES)
+    sig = _read_input(args, config, need=MIN_TAPER_SAMPLES)[1]
     est = _multitaper(multitaper_joint_spectrum, sig, config)
     norm = _trapezoid(est.values, est.freqs) / (2 * np.pi)
     summary_text = _json_text({

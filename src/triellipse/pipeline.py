@@ -8,18 +8,19 @@ record, and hands each block's rows to its caller as they are made.
 
 Only the analytic transform needs the whole record: the ellipse
 parameters and the joint moments are defined at each instant from x+ and
-x+', and their rates come from local differences.  So the chain is a
-generator over blocks of ``_BLOCK`` samples: it yields each block's rows,
-and keeps whole only what its consumer asks for.  :func:`analyze_signal`
-and :func:`decompose_analytic` gather every row into whole-record
-columns; :func:`analyze_blocks`, which ``triellipse analyze`` formats
-block by block, keeps whole only ``omega``, ``sigma2`` and the four
-flags, which the global time trapezoids and the exclusion count read
-(numpy's pairwise sums do not split into blocks).  Each record-length
-array is held once: the moments' ``power`` column is the record's own
-power, as ``edge`` is its edge mask and a ``scheme="spectral"``
-derivative the whole record's, and a block's outputs are freed once
-consumed, so one block of them is live at a time.
+x+', and their rates come from local differences.  So the chain is one
+loop over blocks of ``_BLOCK`` samples: it hands each block's rows to a
+callback, if one is given, and returns whole only the columns its caller
+asks for.  :func:`analyze_signal` and :func:`decompose_analytic` gather
+every row into whole-record columns; :func:`analyze_blocks`, whose
+callback ``triellipse analyze`` formats block by block, keeps whole only
+``omega``, ``sigma2`` and the four flags, which the global time
+trapezoids and the exclusion count read (numpy's pairwise sums do not
+split into blocks).  Each record-length array is held once: the moments'
+``power`` column is the record's own power, as ``edge`` is its edge mask
+and a ``scheme="spectral"`` derivative the whole record's, and a block's
+outputs are freed once the callback returns, so one block of them is
+live at a time.
 Each block is computed on a window that
 adds a halo of 2 samples on either side, as far as the five-point
 stencils of the derivative and of the rates reach; a window reaches
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
-from typing import Callable, Generator, NamedTuple, TypeVar
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,8 +99,6 @@ __all__ = [
     "analyze_signal",
     "analyze_blocks",
 ]
-
-R = TypeVar("R")
 
 #: Samples per block of the per-sample chain.  A block's stage outputs take
 #: about 725 bytes per sample, so at 2^15 they were most of the traced peak
@@ -297,8 +296,9 @@ def _chain(
     mean_freq: float | None,
     keep: dict[str, type],
     whole: dict[str, tuple[str, ...]] | None = None,
-) -> Generator[Block, None, dict[str, dict]]:
-    """Run the per-sample chain on ``xp`` block by block, yielding each block's rows of the ``keep`` classes.
+    each: Callable[[Block], None] | None = None,
+) -> dict[str, dict]:
+    """Run the per-sample chain on ``xp`` block by block, handing each block's rows of the ``keep`` classes to ``each``, if given.
 
     Returns each kept output's record-wide scalars and whole-record
     columns: the record's own (power, edge mask and a spectral
@@ -347,22 +347,11 @@ def _chain(
                             kept[f.name] = np.empty((n,) + value.shape[1:], value.dtype)
                         kept[f.name][lo:hi] = value
             rows[name] = cls(**part)
-        yield Block(lo, hi, rows)
+        if each is not None:
+            each(Block(lo, hi, rows))
         # this block is consumed: free it before the next block makes its own
         del moments, ext, rates, outputs, rows, part, value
     return columns
-
-
-def _drain(blocks: Generator[Block, None, R], each: Callable[[Block], None] | None = None) -> R:
-    """Hand each block of ``blocks`` to ``each``, if given, and return the stream's value."""
-    while True:
-        try:
-            block = next(blocks)
-        except StopIteration as stop:
-            return stop.value
-        if each is not None:
-            each(block)
-        del block  # not held while the next block is made
 
 
 def decompose_analytic(
@@ -378,7 +367,7 @@ def decompose_analytic(
     ``scheme="spectral"`` the derivative is the FFT derivative of the
     whole record, taken once and sliced per block.
     """
-    columns = _drain(_chain(xp, config, mean_freq, _EVERYTHING))
+    columns = _chain(xp, config, mean_freq, _EVERYTHING)
     out = {name: cls(**columns[name]) for name, cls in _EVERYTHING.items()}
     ext = ExtractionResult(out["ellipse"], out["normal"], out["planar"])
     return SampleChain(out["moments"], ext, out["rates"], out["decomposition"])
@@ -415,14 +404,17 @@ def in_bearing_frame(x: RealSignal3, bearing: float) -> RealSignal3:
 
 
 def _analysis(
-    xp: AnalyticSignal3, config: RunConfig, whole: dict[str, tuple[str, ...]] | None
-) -> Generator[Block, None, tuple[AnalysisTotals, dict[str, dict]]]:
-    """The chain of :func:`analyze_signal` on the analytic signal ``xp``, as a stream of its written rows.
+    xp: AnalyticSignal3,
+    config: RunConfig,
+    whole: dict[str, tuple[str, ...]] | None,
+    each: Callable[[Block], None] | None = None,
+) -> tuple[AnalysisTotals, dict[str, dict]]:
+    """The chain of :func:`analyze_signal` on the analytic signal ``xp``: its totals and gathered columns.
 
-    See :func:`_chain` for ``whole``.
+    See :func:`_chain` for ``whole`` and ``each``.
     """
     g_spec = global_moments_spectral(xp)
-    columns = yield from _chain(xp, config, g_spec.mean_freq, _WRITTEN, whole)
+    columns = _chain(xp, config, g_spec.mean_freq, _WRITTEN, whole, each)
     moments, e = columns["moments"], columns["ellipse"]
     n = xp.n_samples
     # trim at least the wrap-around edge that moments.edge flags at each end
@@ -443,7 +435,7 @@ def analyze_signal(x: RealSignal3, config: RunConfig = RunConfig()) -> AnalysisR
     counts the samples outside the trimmed interior or flagged.
     """
     x = in_bearing_frame(x, config.bearing)
-    totals, columns = _drain(_analysis(analytic_transform(x), config, None))
+    totals, columns = _analysis(analytic_transform(x), config, None)
     out = {name: cls(**columns[name]) for name, cls in _WRITTEN.items()}
     return AnalysisResult(
         signal=x, ellipse=out["ellipse"], normal=out["normal"],
@@ -464,8 +456,10 @@ def analyze_blocks(
     chain's spectral pass.  A block's ``outputs`` are the
     :class:`AnalysisResult` column classes (``"ellipse"``, ``"normal"``,
     ``"moments"``, ``"decomposition"``) built on rows ``lo:hi`` alone,
-    with the bits of :func:`analyze_signal`'s columns; ``each`` must not
-    keep them.  Only ``omega``, ``sigma2``, the power and the four flags
-    are held whole, for the totals.
+    with the bits of :func:`analyze_signal`'s columns.  ``each`` is
+    called once per block, in row order, and must not keep them: they are
+    freed when it returns, before the next block is made.  Only
+    ``omega``, ``sigma2``, the power and the four flags are held whole,
+    for the totals.
     """
-    return _drain(_analysis(xp, config, _WHOLE), each)[0]
+    return _analysis(xp, config, _WHOLE, each)[0]

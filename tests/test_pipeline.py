@@ -12,6 +12,7 @@ from triellipse import (
     EllipseSeries,
     RealSignal3,
     RunConfig,
+    analytic_transform,
     analyze_signal,
     decompose_analytic,
     ellipse_synthesize,
@@ -111,6 +112,39 @@ def test_blocked_chain_has_the_bits_of_one_block(monkeypatch, small_blocks, case
     for cfg in (config, dataclasses.replace(config, bearing=30.0)):
         want = _in_one_block(monkeypatch, lambda: analyze_signal(x, cfg))
         _assert_same_bytes(analyze_signal(x, cfg), want)
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+def test_blocks_handed_to_each_are_the_columns_of_analyze_signal(small_blocks, config):
+    n = 9 * small_blocks + 37  # odd, and the last block short
+    x = RealSignal3(make_random_modulated(n, 7).samples.real)
+    want = analyze_signal(x, config)
+    ranges, parts = [], []
+
+    def each(block):
+        ranges.append((block.lo, block.hi))
+        parts.append({
+            f"{name}.{path}": np.copy(v) if isinstance(v, np.ndarray) else v
+            for name, out in block.outputs.items() for path, v in _columns(out).items()
+        })
+
+    totals = pipeline.analyze_blocks(analytic_transform(x), config, each)
+    assert ranges == [(lo, min(lo + small_blocks, n)) for lo in range(0, n, small_blocks)]
+    written = {path: v for path, v in _columns(want).items()
+               if path.split(".")[0] in ("ellipse", "normal", "moments", "decomposition")}
+    for part in parts:
+        assert part.keys() == written.keys()
+    for path, value in written.items():
+        if isinstance(value, np.ndarray):
+            got = np.concatenate([part[path] for part in parts])
+            assert (got.dtype, got.shape) == (value.dtype, value.shape), path
+            assert got.tobytes() == value.tobytes(), path
+        else:
+            assert all(part[path] == value for part in parts), path
+    assert (totals.n_samples, totals.dt) == (n, x.dt)
+    _assert_same_bytes(totals.global_time, want.global_time)
+    _assert_same_bytes(totals.global_spectral, want.global_spectral)
+    assert totals.excluded == want.excluded
 
 
 def test_block_cases_reach_what_they_name(small_blocks):

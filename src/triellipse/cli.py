@@ -37,7 +37,8 @@ input error (exit 2) naming what it was doing.
 Input CSV (the grammar is :func:`read_dataset`'s): UTF-8 with an optional
 byte-order mark; RFC 4180 fields, stripped of whitespace; records whose first
 field starts with ``#`` and empty lines skipped; a header row (default
-columns ``t,x,y,z``, ``--columns`` names stripped like it); used values
+columns ``t,x,y,z``, ``--columns`` names stripped like it, four different
+names, each naming exactly one header field); used values
 finite numbers in ``np.loadtxt``'s syntax (Python's float, ASCII only,
 no ``_``); a uniform time grid.  An error names its row, counting
 records with the header as row 1, and its column.  Exit codes: 0 success,
@@ -123,8 +124,9 @@ def read_dataset(
     - a record whose first field starts with ``#`` is a comment, and an
       empty line is skipped; a line of blanks is a record of one empty
       field, and a ``#`` after a value is not a comment;
-    - the first other record is the header; every later record is a row,
-      with at least as many fields as the header;
+    - the first other record is the header, where each used name names
+      exactly one field (unused names may repeat); every later record is
+      a row, with at least as many fields as the header;
     - every value in the used columns is a finite number in the syntax
       ``np.loadtxt`` converts: Python's float syntax, but ASCII only and
       with no underscores.  Other columns may hold any text.
@@ -134,9 +136,9 @@ def read_dataset(
 
     ``columns`` names the time column and the three channels, in that
     order; each name is stripped of surrounding whitespace, as the
-    header's fields are.  The time grid must be strictly increasing and
-    uniform to a relative tolerance of 1e-6; ``dt``, finite and positive,
-    overrides the inferred spacing.
+    header's fields are; the four must differ.  The time grid must be
+    strictly increasing and uniform to a relative tolerance of 1e-6;
+    ``dt``, finite and positive, overrides the inferred spacing.
     """
     if len(columns) != 4:
         raise DataFormatError(
@@ -145,6 +147,8 @@ def read_dataset(
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise DataFormatError(f"--dt must be finite and positive, got {dt}")
     columns = [name.strip() for name in columns]
+    if len(set(columns)) < len(columns):
+        raise DataFormatError(f"--columns needs 4 different names, got {columns}")
     try:
         data = _parse_fast(path, columns)
     except (ValueError, Warning, csv.Error):  # _parse_fast raises loadtxt's warnings
@@ -211,6 +215,8 @@ def _parse_fast(path, columns: Sequence[str]) -> np.ndarray:
         warnings.simplefilter("error")
         header = next(_records(fh), [])
         idx = [header.index(name) for name in columns]  # ValueError if one is missing
+        if any(header.count(name) > 1 for name in columns):
+            raise ValueError("a used name repeats in the header")
         data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     if data.shape[1] < len(header):
         raise ValueError("rows shorter than the header")
@@ -239,9 +245,13 @@ def _parse_rows(path, columns: Sequence[str]) -> np.ndarray:
     header, body = rows[0], rows[1:]
     if not any(header):  # such as a line of blanks before the header
         raise DataFormatError(f"{path}: the header (row 1) is blank")
-    missing = [name for name in columns if name not in header]
-    if missing:
-        raise DataFormatError(f"{path}: column {missing[0]!r} not found in header {header}")
+    for name in columns:
+        if name not in header:
+            raise DataFormatError(f"{path}: column {name!r} not found in header {header}")
+        if header.count(name) > 1:
+            raise DataFormatError(
+                f"{path}: column {name!r} names {header.count(name)} fields in header {header}"
+            )
     idx = [header.index(name) for name in columns]
     data = np.empty((len(body), 4))
     for r, row in enumerate(body):

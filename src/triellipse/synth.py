@@ -20,6 +20,9 @@ nutation        beta' = u sqrt(2), lam = 0     omega_phi = wbar
 azimuth         alpha' = u sqrt(2)/sin(beta0)  omega_phi = wbar - alpha' cos(beta0)
 fixed_geometry  none                           omega_phi = wbar, upsilon = 0
 
+The balance column is written once, in ``SynthSpec._constant_rates``: the
+spec's range checks and ``make_reference_signal`` both read it.
+
 ``make_composite_seismic_like`` chains such segments with tapered
 crossfades and optional seeded noise, mimicking a linearly polarized
 arrival followed by a circularly polarized one.  Ground-truth parameter
@@ -28,7 +31,7 @@ paths and rates are returned alongside every generated signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -116,41 +119,76 @@ class SynthSpec:
             raise ValueError(
                 f"lambda_precession must lie in (0, 1), got {self.lambda_precession}"
             )
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         self._check_mode_ranges()
+
+    def _constant_rates(self) -> dict[str, float]:
+        """The mode's balance: its nonzero constant rates, by ``EllipseRates`` field.
+
+        Azimuth divides by ``sin(beta0)``, so its margin is checked first.
+        """
+        u, wbar, b0 = self.upsilon, self.omega_bar, self.beta0
+        if self.mode == "amplitude":
+            return {"omega_phi": wbar, "dkappa_rel": u}
+        if self.mode == "internal_precession":
+            lam = self.lambda_precession
+            omega_theta = u / lam
+            return {"omega_phi": wbar - np.sqrt(1.0 - lam**2) * omega_theta,
+                    "omega_theta": omega_theta}
+        if self.mode == "nutation":
+            return {"omega_phi": wbar, "omega_beta": np.sqrt(2.0) * u}
+        if self.mode == "azimuth":
+            omega_alpha = np.sqrt(2.0) * u / np.sin(b0)
+            return {"omega_phi": wbar - omega_alpha * np.cos(b0), "omega_alpha": omega_alpha}
+        return {"omega_phi": wbar}
 
     def _check_mode_ranges(self) -> None:
         """Reject a mode whose paths would leave their ranges.
 
-        Those are ``lam`` in (0, 1), ``beta`` off the poles and an orbital
-        frequency above zero.  Each message starts with the field to change,
-        so a combination of flags out of range is an input error naming one.
+        Those are ``lam`` in (0, 1), ``beta`` off the poles, a finite power
+        and an orbital frequency above zero and below the Nyquist frequency
+        ``pi / dt``.  Each message starts with the field to change, so a
+        combination of flags out of range is an input error naming one.
         """
         u, wbar, b0 = self.upsilon, self.omega_bar, self.beta0
         t_last = (self.n_samples - 1) * self.dt
-        if self.mode == "internal_precession":
+        if self.mode == "nutation" and not _BETA_MARGIN <= b0 <= np.pi - _BETA_MARGIN:
+            raise ValueError(
+                f"beta0 must lie in [{_BETA_MARGIN}, pi - {_BETA_MARGIN}] "
+                f"in nutation mode, got {b0:g}"
+            )
+        if (self.mode == "azimuth"
+                and min(abs(b0), abs(b0 - np.pi / 2.0), abs(b0 - np.pi)) < _BETA_MARGIN):
+            raise ValueError(
+                f"beta0 must be at least {_BETA_MARGIN} away from 0, pi/2 and pi "
+                f"in azimuth mode, got {b0:g}"
+            )
+        rates = self._constant_rates()
+        omega_phi = rates["omega_phi"]
+        if self.mode in ("amplitude", "deformation"):
+            # 2 u t is the log growth of the power a^2 + b^2, or the sweep of lam's sine
+            if self.mode == "amplitude":
+                room = np.log(np.finfo(float).max / (self.a0**2 + self.b0**2))
+                leaves = "the power overflows"
+            else:
+                room, leaves = _LAM_SIN_HI - _LAM_SIN_LO, "the linearity leaves (0, 1)"
+            if 2.0 * u * t_last >= room:
+                raise ValueError(
+                    f"upsilon must be below {room / (2.0 * t_last):g} for a "
+                    f"{self.n_samples}-sample {self.mode} sweep, or {leaves}; got {u:g}"
+                )
+        elif self.mode == "internal_precession":
             lam = self.lambda_precession
-            if wbar - np.sqrt(1.0 - lam**2) * (u / lam) <= 0:
+            if omega_phi <= 0:
                 raise ValueError(
                     f"upsilon must be below omega_bar * lambda_precession / "
                     f"sqrt(1 - lambda_precession^2) = {wbar * lam / np.sqrt(1.0 - lam**2):g} "
                     f"in internal_precession mode, or the precession absorbs the whole "
                     f"mean frequency; got {u:g}"
                 )
-        elif self.mode == "deformation":
-            window = _LAM_SIN_HI - _LAM_SIN_LO
-            if 2.0 * u * t_last >= window:
-                raise ValueError(
-                    f"upsilon must be below {window / (2.0 * t_last):g} for a "
-                    f"{self.n_samples}-sample deformation sweep, or the linearity "
-                    f"leaves (0, 1); got {u:g}"
-                )
         elif self.mode == "nutation":
-            if not _BETA_MARGIN <= b0 <= np.pi - _BETA_MARGIN:
-                raise ValueError(
-                    f"beta0 must lie in [{_BETA_MARGIN}, pi - {_BETA_MARGIN}] "
-                    f"in nutation mode, got {b0:g}"
-                )
-            if b0 + np.sqrt(2.0) * u * t_last > np.pi - _BETA_MARGIN:
+            if b0 + rates["omega_beta"] * t_last > np.pi - _BETA_MARGIN:
                 bound = (np.pi - _BETA_MARGIN - b0) / (np.sqrt(2.0) * t_last)
                 raise ValueError(
                     f"upsilon must be at most {bound:g} for a {self.n_samples}-sample "
@@ -158,17 +196,18 @@ class SynthSpec:
                     f"got {u:g}"
                 )
         elif self.mode == "azimuth":
-            if min(abs(b0), abs(b0 - np.pi / 2.0), abs(b0 - np.pi)) < _BETA_MARGIN:
-                raise ValueError(
-                    f"beta0 must be at least {_BETA_MARGIN} away from 0, pi/2 and pi "
-                    f"in azimuth mode, got {b0:g}"
-                )
-            if wbar - np.sqrt(2.0) * u / np.sin(b0) * np.cos(b0) <= 0:
+            if omega_phi <= 0:
                 raise ValueError(
                     f"upsilon must be below omega_bar * tan(beta0) / sqrt(2) = "
                     f"{wbar * np.tan(b0) / np.sqrt(2.0):g} in azimuth mode, or the "
                     f"external precession absorbs the whole mean frequency; got {u:g}"
                 )
+        if not 0 < omega_phi * self.dt < np.pi:
+            raise ValueError(
+                f"omega_bar must keep the orbital rate omega_phi in (0, pi / dt), below "
+                f"the Nyquist frequency {np.pi / self.dt:g}; got omega_phi = {omega_phi:g} "
+                f"in {self.mode} mode"
+            )
 
     @property
     def kappa0(self) -> float:
@@ -185,25 +224,11 @@ class SynthResult:
     designated_term: str | None
 
 
-def _rates_from_constants(
-    n: int,
-    dkappa_rel=0.0,
-    dlambda=None,
-    omega_phi=0.0,
-    omega_theta=0.0,
-    omega_alpha=0.0,
-    omega_beta=0.0,
-) -> EllipseRates:
-    def arr(v):
-        return np.broadcast_to(np.asarray(v, dtype=float), (n,)).copy()
-
+def _rates_from_constants(n: int, **rates) -> EllipseRates:
+    """The truth's rates: those given, constants or paths, broadcast to ``n``; the rest zero."""
+    rates = dict.fromkeys((f.name for f in fields(EllipseRates)), 0.0) | rates
     return EllipseRates(
-        dkappa_rel=arr(dkappa_rel),
-        dlambda=arr(0.0 if dlambda is None else dlambda),
-        omega_phi=arr(omega_phi),
-        omega_theta=arr(omega_theta),
-        omega_alpha=arr(omega_alpha),
-        omega_beta=arr(omega_beta),
+        **{k: np.broadcast_to(np.asarray(v, dtype=float), (n,)).copy() for k, v in rates.items()}
     )
 
 
@@ -213,87 +238,45 @@ def make_reference_signal(spec: SynthSpec) -> SynthResult:
     The returned analytic vector is the pointwise ellipse synthesis of the
     closed-form paths; its ground truth (parameter paths and exact rates)
     comes along for pipeline validation.  Mode/parameter combinations that
-    would push ``lam`` out of [0, 1), ``beta`` onto a pole, or the orbital
-    frequency to zero are rejected by ``SynthSpec``.
+    would push ``lam`` out of [0, 1), ``beta`` onto a pole, the power past
+    the float range, or the orbital frequency out of (0, pi / dt), the band
+    below the Nyquist frequency, are rejected by ``SynthSpec``.
     """
-    n, u, wbar = spec.n_samples, spec.upsilon, spec.omega_bar
+    n, u = spec.n_samples, spec.upsilon
     t = np.arange(n) * spec.dt
     kappa0 = spec.kappa0
-    const = dict(theta=spec.theta0, alpha=spec.alpha0, beta=spec.beta0)
-
-    if spec.mode == "fixed_geometry":
-        a, b = spec.a0, spec.b0
-        series = EllipseSeries.from_paths(
-            a=np.full(n, a), b=np.full(n, b),
-            phi=spec.phi0 + wbar * t, dt=spec.dt, **const,
-        )
-        rates = _rates_from_constants(n, omega_phi=wbar)
-
-    elif spec.mode == "amplitude":
+    balance = spec._constant_rates()
+    # the base state; each mode replaces the paths it varies or reshapes
+    a, b, theta, alpha, beta = spec.a0, spec.b0, spec.theta0, spec.alpha0, spec.beta0
+    dlambda = 0.0
+    if spec.mode == "amplitude":
         growth = np.exp(u * t)
-        series = EllipseSeries.from_paths(
-            a=spec.a0 * growth, b=spec.b0 * growth,
-            phi=spec.phi0 + wbar * t, dt=spec.dt, **const,
-        )
-        rates = _rates_from_constants(n, dkappa_rel=u, omega_phi=wbar)
-
+        a, b = spec.a0 * growth, spec.b0 * growth
     elif spec.mode == "internal_precession":
         lam = spec.lambda_precession
-        omega_theta = u / lam
-        omega_phi = wbar - np.sqrt(1.0 - lam**2) * omega_theta
-        series = EllipseSeries.from_paths(
-            a=np.full(n, kappa0 * np.sqrt(1.0 + lam)),
-            b=np.full(n, kappa0 * np.sqrt(1.0 - lam)),
-            theta=spec.theta0 + omega_theta * t,
-            phi=spec.phi0 + omega_phi * t,
-            alpha=spec.alpha0, beta=spec.beta0, dt=spec.dt,
-        )
-        rates = _rates_from_constants(
-            n, omega_phi=omega_phi, omega_theta=omega_theta
-        )
-
+        a, b = kappa0 * np.sqrt(1.0 + lam), kappa0 * np.sqrt(1.0 - lam)
+        theta = spec.theta0 + balance["omega_theta"] * t
     elif spec.mode == "deformation":
         window = _LAM_SIN_HI - _LAM_SIN_LO
         c = _LAM_SIN_LO + 0.5 * (window - 2.0 * u * t[-1])
         lam = np.sin(2.0 * u * t + c)
-        series = EllipseSeries.from_paths(
-            a=kappa0 * np.sqrt(1.0 + lam), b=kappa0 * np.sqrt(1.0 - lam),
-            phi=spec.phi0 + wbar * t, dt=spec.dt, **const,
-        )
-        rates = _rates_from_constants(
-            n, dlambda=2.0 * u * np.cos(2.0 * u * t + c), omega_phi=wbar
-        )
-
+        a, b = kappa0 * np.sqrt(1.0 + lam), kappa0 * np.sqrt(1.0 - lam)
+        dlambda = 2.0 * u * np.cos(2.0 * u * t + c)
     elif spec.mode == "nutation":
-        omega_beta = np.sqrt(2.0) * u
-        beta = spec.beta0 + omega_beta * t
-        series = EllipseSeries.from_paths(
-            a=np.full(n, kappa0), b=np.full(n, kappa0),
-            theta=spec.theta0, phi=spec.phi0 + wbar * t,
-            alpha=spec.alpha0, beta=beta, dt=spec.dt,
-        )
-        rates = _rates_from_constants(n, omega_phi=wbar, omega_beta=omega_beta)
-
+        a = b = kappa0
+        beta = spec.beta0 + balance["omega_beta"] * t
     elif spec.mode == "azimuth":
-        b0 = spec.beta0
-        omega_alpha = np.sqrt(2.0) * u / np.sin(b0)
-        omega_phi = wbar - omega_alpha * np.cos(b0)
-        series = EllipseSeries.from_paths(
-            a=np.full(n, kappa0), b=np.full(n, kappa0),
-            theta=spec.theta0, phi=spec.phi0 + omega_phi * t,
-            alpha=spec.alpha0 + omega_alpha * t, beta=b0, dt=spec.dt,
-        )
-        rates = _rates_from_constants(
-            n, omega_phi=omega_phi, omega_alpha=omega_alpha
-        )
+        a = b = kappa0
+        alpha = spec.alpha0 + balance["omega_alpha"] * t
 
-    else:  # pragma: no cover - guarded in SynthSpec
-        raise ValueError(spec.mode)
-
+    series = EllipseSeries.from_paths(
+        a=a, b=b, theta=theta, phi=spec.phi0 + balance["omega_phi"] * t,
+        alpha=alpha, beta=beta, dt=spec.dt,
+    )
     return SynthResult(
         signal=ellipse_synthesize(series),
         truth=series,
-        truth_rates=rates,
+        truth_rates=_rates_from_constants(n, dlambda=dlambda, **balance),
         designated_term=_DESIGNATED_TERM[spec.mode],
     )
 

@@ -377,6 +377,12 @@ def test_bad_synth_value_is_input_error(tmp_path, capsys, flag, value, message):
     ("azimuth", ["--upsilon", "0.03"],
      "--upsilon must be below omega_bar * tan(beta0) / sqrt(2) = 0.0222144 in azimuth mode, "
      "or the external precession absorbs the whole mean frequency; got 0.03"),
+    ("fixed_geometry", ["--omega-bar", "4"],
+     "--omega-bar must keep the orbital rate omega_phi in (0, pi / dt), below the Nyquist "
+     "frequency 3.14159; got omega_phi = 4 in fixed_geometry mode"),
+    ("amplitude", ["--n", "1000", "--upsilon", "1"],
+     "--upsilon must be below 0.353963 for a 1000-sample amplitude sweep, or the power "
+     "overflows; got 1"),
 ])
 def test_synth_mode_out_of_range_is_input_error(tmp_path, capsys, mode, flags, message):
     out = tmp_path / "o"

@@ -655,6 +655,8 @@ REJECTED = {
                      "field larger than field limit"),
     "blank_header": ("  \nt,x,y,z\n" + "\n".join(_rows()) + "\n",
                      r"the header \(row 1\) is blank"),
+    "used_name_twice": ("t,x,x,y,z\n" + "\n".join(_rows(fmt="{t},{x},{x},{y},{z}")) + "\n",
+                        r"column 'x' names 2 fields in header \['t', 'x', 'x', 'y', 'z'\]"),
 }
 
 
@@ -783,6 +785,22 @@ def test_column_names_are_stripped_like_the_header(tmp_path, names):
     path = _file(tmp_path, PARSED_FAST["padded"])
     _assert_same(read_dataset(path, columns=names.split(",")), _parse_rows(path, COLUMNS))
     assert cli.main(["analyze", str(path), "--columns", names, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_a_column_named_twice_is_input_error(tmp_path, capsys):
+    # a request naming one field twice would analyse a record with two equal channels
+    path = _file(tmp_path, "t,x,x,z\n" + "\n".join(_rows(fmt="{t},{x},{y},{z}")) + "\n")
+    out = tmp_path / "o"
+    assert cli.main(["analyze", str(path), "--columns", "t,x, x,z", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: --columns needs 4 different names, got ['t', 'x', 'x', 'z']\n"
+    )
+    assert not out.exists()
+
+
+def test_unused_names_may_repeat(tmp_path):
+    path = _file(tmp_path, "t,x,y,z,w,w\n" + "\n".join(r + ",1,2" for r in _rows()) + "\n")
+    _assert_same(read_dataset(path), _parse_fast(path, COLUMNS))
 
 
 def test_missing_column_is_named_from_the_request(tmp_path, capsys):

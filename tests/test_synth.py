@@ -1,9 +1,15 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triellipse import (
+    MODES,
     OMEGA_BAR_DEFAULT,
     UPSILON_DEFAULT,
+    EllipseRates,
     SynthSpec,
     analytic_transform,
     cross_checks,
@@ -109,6 +115,52 @@ def test_mode_rejections():
             SynthSpec(n_samples=800, mode="internal_precession",
                       omega_bar=1e-5, upsilon=1e-3)
         )
+
+
+def _balance(spec):
+    """The module docstring's balance column: the truth's nonzero constant rates."""
+    u, wbar, b0, lam = spec.upsilon, spec.omega_bar, spec.beta0, spec.lambda_precession
+    if spec.mode == "amplitude":
+        return {"omega_phi": wbar, "dkappa_rel": u}
+    if spec.mode == "internal_precession":
+        return {"omega_phi": wbar - np.sqrt(1.0 - lam**2) * (u / lam), "omega_theta": u / lam}
+    if spec.mode == "nutation":
+        return {"omega_phi": wbar, "omega_beta": np.sqrt(2.0) * u}
+    if spec.mode == "azimuth":
+        omega_alpha = np.sqrt(2.0) * u / np.sin(b0)
+        return {"omega_phi": wbar - omega_alpha * np.cos(b0), "omega_alpha": omega_alpha}
+    return {"omega_phi": wbar}
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(
+    mode=st.sampled_from(MODES),
+    n=st.integers(64, 2048),
+    omega_bar=st.floats(0.0, 2.0 * np.pi),
+    upsilon=st.floats(0.0, 10.0) | st.floats(-8.0, 1.0).map(lambda e: 10.0**e),
+    beta0=st.floats(0.0, np.pi),
+    lam=st.floats(0.0, 1.0),
+    dt=st.floats(0.0, 100.0) | st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+)
+def test_spec_is_rejected_or_its_paths_hold(mode, n, omega_bar, upsilon, beta0, lam, dt):
+    try:
+        spec = SynthSpec(n_samples=n, mode=mode, omega_bar=omega_bar, upsilon=upsilon,
+                         beta0=beta0, lambda_precession=lam, dt=dt)
+    except ValueError as exc:
+        # the CLI names the flag of the field a message starts with
+        assert str(exc).partition(" ")[0] in {f.name for f in fields(SynthSpec)}, exc
+        return
+    res = make_reference_signal(spec)
+    assert np.isfinite(res.signal.samples).all()
+    assert ((res.truth.lam >= 0) & (res.truth.lam <= 1)).all()
+    if mode == "nutation":
+        assert ((res.truth.beta >= 0.1) & (res.truth.beta <= np.pi - 0.1)).all()
+    step = res.truth_rates.omega_phi * dt
+    assert ((step > 0) & (step < np.pi)).all()
+    balance = _balance(spec)
+    for f in fields(EllipseRates):
+        if not (mode == "deformation" and f.name == "dlambda"):
+            assert (getattr(res.truth_rates, f.name) == balance.get(f.name, 0.0)).all(), f.name
 
 
 def test_composite_zero_noise_matches_segments():

@@ -1,12 +1,12 @@
 """The forked child that runs ``analyze``'s summary beside its chain.
 
 ``analyze`` runs the multitaper summary and writes ``sphere_xhat.csv``,
-which need only the record, in one forked child on long records
-(:func:`summary_in_child`), or in this process before the chain.
-:func:`beside` runs that task either way and brings back its result,
-exception and warnings alike.  No table writer forks: every command
-formats its tables in the process that writes them.  Every FFT runs
-inline, in the calling thread.
+which need only the record, in one forked child wherever the host has
+``os.fork`` and more than one CPU, whatever the record's length; else in
+this process before the chain.  :func:`beside` picks the layout and runs
+that task either way, bringing back its result, exception and warnings
+alike.  No table writer forks: every command formats its tables in the
+process that writes them.  Every FFT runs inline, in the calling thread.
 """
 
 from __future__ import annotations
@@ -22,6 +22,11 @@ from typing import Callable, Iterator, NoReturn, TypeVar
 R = TypeVar("R")
 
 
+# One CPU keeps the summary in this process: under `taskset -c 0`, forked
+# against in-process in alternating fresh `analyze` runs on seed-1 records
+# (2-core x86), the child cost +20 ms of 193 at n = 800 (faster in 3 of 11
+# pairs) and +85 ms of 1.10 s at 1e5 (0 of 7), though it peaked 3.3 and
+# 4.9 MB lower.
 def _cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -29,33 +34,9 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Samples below which `analyze` runs its multitaper summary and writes
-# `sphere_xhat.csv` in-process, before the chain, instead of in a child
-# beside it.  The child hides the shorter of the two halves, but costs a
-# fork and the pages it copies; the taper solve loads the same LAPACK
-# wrappers in either process.  Measured on 2 cores in fresh `analyze`
-# processes, forked against in-process, alternating, medians of the paired
-# differences: -11 ms of 305 at n = 4 520 (the child won 18 of 30 pairs),
-# -24 of 358 at 6 000 (20 of 30), -12 of 389 at 8 192 (19 of 30), -33 and
-# -29 of about 405 at 9 040 (14 of 20, 22 of 30), -17 of 486 at 12 000
-# (18 of 30), -5 and -41 of about 530 at 18 000 (11 of 20, 22 of 30), -60
-# and -87 of 650-758 at 32 768 (13 of 20, 25 of 30) and -75 of 758 at
-# 36 000 (19 of 20).  Below 2^15 the child gains at most a few percent and
-# loses a quarter to a third of the pairs; from 2^15 it gains about 10 %.
-_SUMMARY_FORK_BELOW = 1 << 15
-
-
-def summary_in_child(samples: int) -> bool:
-    """Whether ``analyze`` should run its summary and ``sphere_xhat.csv`` for a record in a forked child.
-
-    Only from the crossover up, with more than one CPU and ``os.fork``.
-    """
-    return samples >= _SUMMARY_FORK_BELOW and hasattr(os, "fork") and _cpus() > 1
-
-
 @contextmanager
-def beside(task: Callable[[], R], in_child: bool, what: str) -> Iterator[list[R]]:
-    """Run ``task`` in a forked child while the block runs, or, if not ``in_child``, in this process before it.
+def beside(task: Callable[[], R], what: str) -> Iterator[list[R]]:
+    """Run ``task`` in a forked child while the block runs, or, on one CPU or without ``os.fork``, here before it.
 
     Either way its outcome is taken after the block.  If the block raises,
     that exception goes on and the task's outcome is dropped.  Else the
@@ -75,7 +56,7 @@ def beside(task: Callable[[], R], in_child: bool, what: str) -> Iterator[list[R]
     ``ChildProcessError`` naming ``what`` the task does and how it ended.
     """
     results: list[R] = []
-    if not in_child:
+    if not (hasattr(os, "fork") and _cpus() > 1):
         ok, value, warned = _outcome(task, Exception)
         yield results
     else:

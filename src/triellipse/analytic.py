@@ -47,13 +47,27 @@ def edge_mask(n_samples: int) -> np.ndarray:
     return mask
 
 
+def _check_record(arr: np.ndarray, dt: float) -> None:
+    """Reject an array that is not finite and ``(n, 3)`` with ``n >= MIN_SAMPLES``, or a ``dt`` that is not finite and positive."""
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"expected an (n, 3) array, got shape {arr.shape}")
+    if arr.shape[0] < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {arr.shape[0]}")
+    if not np.all(np.isfinite(arr)):
+        sample, component = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"non-finite values, the first at sample {sample}, component {component}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+
+
 @dataclass(frozen=True)
 class RealSignal3:
     """A uniformly sampled real three-component series.
 
     The stored ``samples`` are demeaned per component on construction; the
-    removed means are kept in ``mean``.  Series shorter than 8 samples or
-    containing non-finite values are rejected.
+    removed means are kept in ``mean``.  Series shorter than 8 samples,
+    containing non-finite values or with a ``dt`` that is not finite and
+    positive are rejected.
 
     Parameters
     ----------
@@ -69,19 +83,7 @@ class RealSignal3:
 
     def __post_init__(self) -> None:
         arr = np.array(self.samples, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError(f"expected an (n, 3) array, got shape {arr.shape}")
-        if arr.shape[0] < MIN_SAMPLES:
-            raise ValueError(
-                f"need at least {MIN_SAMPLES} samples, got {arr.shape[0]}"
-            )
-        if not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(
-                f"non-finite value at sample {bad[0]}, component {bad[1]}"
-            )
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        _check_record(arr, self.dt)
         mean = arr.mean(axis=0)
         arr -= mean
         arr.flags.writeable = False
@@ -124,16 +126,7 @@ class AnalyticSignal3:
         return signal
 
     def _keep(self, arr: np.ndarray) -> None:
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError(f"expected an (n, 3) array, got shape {arr.shape}")
-        if arr.shape[0] < MIN_SAMPLES:
-            raise ValueError(
-                f"need at least {MIN_SAMPLES} samples, got {arr.shape[0]}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite values in analytic signal")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        _check_record(arr, self.dt)
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 

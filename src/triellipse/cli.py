@@ -11,10 +11,11 @@ formats a block of rows at a time in numpy; no table writer forks.
 ``analyze`` formats the rows of ``analysis.csv`` and ``sphere_nhat.csv``
 as the chain (:func:`triellipse.pipeline.analyze_blocks`) makes them, so
 no written column is ever held whole.  Its multitaper summary and
-``sphere_xhat.csv`` need only the record: above a record length they go
-to one child, forked right after the record is read, that runs them
-beside the chain, so this process never loads LAPACK; else this process
-runs them first.  Either way the summary has the real record before the
+``sphere_xhat.csv`` need only the record: on a host with ``os.fork`` and
+more than one CPU they go to one child, forked right after the record is
+read, that runs them beside the chain, so this process never loads
+LAPACK; else this process runs them first.  The record's length plays no
+part.  Either way the summary has the real record before the
 chain starts, so this process drops it once the analytic signal exists,
 and the chain runs on that alone.  No fork changes a byte of output.
 Every command publishes all or nothing (:func:`_staged`): its files are
@@ -543,10 +544,9 @@ def _run_analyze(args) -> int:
                         config.precision)
             return moments
 
-        # on long records a child runs the tapered summary beside the chain;
+        # a child runs the summary beside the chain where the host allows one;
         # else this process runs it first, before the chain's arrays exist
-        in_child = tapered and _parallel.summary_in_child(n)
-        with _parallel.beside(beside_chain, in_child, _BESIDE_CHAIN) as done:
+        with _parallel.beside(beside_chain, _BESIDE_CHAIN) as done:
             xp = analytic_transform(x)
             # the summary has the record (a child's copy, or it has run): from
             # here on the chain needs only the analytic signal

@@ -78,6 +78,8 @@ _DESIGNATED_TERM = {
 _BETA_MARGIN = 0.1
 _LAM_SIN_LO = 0.05
 _LAM_SIN_HI = np.pi / 2.0 - 0.15
+# a0^2 is a normal float, and a0^2 + b0^2 <= 2 a0^2 does not overflow
+_A0_RANGE = (float(np.sqrt(np.finfo(float).tiny)), float(np.sqrt(np.finfo(float).max / 2.0)))
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,11 @@ class SynthSpec:
             raise ValueError(f"omega_bar must be finite and positive, got {self.omega_bar}")
         if not (np.isfinite(self.upsilon) and self.upsilon >= 0):
             raise ValueError(f"upsilon must be finite and nonnegative, got {self.upsilon}")
+        if not _A0_RANGE[0] <= self.a0 <= _A0_RANGE[1]:
+            raise ValueError(
+                f"a0 must lie in [{_A0_RANGE[0]:.3g}, {_A0_RANGE[1]:.3g}], so that the power "
+                f"a0^2 + b0^2 is a finite nonzero float; got a0={self.a0}"
+            )
         if not (self.a0 >= self.b0 >= 0):
             raise ValueError(f"a0 must be at least b0 >= 0, got a0={self.a0}, b0={self.b0}")
         if not 0 < self.lambda_precession < 1:
@@ -146,10 +153,12 @@ class SynthSpec:
     def _check_mode_ranges(self) -> None:
         """Reject a mode whose paths would leave their ranges.
 
-        Those are ``lam`` in (0, 1), ``beta`` off the poles, a finite power
-        and an orbital frequency above zero and below the Nyquist frequency
-        ``pi / dt``.  Each message starts with the field to change, so a
-        combination of flags out of range is an input error naming one.
+        Those are ``lam`` in (0, 1), ``beta`` off the poles, a finite power,
+        and the orbital rate ``omega_phi`` and every frequency the record
+        carries, ``omega_phi`` plus or minus a geometry rate, above zero and
+        below the Nyquist frequency ``pi / dt``.  Each message starts with
+        the field to change, so a combination of flags out of range is an
+        input error naming one.
         """
         u, wbar, b0 = self.upsilon, self.omega_bar, self.beta0
         t_last = (self.n_samples - 1) * self.dt
@@ -169,7 +178,7 @@ class SynthSpec:
         if self.mode in ("amplitude", "deformation"):
             # 2 u t is the log growth of the power a^2 + b^2, or the sweep of lam's sine
             if self.mode == "amplitude":
-                room = np.log(np.finfo(float).max / (self.a0**2 + self.b0**2))
+                room = np.log(np.finfo(float).max) - 2.0 * np.log(np.hypot(self.a0, self.b0))
                 leaves = "the power overflows"
             else:
                 room, leaves = _LAM_SIN_HI - _LAM_SIN_LO, "the linearity leaves (0, 1)"
@@ -208,6 +217,17 @@ class SynthSpec:
                 f"the Nyquist frequency {np.pi / self.dt:g}; got omega_phi = {omega_phi:g} "
                 f"in {self.mode} mode"
             )
+        # the record carries omega_phi +/- each geometry rate: a smaller
+        # upsilon brings both toward omega_bar
+        for name in ("omega_theta", "omega_alpha", "omega_beta"):
+            rate = rates.get(name, 0.0)
+            low, high = omega_phi - rate, omega_phi + rate
+            if not (0 < low * self.dt < np.pi and 0 < high * self.dt < np.pi):
+                raise ValueError(
+                    f"upsilon must keep omega_phi +/- {name} in (0, pi / dt), below the "
+                    f"Nyquist frequency {np.pi / self.dt:g}; got {low:g} and {high:g} "
+                    f"in {self.mode} mode"
+                )
 
     @property
     def kappa0(self) -> float:
@@ -239,8 +259,10 @@ def make_reference_signal(spec: SynthSpec) -> SynthResult:
     closed-form paths; its ground truth (parameter paths and exact rates)
     comes along for pipeline validation.  Mode/parameter combinations that
     would push ``lam`` out of [0, 1), ``beta`` onto a pole, the power past
-    the float range, or the orbital frequency out of (0, pi / dt), the band
-    below the Nyquist frequency, are rejected by ``SynthSpec``.
+    the float range, or the orbital frequency or either of its sidebands
+    ``omega_phi`` plus or minus a geometry rate out of (0, pi / dt), the band
+    below the Nyquist frequency, are rejected by ``SynthSpec``, and so are
+    base amplitudes whose power is not a finite nonzero float.
     """
     n, u = spec.n_samples, spec.upsilon
     t = np.arange(n) * spec.dt

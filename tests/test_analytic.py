@@ -73,8 +73,12 @@ def test_real_signal_rejects_bad_input(bad):
 
 
 def test_real_signal_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        RealSignal3(np.zeros((16, 3)), dt=0.0)
+    # an analytic signal's too; an infinite dt once gave analyze_signal time
+    # moments of nan
+    for cls in (RealSignal3, AnalyticSignal3):
+        for dt in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^dt must be finite and positive"):
+                cls(np.zeros((16, 3)), dt=dt)
 
 
 def test_hilbert_check_exact_bin():

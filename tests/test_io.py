@@ -128,9 +128,10 @@ SUMMARY = "computing the multitaper summary and writing sphere_xhat.csv"
 
 @pytest.fixture
 def forking(monkeypatch, deadline):
-    """Send analyze's summary through a forked child at any record length.
+    """Count the forks: what each was for.
 
-    Returns what each fork was for.  No table writer forks: the summary
+    Where ``_parallel._cpus`` is above 1, ``analyze`` forks its summary
+    child at any record length.  No table writer forks: the summary
     child writes ``sphere_xhat.csv``, this process the tables the chain
     streams, and ``synth`` and ``spectrum`` write theirs in this process.
     """
@@ -144,7 +145,6 @@ def forking(monkeypatch, deadline):
             forks.append(sys._getframe(1).f_locals["what"])
         return pid
 
-    monkeypatch.setattr(_parallel, "_SUMMARY_FORK_BELOW", 0)
     monkeypatch.setattr(os, "fork", counted)
     return forks
 
@@ -211,24 +211,27 @@ def test_failed_writer_is_input_error_naming_the_table(
     assert forking == [SUMMARY] * len(tables) and _no_child_left()
 
 
-def test_short_records_start_no_process(tmp_path, monkeypatch):
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_short_records_start_no_process(tmp_path, monkeypatch, forking):
     # on any CPU count no table writer forks, even above 2^17 cells; only the
-    # summary of analyze may, from its crossover up, so at n = 800 none does
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(_parallel, "_cpus", lambda: 64)
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert cli.main(["synth", "--mode", "nutation", "--out", str(tmp_path)]) == 0
-    csv = str(tmp_path / "signal_nutation.csv")
-    assert cli.main(["analyze", csv, "--out", str(tmp_path / "a")]) == 0
-    assert cli.main(["spectrum", csv, "--out", str(tmp_path / "s")]) == 0
-    # 20 000 rows of 19 columns, and a grid of 80 001 rows of 3 at --pad 8
-    assert cli.main(["synth", "--mode", "amplitude", "--n", "20000",
-                     "--out", str(tmp_path / "long")]) == 0
-    csv = str(tmp_path / "long" / "signal_amplitude.csv")
-    assert cli.main(["spectrum", csv, "--pad", "8", "--out", str(tmp_path / "ls")]) == 0
-    assert len((tmp_path / "ls" / "spectrum.csv").read_text().splitlines()) == 80_002
+    # summary of analyze does, at any record length, and only on more than one CPU
+    for cpus in (1, 2, 64):
+        monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert cli.main(["synth", "--mode", "nutation", "--out", str(out)]) == 0
+        csv = str(out / "signal_nutation.csv")
+        assert cli.main(["spectrum", csv, "--out", str(out / "s")]) == 0
+        # 20 000 rows of 19 columns, and a grid of 80 001 rows of 3 at --pad 8
+        assert cli.main(["synth", "--mode", "amplitude", "--n", "20000",
+                         "--out", str(out / "long")]) == 0
+        long_csv = str(out / "long" / "signal_amplitude.csv")
+        assert cli.main(["spectrum", long_csv, "--pad", "8", "--out", str(out / "ls")]) == 0
+        assert len((out / "ls" / "spectrum.csv").read_text().splitlines()) == 80_002
+        assert forking == []
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["analyze", csv, "--out", str(out / "a")]) == 0
+        assert forking == ([] if cpus == 1 else [SUMMARY]) and _no_child_left()
+        forking.clear()
 
 
 def _record_csv(tmp_path, n, seed, scale=1.0):
@@ -245,20 +248,30 @@ def _analyze(argv, capsys):
     return code, *capsys.readouterr()
 
 
+# the summary beside the chain in a child, then in this process on one CPU,
+# and last on two CPUs of a host without os.fork
+LAYOUTS = ("forked", "one_cpu", "no_fork")
+
+
+def _lay_out(monkeypatch, layout):
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 1 if layout == "one_cpu" else 2)
+    if layout == "no_fork":
+        monkeypatch.delattr(os, "fork")
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 @pytest.mark.parametrize("n, flags", [(600, []), (601, []), (600, ["--bearing", "30"])])
 def test_summary_child_matches_inline_run(tmp_path, monkeypatch, capsys, forking, n, flags):
     csv = _record_csv(tmp_path, n, n)
     runs = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
-        out = tmp_path / f"cpus{cpus}"
+    for layout in LAYOUTS:
+        _lay_out(monkeypatch, layout)
+        out = tmp_path / layout
         code, stdout, stderr = _analyze([csv, "--out", out, *flags], capsys)
         assert code == 0 and stderr == ""
-        runs[cpus] = stdout, {p.name: p.read_bytes() for p in out.iterdir()}
-        if cpus == 1:
-            assert forking == []
-    assert runs[1] == runs[2] and len(runs[1][1]) == 4
+        runs[layout] = stdout, {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs["one_cpu"] == runs["forked"] == runs["no_fork"] and len(runs["forked"][1]) == 4
+    # only the forked run started a process
     assert forking == [SUMMARY] and _no_child_left()
 
 
@@ -493,16 +506,16 @@ def test_failed_publish_names_the_file(tmp_path, monkeypatch, capsys):
 def test_overflow_in_summary_child_fails_as_inline(tmp_path, monkeypatch, capsys, forking):
     csv = _record_csv(tmp_path, 800, 0, scale=1e200)
     runs = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
-        out = tmp_path / f"cpus{cpus}"
+    for layout in LAYOUTS:
+        _lay_out(monkeypatch, layout)
+        out = tmp_path / layout
         code, stdout, stderr = _analyze([csv, "--out", out], capsys)
         assert code == 3 and not out.exists()
-        runs[cpus] = stdout, stderr
-    message, note = runs[2][1].splitlines()
+        runs[layout] = stdout, stderr
+    message, note = runs["forked"][1].splitlines()
     assert message.startswith("numerical failure: summary value ")
     assert note.startswith("note: ") and "overflow encountered" in note
-    assert runs[1] == runs[2]
+    assert runs["one_cpu"] == runs["forked"] == runs["no_fork"]
     assert forking == [SUMMARY] and _no_child_left()
 
 

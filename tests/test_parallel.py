@@ -85,7 +85,7 @@ def test_synth_loads_neither_scipy_nor_thread_pool(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_analyze_leaves_scipy_to_the_summary_child(tmp_path):
-    n = _parallel._SUMMARY_FORK_BELOW  # the shortest record whose summary runs in a child
+    n = 800  # on two CPUs the summary runs in a child at any record length
     csv = tmp_path / "in.csv"
     np.savetxt(csv, np.column_stack([np.arange(n), make_random_modulated(n, 0).samples.real]),
                fmt="%.17g", delimiter=",", header="t,x,y,z", comments="")
@@ -103,13 +103,14 @@ def test_analyze_leaves_scipy_to_the_summary_child(tmp_path):
 
 @pytest.mark.parametrize("command", ["analyze", "spectrum"])
 def test_taper_solve_leaves_scipy_linalg_unimported(tmp_path, command):
-    # at n = 800 the summary of analyze is computed in this process
+    # on one CPU the summary of analyze is computed in this process
     csv = tmp_path / "in.csv"
     np.savetxt(csv, np.column_stack([np.arange(800), make_random_modulated(800, 0).samples.real]),
                fmt="%.17g", delimiter=",", header="t,x,y,z", comments="")
     out = run_python(
         "import sys\n"
         "import triellipse.cli as cli\n"
+        "cli._parallel._cpus = lambda: 1\n"
         f"assert cli.main([{command!r}, {str(csv)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
         "print('scipy.linalg._flapack' in sys.modules, 'scipy.linalg' in sys.modules)\n"
     )
@@ -126,10 +127,11 @@ class TwoPartError(Exception):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_forked_brings_back_results_exceptions_and_warnings(deadline):
+def test_forked_brings_back_results_exceptions_and_warnings(monkeypatch, deadline):
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
-        with _parallel.beside(lambda: (os.getpid(), _overflow()), True, "probing") as results:
+        with _parallel.beside(lambda: (os.getpid(), _overflow()), "probing") as results:
             assert results == []
             _overflow()
     [(pid, value)] = results
@@ -141,11 +143,11 @@ def test_forked_brings_back_results_exceptions_and_warnings(deadline):
         raise error
 
     with pytest.raises(ZeroDivisionError, match="^task 2$"):  # the type kept
-        with _parallel.beside(lambda: failing(ZeroDivisionError("task 2")), True, "probing"):
+        with _parallel.beside(lambda: failing(ZeroDivisionError("task 2")), "probing"):
             pass
     with pytest.raises(ChildProcessError, match="^left and right$"):
-        with _parallel.beside(lambda: failing(TwoPartError("left", "right")), True, "probing"):
+        with _parallel.beside(lambda: failing(TwoPartError("left", "right")), "probing"):
             pass
     with pytest.raises(ChildProcessError, match="^worker process 1 of 2 probing exited 7$"):
-        with _parallel.beside(lambda: os._exit(7), True, "probing"):
+        with _parallel.beside(lambda: os._exit(7), "probing"):
             pass

@@ -117,6 +117,24 @@ def test_mode_rejections():
         )
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    # frequencies of the record beyond the orbital rate: an interior omega
+    # of 0.705 and 1.280 against targets 1.0 and 0.5
+    (dict(mode="internal_precession", lambda_precession=0.99999, omega_bar=1.0, upsilon=4.0),
+     "upsilon"),
+    (dict(mode="azimuth", beta0=2.0, omega_bar=0.5, upsilon=2.0), "upsilon"),
+    # base amplitudes: a late failure naming no field, an OverflowError, a zero record
+    (dict(mode="amplitude", a0=np.inf), "a0"),
+    (dict(mode="nutation", a0=np.nan), "a0"),
+    (dict(mode="amplitude", a0=1e200, b0=0.0), "a0"),
+    (dict(mode="amplitude", a0=0.0, b0=0.0), "a0"),
+    (dict(mode="fixed_geometry", a0=1e-200, b0=0.0), "a0"),
+])
+def test_bad_spec_names_the_field_to_change(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        SynthSpec(n_samples=2048, **kwargs)
+
+
 def _balance(spec):
     """The module docstring's balance column: the truth's nonzero constant rates."""
     u, wbar, b0, lam = spec.upsilon, spec.omega_bar, spec.beta0, spec.lambda_precession
@@ -155,8 +173,11 @@ def test_spec_is_rejected_or_its_paths_hold(mode, n, omega_bar, upsilon, beta0, 
     assert ((res.truth.lam >= 0) & (res.truth.lam <= 1)).all()
     if mode == "nutation":
         assert ((res.truth.beta >= 0.1) & (res.truth.beta <= np.pi - 0.1)).all()
-    step = res.truth_rates.omega_phi * dt
-    assert ((step > 0) & (step < np.pi)).all()
+    # every frequency the record carries lies in (0, pi / dt)
+    rates = res.truth_rates
+    for rate in (0.0, rates.omega_theta, rates.omega_alpha, rates.omega_beta):
+        for step in ((rates.omega_phi - rate) * dt, (rates.omega_phi + rate) * dt):
+            assert ((step > 0) & (step < np.pi)).all()
     balance = _balance(spec)
     for f in fields(EllipseRates):
         if not (mode == "deformation" and f.name == "dlambda"):

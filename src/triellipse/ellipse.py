@@ -59,25 +59,30 @@ def wrap_angle(angle: np.ndarray) -> np.ndarray:
     return np.angle(np.exp(1j * np.asarray(angle, dtype=float)))
 
 
+def _rotation(angle, i: int, j: int) -> np.ndarray:
+    """Proper rotation by ``angle`` taking axis ``i`` toward axis ``j``, filled into one array."""
+    a = np.asarray(angle, dtype=float)
+    c, s = np.cos(a), np.sin(a)
+    rot = np.zeros(a.shape + (3, 3))
+    k = 3 - i - j  # the axis held fixed
+    rot[..., k, k] = 1.0
+    rot[..., i, i] = rot[..., j, j] = c
+    rot[..., i, j] = -s
+    rot[..., j, i] = s
+    return rot
+
+
 def rot_x(angle) -> np.ndarray:
     """Proper rotation about the x axis; accepts scalars or arrays.
 
     For array input of shape ``s`` the result has shape ``s + (3, 3)``.
     """
-    a = np.asarray(angle, dtype=float)
-    c, s = np.cos(a), np.sin(a)
-    one, zero = np.ones_like(c), np.zeros_like(c)
-    rows = [[one, zero, zero], [zero, c, -s], [zero, s, c]]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    return _rotation(angle, 1, 2)
 
 
 def rot_z(angle) -> np.ndarray:
     """Proper rotation about the z axis; accepts scalars or arrays."""
-    a = np.asarray(angle, dtype=float)
-    c, s = np.cos(a), np.sin(a)
-    one, zero = np.ones_like(c), np.zeros_like(c)
-    rows = [[c, -s, zero], [s, c, zero], [zero, zero, one]]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    return _rotation(angle, 0, 1)
 
 
 @dataclass

@@ -15,18 +15,26 @@ modulation, ellipse deformation, precession in the ellipse plane, and
 motion of the plane itself.  Power-weighted time averages of ``omega``
 and ``sigma2`` reproduce the Fourier-domain global moments; both routes
 are implemented so each can check the other.  The Fourier route takes
-moments by trapezoid over a spectrum zero-padded to at least 16x, rounded
-up to a 5-smooth length (:func:`_fft_length`); in double precision this
-is more accurate than the closed-form integral over the autocorrelation
-lags.  The padded spectrum is streamed, never built: bin ``s k + r`` of
-the ``m``-point DFT is bin ``k`` of an ``m / s``-point DFT of the
-modulated record (the decimation-in-frequency split of pruned FFTs,
-Markel 1971).  One routine, :func:`_padded_moments`, owns that stream:
-it takes one FFT of about ``n`` points per component and shift, inline,
-reduces each shift's bins to its trapezoid moments on the spot, and
-merges the shifts exactly.  The global spectral moments, and the
-multitaper moments and grid of :mod:`triellipse.spectrum`, are one call
-of it each.
+moments over a spectrum zero-padded to at least 8x, rounded up to a
+5-smooth multiple of 4 ``m`` (:func:`_simpson_length`), by Simpson's
+rule: the Richardson extrapolation ``(4 I_h - I_2h) / 3`` of the
+trapezoid over the grid and over its even bins, which cancels the
+trapezoid's ``h^2`` error term (Euler-Maclaurin; Davis and Rabinowitz,
+*Methods of Numerical Integration*).  On records whose spectrum is small
+near 0 and the Nyquist frequency, such as the random modulated ones,
+this is more accurate than the plain trapezoid over twice as many bins,
+and than the closed-form integral over the autocorrelation lags in
+double precision; where it is large there, the plain trapezoid over
+twice the bins is (:func:`global_moments_spectral`).  The padded spectrum is
+streamed, never built: bin ``s k + r`` of the ``m``-point DFT is bin
+``k`` of an ``m / s``-point DFT of the modulated record (the
+decimation-in-frequency split of pruned FFTs, Markel 1971).  One
+routine, :func:`_padded_moments`, owns that stream: it takes one FFT of
+about ``n`` points per component and shift, inline, reduces each shift's
+bins to its weighted moments on the spot, and merges the shifts
+exactly.  The global spectral moments, and the multitaper moments and
+grid of :mod:`triellipse.spectrum`, which keep the plain trapezoid over
+``_fft_length(pad * n)`` points, are one call of it each.
 """
 
 from __future__ import annotations
@@ -137,6 +145,18 @@ def _padded_length(n: int, pad_factor: int) -> int:
     return _fft_length(int(pad_factor) * n)
 
 
+def _simpson_length(n: int, pad_factor: int) -> int:
+    """The global spectral grid: for ``pad_factor >= 2``, the least 5-smooth multiple of 4 from ``pad_factor * n``.
+
+    Its ``m / 2`` one-sided steps are then even, as Simpson's rule needs;
+    a ``pad_factor`` of 1 keeps :func:`_padded_length` and the trapezoid.
+    A 5-smooth multiple of 4 is its own length, as at n = 1e5 and 8x.
+    """
+    if pad_factor < 2:
+        return _padded_length(n, pad_factor)
+    return 4 * _fft_length(-(-int(pad_factor) * n // 4))
+
+
 def _per_power(x: np.ndarray, power: np.ndarray) -> np.ndarray:
     """``x / power`` where ``power`` is positive, 0 elsewhere."""
     return np.where(power > 0, x / np.where(power > 0, power, 1.0), 0.0)
@@ -238,21 +258,22 @@ def global_moments_time(
 
 
 def joint_analytic_spectrum(
-    xp: AnalyticSignal3, pad_factor: int = 16
+    xp: AnalyticSignal3, pad_factor: int = 8
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-sided joint spectrum of the analytic vector, unit normalized.
 
     Returns ``(freqs, values)`` on the zero-padded positive-frequency DFT
     grid (radians per time unit), scaled so that the trapezoidal integral
     of ``values / (2 pi)`` equals 1.  Each component takes its own
-    complex FFT of length ``_fft_length(pad_factor * n)``, the 5-smooth
-    length at or above ``pad_factor * n``, and the squared magnitudes are
-    summed in component order.  This is the full grid that
+    complex FFT of length ``_simpson_length(n, pad_factor)``, for a
+    ``pad_factor`` of at least 2 the least 5-smooth multiple of 4 at or
+    above ``pad_factor * n``, and the squared magnitudes are summed in
+    component order.  This is the full grid that
     :func:`global_moments_spectral` takes its moments over without
     building it.
     """
     n = xp.n_samples
-    m = _padded_length(n, pad_factor)
+    m = _simpson_length(n, pad_factor)
     half = m // 2 + 1
 
     p0, p1, p2 = (np.abs(np.fft.fft(xp.samples[:, c], n=m)[:half]) ** 2 for c in range(3))
@@ -302,17 +323,25 @@ def _shift_bins(r: int, m: int, s: int) -> int:
     return (m // 2 - r) // s + 1
 
 
-def _shift_stats(p: np.ndarray, r: int, m: int, s: int, ends: tuple) -> tuple[float, float, float]:
+def _shift_stats(
+    p: np.ndarray, r: int, m: int, s: int, ends: tuple, simpson: bool = False
+) -> tuple[float, float, float]:
     """Weight, mean and centred second sum of the power ``p`` at bins ``s k + r``.
 
-    Bins 0 and ``m // 2`` take the trapezoid weights ``ends``, on a copy.
-    The temporaries die on return, before the next shift is transformed.
+    Bins 0 and ``m // 2`` take the trapezoid weights ``ends``, and with
+    ``simpson`` the odd bins weigh twice, on a copy.  The temporaries die
+    on return, before the next shift is transformed.
     """
     holds_top = (m // 2 - r) % s == 0  # bin m // 2 ends this block
-    if r == 0 or holds_top:
+    odd = simpson and (r % 2 or s % 2)  # some bin s k + r is odd
+    if r == 0 or holds_top or odd:
         p = p.copy()
         p[0] *= ends[0] if r == 0 else 1.0
         p[-1] *= ends[1] if holds_top else 1.0
+        if odd:
+            # bin s k + r is odd: for every k where s is even (r is odd here),
+            # and where s is odd for the k whose parity is not r's
+            p[(r + 1) % 2::2 if s % 2 else 1] *= 2.0
     # pairwise sums, not BLAS dots: exact order, accurate on any stride
     k = np.arange(p.size, dtype=float)
     weight = float(p.sum())
@@ -325,7 +354,7 @@ def _shift_stats(p: np.ndarray, r: int, m: int, s: int, ends: tuple) -> tuple[fl
 
 def _padded_moments(
     columns: Callable[[np.ndarray], Iterable[np.ndarray]], n: int, m: int, dt: float, real: bool,
-    grid: np.ndarray | None = None,
+    grid: np.ndarray | None = None, simpson: bool = False,
 ) -> tuple[float, float]:
     """Mean frequency and second central moment of a power on the one-sided bins of an ``m``-point DFT.
 
@@ -334,12 +363,14 @@ def _padded_moments(
     into ``scratch``, ``n`` doubles that are overwritten once it is
     transformed and before the next column is asked for.  Its moments are
     those of the trapezoid rule over the bin frequencies
-    ``2 pi j / (m dt)``, ``j <= m // 2``.  ``real`` folds the two-sided
-    power onto the positive side, so every bin but 0 and, for even ``m``,
-    ``m / 2`` weighs twice.  With ``s = _shift_count(n, m)`` and
-    ``L = m // s``, bin ``s k + r`` of the DFT is bin ``k`` of the
-    ``L``-point DFT of ``col * exp(-2 pi i r t / m)``: one ``L``-point FFT
-    per column and shift, inline, in one buffer.  The twiddle is written
+    ``2 pi j / (m dt)``, ``j <= m // 2``, or with ``simpson``, for ``m`` a
+    multiple of 4, those of Simpson's rule, whose odd bins weigh twice the
+    even ones.  ``real`` folds the two-sided power onto the positive side,
+    so every bin but 0 and, for even ``m``, ``m / 2`` weighs twice.  With
+    ``s = _shift_count(n, m)`` and ``L = m // s``, bin ``s k + r`` of the
+    DFT is bin ``k`` of the ``L``-point DFT of
+    ``col * exp(-2 pi i r t / m)``: one ``L``-point FFT per column and
+    shift, inline, in one buffer.  The twiddle is written
     into that buffer from two tables of about ``sqrt(n)`` points
     (:func:`_twiddle`) and then multiplied by the column, so no array of
     ``n`` points is made per shift.  For ``real`` columns only shifts
@@ -377,7 +408,7 @@ def _padded_moments(
             p = p[: _shift_bins(q, m, s)]
             if grid is not None:
                 grid[q::s] = p
-            stats[q] = _shift_stats(p, q, m, s, ends)
+            stats[q] = _shift_stats(p, q, m, s, ends, simpson)
     total, mean, second = stats[0]
     for weight, block_mean, block_second in stats[1:]:
         merged = total + weight
@@ -397,22 +428,37 @@ def _padded_moments(
 
 
 def global_moments_spectral(
-    xp: AnalyticSignal3, pad_factor: int = 16
+    xp: AnalyticSignal3, pad_factor: int = 8
 ) -> GlobalMoments:
     """Global moments by quadrature over the one-sided joint spectrum.
 
     The grid is that of :func:`joint_analytic_spectrum`: the one-sided
-    bins of the DFT zero-padded to ``_fft_length(pad_factor * n)`` points
-    (at least 16x by default), but the spectrum is streamed, not built:
-    one call of :func:`_padded_moments` takes one FFT of about ``n``
-    points per component and shift, inline, and merges each shift's
-    trapezoid moments, so memory stays O(n).  Energy is the trapezoidal
-    time integral of the aggregate instantaneous power.
+    bins of the DFT zero-padded to ``m = _simpson_length(n, pad_factor)``
+    points (at least 8x by default), but the spectrum is streamed, not
+    built: one call of :func:`_padded_moments` takes one FFT of about
+    ``n`` points per component and shift, inline, and merges each shift's
+    moments, so memory stays O(n).  For a ``pad_factor`` of at least 2 the
+    moments are Simpson's rule over the grid, the Richardson extrapolation
+    ``(4 I_h - I_2h) / 3`` of the trapezoid over the grid and over its even
+    bins, which cancels the trapezoid's ``h^2`` error term; for 1 they are
+    the trapezoid's.  Against the exact one-sided integral, on random
+    modulated records (seeds 0 to 5 at 7 531, 10 369, 99 999 and 1e5
+    samples) the default misses the second central moment by at most
+    4.2e-11 relative, where the plain trapezoid over the 16x grid, with
+    twice the FFTs, misses it by up to 1.3e-10.  Where the spectrum is large near 0 or the Nyquist frequency
+    the higher error terms dominate: on the 800-sample reference signals,
+    whose mean frequency is four bins above 0, the default misses the mean
+    and the second moment by up to 2.1e-7 and 5.0e-7 relative (the 16x
+    trapezoid by 1.3e-7 and 4.5e-6), and on a tone 0.7 bins above 0 by
+    about 2e-5 (the 16x trapezoid by 2e-8 to 3e-6 where its length is even).
+    Energy is the trapezoidal time integral of the aggregate instantaneous
+    power.
     """
     n = xp.n_samples
-    m = _padded_length(n, pad_factor)
+    m = _simpson_length(n, pad_factor)
     mean, second = _padded_moments(
-        lambda _: (xp.samples[:, c] for c in range(3)), n, m, xp.dt, real=False
+        lambda _: (xp.samples[:, c] for c in range(3)), n, m, xp.dt, real=False,
+        simpson=pad_factor >= 2,
     )
     energy = float(np.trapezoid(xp.power, dx=xp.dt))
     return GlobalMoments(energy=energy, mean_freq=mean, second_central=second)

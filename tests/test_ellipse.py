@@ -60,6 +60,28 @@ def test_rot_vectorized_matches_scalar(rng):
         assert np.allclose(stacked[i], rot_z(a[i]))
 
 
+def _stacked_rotations(angle):
+    """``rot_x`` and ``rot_z`` as rows of stacked columns, the form they had before filling one array."""
+    a = np.asarray(angle, dtype=float)
+    c, s = np.cos(a), np.sin(a)
+    one, zero = np.ones_like(c), np.zeros_like(c)
+    stack = lambda rows: np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    return (stack([[one, zero, zero], [zero, c, -s], [zero, s, c]]),
+            stack([[c, -s, zero], [s, c, zero], [zero, zero, one]]))
+
+
+@pytest.mark.parametrize("angle", [
+    0.0, -0.0, np.pi, -np.pi / 2, 7.5, np.array(0.3),
+    np.array([0.0, -0.0, np.pi, -np.pi, 1e-300, -3.0]),
+    np.random.default_rng(0).uniform(-10.0, 10.0, size=(4, 5)),
+], ids=["zero", "minus_zero", "pi", "minus_half_pi", "7.5", "0d", "edges", "2d"])
+def test_rotations_keep_the_bytes_of_the_stacked_form(angle):
+    # signed zeros included: -sin(0) is -0.0 in both forms
+    for got, want in zip((rot_x(angle), rot_z(angle)), _stacked_rotations(angle)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_synthesize_demo_initial_position():
     # at phi=0 the particle sits on the rotated semi-major axis, 3 from origin
     series = demo_series(n=64, phi_rate=0.0)

@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import io
+import json
 import os
 import signal
 import sys
@@ -967,3 +968,17 @@ def test_read_dataset_follows_the_grammar(case):
             code = cli.main(["analyze", str(path), "--columns", ",".join(columns),
                              "--out", str(Path(tmp) / "out")])
         assert (code, err.getvalue()) == (2, f"input error: {raised.value}\n")
+
+
+def test_scaled_record_keeps_its_spectral_moments(tmp_path, capsys):
+    # the seed-1 800-sample record times 1e75: the extrapolated spectral sums
+    # stay finite, so the run exits 0 with no note and the moments of the
+    # unscaled record (1e77 is where the chain overflows)
+    summaries = []
+    for scale in (1.0, 1e75):
+        out = tmp_path / f"o{scale:g}"
+        csv = _record_csv(tmp_path, 800, 1, scale)
+        assert _analyze([csv, "--out", out], capsys)[::2] == (0, "")
+        summaries.append(json.loads((out / "summary.json").read_text()))
+    for key in ("mean_freq_spectral", "second_central_spectral", "second_central_time"):
+        assert summaries[1][key] == pytest.approx(summaries[0][key], rel=1e-12), key

@@ -6,7 +6,9 @@ import pytest
 
 from triellipse import (
     AnalyticSignal3,
+    MODES,
     RealSignal3,
+    SynthSpec,
     analytic_transform,
     cross_checks,
     decompose_analytic,
@@ -18,12 +20,13 @@ from triellipse import (
     instantaneous_moments,
     joint_analytic_spectrum,
     make_random_modulated,
+    make_reference_signal,
     make_smooth_path,
     multitaper_joint_spectrum,
     multitaper_moments,
     slepian_tapers,
 )
-from triellipse.moments import _fft_length
+from triellipse.moments import _fft_length, _padded_moments
 
 from conftest import circular_signal, demo_series
 
@@ -236,15 +239,84 @@ LONG_DOUBLE_FFT = (
 
 @pytest.mark.skipif(not LONG_DOUBLE_FFT, reason="numpy.fft does not compute in long double here")
 def test_global_spectral_moments_match_long_double_reference():
-    # at n = 1e5 the 16x-padded trapezoid misses the second central moment
-    # by 1.3e-10; moments from the same lags in double precision miss it by
-    # 1.7e-8.  n = 99 999 = 3^2 * 41 * 271 pads to the 5-smooth 1 600 000
+    # at n = 1e5 the extrapolated 8x grid misses the second central moment
+    # by 1.6e-11 and the plain 16x trapezoid by 1.3e-10; moments from the
+    # same lags in double precision miss it by 1.7e-8.  n = 99 999 =
+    # 3^2 * 41 * 271 pads to the 5-smooth 800 000
     for n in (100_000, 99_999):
         xp = analytic_transform(RealSignal3(make_random_modulated(n, 0).samples.real))
         mean, second = _long_double_spectral_moments(xp)
         g = global_moments_spectral(xp)
         assert abs(g.mean_freq - mean) < 1e-13 * mean
         assert abs(g.second_central - second) < 1e-8 * second
+
+
+def _plain_trapezoid_moments(xp, pad):
+    """The plain trapezoid moments over the ``pad``-times padded grid, streamed."""
+    n = xp.n_samples
+    columns = lambda _: (xp.samples[:, c] for c in range(3))
+    return _padded_moments(columns, n, _fft_length(pad * n), xp.dt, real=False)
+
+
+@pytest.mark.skipif(not LONG_DOUBLE_FFT, reason="numpy.fft does not compute in long double here")
+@pytest.mark.parametrize("n, bound", [(100_000, 6e-11), (99_999, 6e-11), (10_369, 8e-12), (7_531, 3e-11)])
+def test_extrapolated_moments_beat_the_16x_trapezoid(n, bound):
+    # measured on seeds 0-5, the worst relative error of the second central
+    # moment against the plain 16x trapezoid's: 4.2e-11 and 1.3e-10 (1e5),
+    # 3.8e-11 and 6.9e-11 (99 999), 4.0e-12 and 3.1e-11 (10 369), 1.6e-11
+    # and 1.2e-10 (7 531); the mean's is at most 4.1e-16.  _fft_length(8 n)
+    # is odd at 10 369 and 2 mod 4 at 7 531: the grid is the next multiple of 4
+    worst, worst_16 = 0.0, 0.0
+    for seed in range(6):
+        xp = analytic_transform(RealSignal3(make_random_modulated(n, seed).samples.real))
+        mean, second = _long_double_spectral_moments(xp)
+        g = global_moments_spectral(xp)
+        assert abs(g.mean_freq - mean) < 1e-15 * mean, seed
+        worst = max(worst, float(abs(g.second_central - second) / second))
+        worst_16 = max(worst_16, float(abs(_plain_trapezoid_moments(xp, 16)[1] - second) / second))
+    assert worst < bound
+    assert worst < worst_16
+
+
+@pytest.mark.skipif(not LONG_DOUBLE_FFT, reason="numpy.fft does not compute in long double here")
+@pytest.mark.parametrize("mode", MODES)
+def test_extrapolated_moments_of_low_frequency_modes(mode):
+    # n = 800 at the default omega_bar, four bins above 0, where the spectrum
+    # is large near the grid's end and the h^4 term dominates.  Measured
+    # relative errors: mean 1.2e-7 to 2.1e-7 (the plain 16x trapezoid's
+    # 2.2e-9 to 1.3e-7), second central moment 2.6e-8 to 5.0e-7 (16x: 3.9e-9
+    # to 4.5e-6); these bounds pin them
+    x = make_reference_signal(SynthSpec(n_samples=800, mode=mode)).signal.samples.real
+    xp = analytic_transform(RealSignal3(x))
+    mean, second = _long_double_spectral_moments(xp)
+    g = global_moments_spectral(xp)
+    assert abs(g.mean_freq - mean) < 2.5e-7 * mean
+    assert abs(g.second_central - second) < 6e-7 * second
+
+
+def _short_records(n, rng):
+    """White noise, tones a fraction of a bin from 0 and from pi, and spikes at both ends and inside."""
+    t = np.arange(n)[:, None]
+    yield rng.normal(size=(n, 3))
+    for w in (0.3, 0.7, n / 2 - 0.7, n / 2 - 0.2):
+        yield np.cos(2 * np.pi * w / n * t + [0.0, 1.0, 2.0])
+    for k in (0, n // 3, n - 1):
+        x = np.zeros((n, 3))
+        x[k] = [1.0, -0.5, 0.25]
+        yield x
+
+
+@pytest.mark.parametrize("n", [64, 65, 100, 128, 256, 800, 1001])
+def test_extrapolated_second_moment_on_short_records(n, rng):
+    # measured: the worst ratio to the plain 16x trapezoid is 0.99929 (a tone
+    # 0.2 bins below pi at n = 1001); against the exact one-sided integral the
+    # extrapolated moment is off by at most 4.4e-5 there, the 16x grid by 6.7e-4
+    for x in _short_records(n, rng):
+        xp = analytic_transform(RealSignal3(x))
+        got = global_moments_spectral(xp).second_central
+        plain = _plain_trapezoid_moments(xp, 16)[1]
+        assert got > 0.0
+        assert abs(got / plain - 1.0) < 1e-3
 
 
 def test_fft_length_is_next_5_smooth():
@@ -299,18 +371,38 @@ def _trapezoid_moments(freqs, values):
     return mean, np.trapezoid((freqs - mean) ** 2 * values, freqs) / z
 
 
+def _extrapolated_moments(freqs, values):
+    """The same moments by Richardson's ``(4 I_h - I_2h) / 3`` on the full grid and its even bins.
+
+    Each integral is taken about the full grid's mean, so the central
+    moment does not cancel.  The even bins end at the grid's last bin.
+    """
+    centre, _ = _trapezoid_moments(freqs, values)
+    fine, coarse = (
+        [np.trapezoid((f - centre) ** k * v, f) for k in range(3)]
+        for f, v in ((freqs, values), (freqs[::2], values[::2]))
+    )
+    z, first, second = ((4.0 * a - b) / 3.0 for a, b in zip(fine, coarse))
+    shift = first / z
+    return centre + shift, second / z - shift**2
+
+
 @pytest.mark.parametrize("n", [64, 800, 6_001, 99_999, 100_003])
 def test_streamed_moments_match_full_grid(n):
-    # the accumulator against trapezoid sums over the full grid, complex
-    # input (global) and real input (multitaper), at dt != 1; 6 001 pads
-    # to odd m at pad 1 and 3, so bin m // 2 has a mirror there; pad 3
-    # splits into an odd number of shifts; and 6 001, 99 999 and 100 003
-    # take shifted FFTs longer than the record
+    # the accumulator against sums over the full grid, complex input
+    # (global) and real input (multitaper), at dt != 1; 6 001 pads to odd m
+    # at pad 1 and 3 for the multitaper grid, so bin m // 2 has a mirror
+    # there; pad 3 splits into an odd number of shifts; and 6 001, 99 999
+    # and 100 003 take shifted FFTs longer than the record.  The global
+    # moments extrapolate the grid and its even bins at every pad of at
+    # least 2, and are the plain trapezoid at pad 1; the multitaper moments
+    # are always plain
     x = RealSignal3(make_random_modulated(n, 5).samples.real, dt=0.37)
     xp = analytic_transform(x)
     tapers = slepian_tapers(n, 2.0, 3)
     for pad in (1, 3, 8, 16):
-        mean, second = _trapezoid_moments(*joint_analytic_spectrum(xp, pad))
+        grid = joint_analytic_spectrum(xp, pad)
+        mean, second = (_extrapolated_moments if pad >= 2 else _trapezoid_moments)(*grid)
         g = global_moments_spectral(xp, pad)
         assert abs(g.mean_freq - mean) <= 1e-12 * mean, pad
         assert abs(g.second_central - second) <= 1e-12 * second, pad
@@ -323,7 +415,7 @@ def test_streamed_moments_match_full_grid(n):
 
 
 def test_streamed_passes_stay_o_n_and_start_no_thread(monkeypatch):
-    # at n = 1e5 the 16x grid alone is 1.6e6 complex points (25.6 MB);
+    # at n = 1e5 the 8x grid alone is 8e5 complex points (12.8 MB);
     # no FFT may be longer than the shifted one, and no thread may start
     n = 100_000
     x = RealSignal3(make_random_modulated(n, 0).samples.real)
@@ -350,7 +442,7 @@ def test_streamed_passes_stay_o_n_and_start_no_thread(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < xp.samples.nbytes
-    assert points == [n] * 16 * 3  # m = 16 n: one n-point FFT per shift and component
+    assert points == [n] * 8 * 3  # m = 8 n: one n-point FFT per shift and component
     points.clear()
     tracemalloc.start()
     try:

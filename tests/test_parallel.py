@@ -12,7 +12,7 @@ from triellipse import (
     slepian_tapers,
 )
 from triellipse import _parallel
-from triellipse.moments import _fft_length, _padded_moments, joint_analytic_spectrum
+from triellipse.moments import _fft_length, _padded_moments, _simpson_length, joint_analytic_spectrum
 
 from conftest import run_python
 
@@ -23,7 +23,7 @@ def test_spectra_match_batched_reference(n, pad):
     xp = analytic_transform(x)
 
     # the joint spectrum as one batched complex FFT over the three components
-    m = _fft_length(16 * n)
+    m = _simpson_length(n, 8)
     spec = np.fft.fft(xp.samples, n=m, axis=0)
     raw = np.sum(np.abs(spec[: m // 2 + 1]) ** 2, axis=1)
     freqs = 2.0 * np.pi * np.arange(m // 2 + 1) / (m * xp.dt)

@@ -8,13 +8,14 @@ ellipse-plane normal.  ``synth`` writes the reference signals as CSV plus
 a ground-truth sidecar; ``spectrum`` writes the multitaper joint-spectrum
 estimate.  Every table is written by one writer (:func:`_table`), which
 formats a block of rows at a time in numpy; no table writer forks.
-``analyze`` formats the rows of ``analysis.csv`` and ``sphere_nhat.csv``
-as the chain (:func:`triellipse.pipeline.analyze_blocks`) makes them, so
-no written column is ever held whole.  Its multitaper summary and
-``sphere_xhat.csv`` need only the record: on a host with ``os.fork`` and
-more than one CPU they go to one child, forked right after the record is
-read, that runs them beside the chain, so this process never loads
-LAPACK; else this process runs them first.  The record's length plays no
+``analyze`` formats the rows of ``analysis.csv`` as the chain
+(:func:`triellipse.pipeline.analyze_blocks`) makes them, so no written
+column is ever held whole, and cuts ``sphere_nhat.csv``'s rows, its
+``t`` and ``nhat_*`` cells, from each formatted block.  Its multitaper
+summary and ``sphere_xhat.csv`` need only the record: on a host with
+``os.fork`` and more than one CPU they go to one child, forked right
+after the record is read, that runs them beside the chain, so this
+process never loads LAPACK; else this process runs them first.  The record's length plays no
 part.  Either way the summary has the real record before the
 chain starts, so this process drops it once the analytic signal exists,
 and the chain runs on that alone.  No fork changes a byte of output.
@@ -66,7 +67,7 @@ import sys
 import tempfile
 import warnings
 from collections import Counter
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, fields
 from itertools import takewhile
 from pathlib import Path
@@ -282,15 +283,25 @@ def _parse_rows(path, columns: Sequence[str]) -> np.ndarray:
 
 # rows formatted per write: large enough to amortise numpy's per-call cost,
 # small enough that a block's arrays stay in cache and memory does not grow
-# with the table
-_BLOCK_ROWS = 256
+# with the table.  Both analyze tables of a 1e5-sample record format in
+# 0.13 s at 512 rows and 0.15 s at 256; 1024 is no faster and holds twice
+# the temporaries (2-core x86).
+_BLOCK_ROWS = 512
 
 
-def _write_rows(fh, cols: list[np.ndarray], fmt: RowFormat) -> None:
-    """Write the rows of the columns in the row format ``fmt``, one block at a time."""
+def _write_rows(write: Callable[[bytes], object], cols: list[np.ndarray], fmt: RowFormat,
+                cuts: Sequence[tuple[Callable[[bytes], object], list[int]]] = ()) -> None:
+    """Write the rows of the columns in the row format ``fmt``, one block at a time.
+
+    Each ``(write, cells)`` of ``cuts`` is given the cells ``cells`` of
+    each row, as rows of their own, cut from the same formatted block.
+    """
     n = len(cols[0])
     for lo in range(0, n, _BLOCK_ROWS):
-        fh.write(fmt.text(cols, lo, min(lo + _BLOCK_ROWS, n)))
+        block = fmt.slots(cols, lo, min(lo + _BLOCK_ROWS, n))
+        write(fmt.join(block))
+        for write_cut, cells in cuts:
+            write_cut(fmt.join(block, cells))
 
 
 def _json_text(summary: dict) -> str:
@@ -404,6 +415,8 @@ _ANALYSIS_HEADER = [
     "flag_edge", "flag_degenerate", "flag_circular", "flag_unreliable",
 ]
 _SPHERE_HEADER = ["t", "x", "y", "z"]
+# the cells of analysis.csv that sphere_nhat.csv repeats
+_NHAT_CELLS = [_ANALYSIS_HEADER.index(name) for name in ("t", "nhat_x", "nhat_y", "nhat_z")]
 
 
 # the files of analyze, published in this order: the summary last
@@ -464,54 +477,79 @@ def _naming(path: Path) -> Iterator[None]:
 
 
 @contextmanager
-def _table(path: Path, temp: Path, header: list[str], precision: int) -> Iterator[Callable]:
+def _output(path: Path, temp: Path, header: list[str]) -> Iterator[Callable[[bytes], object]]:
+    """The write function of the CSV table ``path``, written to ``temp`` after its header.
+
+    A failed open, write or close names ``path``.
+    """
+    with _naming(path):
+        fh = open(temp, "wb")
+        fh.write((",".join(header) + "\n").encode())
+    try:
+        yield _naming(path)(fh.write)
+    finally:
+        with _naming(path):
+            fh.close()
+
+
+@contextmanager
+def _table(
+    path: Path, temp: Path, header: list[str], precision: int,
+    cuts: Sequence[tuple[Path, Path, list[str], list[int]]] = (),
+) -> Iterator[Callable]:
     """A function that appends rows to the table ``path``, written to ``temp`` as CSV.
 
     The header is written first.  Each call takes whole columns of the
     next rows and writes them by :func:`_write_rows`, ``_BLOCK_ROWS`` at
     a time, in the :class:`RowFormat` of the first call: bools as 0/1,
     others as ``%.{precision}e``, the bytes of one ``%``-format per row.
-    A block is formatted in numpy (or, from precision 14 and where long
-    double is no wider than double, by Python's ``%``), so only one block
-    is ever held as text.  A failed write names ``path``.
+    A block is formatted once, in numpy (from precision 14 by Python's
+    ``%``), so only one block is ever held as text.  Each ``(path, temp,
+    header, cells)`` of ``cuts`` is a table whose rows are the cells
+    ``cells`` of this table's rows: its text is cut from each formatted
+    block, with no formatting of its own.  A failed write names the
+    table it was for.
     """
     fmt = None
+    with ExitStack() as files:
+        write = files.enter_context(_output(path, temp, header))
+        parts = [(files.enter_context(_output(*cut[:3])), cut[3]) for cut in cuts]
 
-    @_naming(path)
-    def append(cols: list[np.ndarray]) -> None:
-        nonlocal fmt
-        fmt = fmt or RowFormat(cols, precision)
-        _write_rows(fh, cols, fmt)
+        def append(cols: list[np.ndarray]) -> None:
+            nonlocal fmt
+            fmt = fmt or RowFormat(cols, precision)
+            _write_rows(write, cols, fmt, parts)
 
-    with _naming(path):
-        fh = open(temp, "wb")
-        fh.write((",".join(header) + "\n").encode())
-    try:
         yield append
-    finally:
-        with _naming(path):
-            fh.close()
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of ``rows`` over its norm; a zero row stays zero.
+
+    Each row is first scaled by the power of two that brings its largest
+    component into [0.5, 1): exact, so the quotient keeps its bits, and
+    the norm neither underflows nor overflows at any scale.
+    """
+    scaled = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
+    norms = np.linalg.norm(scaled, axis=1)
+    return scaled / np.where(norms > 0, norms, 1.0)[:, None]
 
 
 def _write_xhat(path: Path, temp: Path, time: np.ndarray, x: RealSignal3, precision: int) -> None:
     """``sphere_xhat.csv``: the unit vector of each sample of ``x``, a block of rows at a time."""
     with _table(path, temp, _SPHERE_HEADER, precision) as append:
         for lo in range(0, x.n_samples, _BLOCK_ROWS):
-            rows = x.samples[lo:lo + _BLOCK_ROWS]
-            norms = np.linalg.norm(rows, axis=1)
-            xhat = rows / np.where(norms > 0, norms, 1.0)[:, None]
+            xhat = _unit_rows(x.samples[lo:lo + _BLOCK_ROWS])
             append([time[lo:lo + _BLOCK_ROWS], *xhat.T])
 
 
 def _write_analysis(
     out: Path, temps: dict[str, Path], time: np.ndarray, xp: AnalyticSignal3, config: RunConfig
 ) -> AnalysisTotals:
-    """Run the chain on ``xp``, writing ``analysis.csv`` and ``sphere_nhat.csv`` a block at a time."""
-    p = config.precision
-    with (
-        _table(out / "analysis.csv", temps["analysis.csv"], _ANALYSIS_HEADER, p) as analysis,
-        _table(out / "sphere_nhat.csv", temps["sphere_nhat.csv"], _SPHERE_HEADER, p) as nhat,
-    ):
+    """Run the chain on ``xp``, writing ``analysis.csv`` a block at a time and ``sphere_nhat.csv`` cut from it."""
+    nhat = (out / "sphere_nhat.csv", temps["sphere_nhat.csv"], _SPHERE_HEADER, _NHAT_CELLS)
+    with _table(out / "analysis.csv", temps["analysis.csv"], _ANALYSIS_HEADER,
+                config.precision, [nhat]) as analysis:
 
         def write(block: Block) -> None:
             rows, t = block.outputs, time[block.lo:block.hi]
@@ -522,7 +560,6 @@ def _write_analysis(
                 d.term_amplitude, d.term_deformation, d.term_precession, d.term_normal,
                 m.edge, e.degenerate, e.circular, m.unreliable,
             ])
-            nhat([t, *nrm.n_hat.T])
 
         return analyze_blocks(xp, config, write)
 

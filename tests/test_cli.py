@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import triellipse
+import triellipse._parallel
 import triellipse.cli
 import triellipse.pipeline
 from triellipse import (
@@ -21,6 +22,7 @@ from triellipse import (
     rot_z,
     rotate_frame,
 )
+from triellipse._format import RowFormat
 from triellipse.cli import main, read_dataset, DataFormatError
 
 
@@ -285,6 +287,30 @@ def test_analyze_takes_one_derivative_and_one_spectral_pass(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     analyze_signal(RealSignal3(make_random_modulated(512, 0).samples.real))
     assert calls == {"differentiate": 1, "global_moments_spectral": 1}
+
+
+def test_analyze_formats_each_row_once(tmp_path, monkeypatch, capsys):
+    # sphere_nhat.csv is cut from the formatted blocks of analysis.csv: the
+    # formatter runs once per block of analysis.csv and of sphere_xhat.csv
+    monkeypatch.setattr(triellipse._parallel, "_cpus", lambda: 1)
+    calls = []
+
+    def counted(fmt, cols, start, stop, _slots=RowFormat.slots):
+        calls.append(len(cols))
+        return _slots(fmt, cols, start, stop)
+
+    monkeypatch.setattr(RowFormat, "slots", counted)
+    n = 3 * triellipse.cli._BLOCK_ROWS + 5
+    csv, out = tmp_path / "in.csv", tmp_path / "o"
+    write_csv(csv, np.arange(n), make_random_modulated(n, 0).samples.real)
+    assert run("analyze", csv, "--out", out, "--precision", "9") == 0
+    blocks = -(-n // triellipse.cli._BLOCK_ROWS)
+    analysis, sphere = len(triellipse.cli._ANALYSIS_HEADER), len(triellipse.cli._SPHERE_HEADER)
+    assert sorted(calls) == sorted([analysis] * blocks + [sphere] * blocks)
+    rows = [line.split(",") for line in (out / "analysis.csv").read_text().splitlines()]
+    cut = [",".join(row[j] for j in triellipse.cli._NHAT_CELLS) for row in rows[1:]]
+    assert [rows[0][j] for j in triellipse.cli._NHAT_CELLS] == ["t", "nhat_x", "nhat_y", "nhat_z"]
+    assert (out / "sphere_nhat.csv").read_text().splitlines() == ["t,x,y,z", *cut]
 
 
 def test_chain_computes_only_what_analyze_writes(monkeypatch):

@@ -2,9 +2,11 @@
 
 import contextlib
 import errno
+import inspect
 import io
 import json
 import os
+import re
 import signal
 import sys
 import tempfile
@@ -67,7 +69,9 @@ SPECIAL = np.array([
 
 
 @pytest.mark.parametrize("precision", [0, 3, 12, 17])
-@pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+# one row, around half a block (within one block), and the edges of a block
+@pytest.mark.parametrize("n", [1, *(_BLOCK_ROWS // 2 + d for d in (-1, 0, 1)),
+                               *(_BLOCK_ROWS + d for d in (-1, 0, 1))])
 def test_write_table_matches_per_cell_writer(tmp_path, precision, n):
     rng = np.random.default_rng(precision * 10_000 + n)
     scaled = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-300, 301, size=(2, n))
@@ -111,15 +115,20 @@ def _table(n, seed, width):
     return [f"c{j}" for j in range(width)], cols
 
 
-def test_short_long_double_takes_python_percent(tmp_path, monkeypatch):
-    # where long double is a plain double (macOS arm64) numpy would print wrong digits
-    def numpy_path(*args):
-        raise AssertionError("numpy path taken")
-
-    monkeypatch.setattr(_format, "_long_double_is_wide", lambda: False)
-    monkeypatch.setattr(_format.RowFormat, "_text", numpy_path)
-    header, cols = _table(_BLOCK_ROWS + 1, 0, 7)
-    write_table(tmp_path / "new.csv", header, cols, 12)
+def test_format_never_forms_a_long_double(tmp_path, monkeypatch):
+    # the digits come from double arithmetic alone, so that every host, also
+    # one whose long double is a plain double, prints the same bytes
+    source = inspect.getsource(_format)
+    assert not re.search(r"longdouble|longfloat|float96|float128|clongdouble", source)
+    monkeypatch.delattr(np, "longdouble")  # any use at run time fails
+    for table in (_format._powers, _format._quads, _format._exponents):
+        table.cache_clear()
+    try:
+        header, cols = _table(_BLOCK_ROWS + 1, 0, 7)
+        write_table(tmp_path / "new.csv", header, cols, 12)
+    finally:
+        for table in (_format._powers, _format._quads, _format._exponents):
+            table.cache_clear()
     per_cell_write(tmp_path / "ref.csv", header, cols, 12)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -159,21 +168,33 @@ def _no_child_left():
 
 
 def _failing_on(table, call, fail):
-    """A ``_write_rows`` that runs ``fail()`` on its ``call``-th call for ``table``'s file, in any process."""
-    write_rows = cli._write_rows
-    calls = []
+    """An ``open`` for the CLI module under which the ``call``-th write of rows to ``table`` runs ``fail()`` first.
 
-    def failing(fh, cols, fmt):
-        # the table's own file, or the temporary file named after it that
-        # every command writes instead
-        name = Path(fh.name).name
-        if name == table or name.startswith(f".{table}."):
-            calls.append(name)
-            if len(calls) == call:
-                fail()
-        write_rows(fh, cols, fmt)
+    The file is the temporary one named after the table that every command
+    writes instead; the header's write is not counted.  It holds in any
+    process, the forked summary child's too.
+    """
+    def failing_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return _FailingFile(fh, call, fail) if Path(file).name.startswith(f".{table}.") else fh
 
-    return failing
+    return failing_open
+
+
+class _FailingFile:
+    """A file whose ``call``-th write after the first runs ``fail()`` first."""
+
+    def __init__(self, fh, call, fail):
+        self.fh, self.call, self.fail, self.writes = fh, call, fail, -1
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.call:
+            self.fail()
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
 
 
 def _no_space():
@@ -199,8 +220,8 @@ def test_failed_writer_is_input_error_naming_the_table(
         "analysis.csv", "sphere_xhat.csv", "sphere_nhat.csv"
     ]
     for table in tables:
-        monkeypatch.setattr(cli, "_write_rows",
-                            _failing_on(table, 2, _killed if how == "killed" else _no_space))
+        monkeypatch.setattr(cli, "open", _failing_on(table, 2, _killed if how == "killed" else _no_space),
+                            raising=False)
         assert cli.main(["analyze", str(csv), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         if how == "raises":
@@ -344,9 +365,9 @@ def test_failed_analyze_keeps_the_previous_run(
 
         monkeypatch.setattr(cli, "analyze_blocks", no_chain)
     elif route == "writer_error":  # in this process, after two blocks of rows
-        monkeypatch.setattr(cli, "_write_rows", _failing_on("analysis.csv", 3, _no_space))
+        monkeypatch.setattr(cli, "open", _failing_on("analysis.csv", 3, _no_space), raising=False)
     elif route == "killed_child":  # the summary child, after a block of rows
-        monkeypatch.setattr(cli, "_write_rows", _failing_on("sphere_xhat.csv", 2, _killed))
+        monkeypatch.setattr(cli, "open", _failing_on("sphere_xhat.csv", 2, _killed), raising=False)
     before = {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
     # another record, so that no table of a finished run would keep its bytes
@@ -377,7 +398,7 @@ def test_failed_synth_or_spectrum_write_keeps_the_previous_run(
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
     # synth's signal table is written before its truth table fails
-    monkeypatch.setattr(cli, "_write_rows", _failing_on(table, 1, _no_space))
+    monkeypatch.setattr(cli, "open", _failing_on(table, 1, _no_space), raising=False)
     assert cli.main([*argv, "--precision", "6"]) == 2  # every table would change
     err = capsys.readouterr().err
     assert err == f"input error: {out / table}: [Errno 28] No space left on device\n"
@@ -605,7 +626,7 @@ def test_synth_out_of_memory_is_numerical_failure(tmp_path, monkeypatch, capsys)
 def test_out_of_memory_in_a_writer_is_numerical_failure(tmp_path, monkeypatch, capsys, forking):
     error = _ArrayMemoryError((10**9,), np.dtype(float))
 
-    def failing(fh, cols, fmt):  # the first write of the first table
+    def failing(*args):  # the first write of the first table
         raise error
 
     monkeypatch.setattr(cli, "_write_rows", failing)
@@ -982,3 +1003,28 @@ def test_scaled_record_keeps_its_spectral_moments(tmp_path, capsys):
         summaries.append(json.loads((out / "summary.json").read_text()))
     for key in ("mean_freq_spectral", "second_central_spectral", "second_central_time"):
         assert summaries[1][key] == pytest.approx(summaries[0][key], rel=1e-12), key
+
+
+def test_unit_rows_are_unit_at_every_scale():
+    # each row is scaled by an exact power of two before its norm is taken:
+    # at scale 1 every quotient keeps the bits of rows / norm, and at 2^±1000
+    # the norm neither underflows nor overflows
+    rows = make_random_modulated(4096, 1).samples.real.copy()
+    rows[7] = 0.0
+    norms = np.linalg.norm(rows, axis=1)
+    plain = rows / np.where(norms > 0, norms, 1.0)[:, None]
+    assert cli._unit_rows(rows).tobytes() == plain.tobytes()
+    for scale in (2.0**-1000, 2.0**1000):
+        unit = cli._unit_rows(rows * scale)
+        assert not unit[7].any()
+        assert np.abs(np.delete(np.linalg.norm(unit, axis=1), 7) - 1.0).max() <= 4 * 2.0**-52
+
+
+def test_tiny_record_writes_unit_directions(tmp_path, capsys):
+    # the seed-1 800-sample record times 1e-160: squared, its components
+    # underflow, yet every row of sphere_xhat.csv is a unit vector
+    out = tmp_path / "o"
+    csv = _record_csv(tmp_path, 800, 1, 1e-160)
+    assert _analyze([csv, "--out", out], capsys)[::2] == (0, "")
+    xhat = np.loadtxt(out / "sphere_xhat.csv", delimiter=",", skiprows=1)[:, 1:]
+    assert np.abs(np.linalg.norm(xhat, axis=1) - 1.0).max() < 1e-11

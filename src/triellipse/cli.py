@@ -346,15 +346,22 @@ def _summary_dict(res: AnalysisTotals) -> dict:
     return summary
 
 
-def _multitaper(estimate, x: RealSignal3, config: RunConfig):
-    """``estimate(x, tapers, pad_factor=...)`` with the Slepian tapers and pad factor ``config`` sets.
+def _multitaper(estimate, x: RealSignal3, config: RunConfig, pad_factor: int):
+    """``estimate(x, tapers, pad_factor=pad_factor)`` with the Slepian tapers ``config`` sets.
 
     ``estimate`` is :func:`multitaper_joint_spectrum` for ``spectrum``'s
-    grid, or :func:`multitaper_moments` for the summary of ``analyze``,
-    which streams the grid's moments and builds no grid.
+    grid, at ``config.pad_factor``, or :func:`multitaper_moments` for the
+    summary of ``analyze``, which builds no grid and takes its exact
+    moments on the 4x grid (``_ANALYZE_PAD``).
     """
     tapers = slepian_tapers(x.n_samples, config.taper_p, config.n_tapers)
-    return estimate(x, tapers, pad_factor=config.pad_factor)
+    return estimate(x, tapers, pad_factor=pad_factor)
+
+
+#: The pad factor of ``analyze``'s multitaper moments.  Exact moments take
+#: any grid of at least 2n points; on 4n the lags come from its even bins,
+#: and the series needs about half the terms of 2n.
+_ANALYZE_PAD = 4
 
 
 # RunConfig and SynthSpec fields whose flag is not the field name with dashes
@@ -382,7 +389,8 @@ def _config(args) -> RunConfig:
     try:
         return RunConfig(**given)
     except ValueError as exc:
-        # every field is a flag of analyze; spectrum's messages name only its own
+        # every field is a flag of analyze or spectrum (--pad is spectrum's alone),
+        # and a command's messages name only fields its own flags set
         raise _flag_error(exc, names) from None
 
 
@@ -576,7 +584,7 @@ def _run_analyze(args) -> int:
 
         def beside_chain() -> GlobalMoments | None:
             # all they need is the record and the time column
-            moments = _multitaper(multitaper_moments, x, config) if tapered else None
+            moments = _multitaper(multitaper_moments, x, config, _ANALYZE_PAD) if tapered else None
             _write_xhat(out / "sphere_xhat.csv", temps["sphere_xhat.csv"], time, x,
                         config.precision)
             return moments
@@ -657,7 +665,7 @@ def _run_synth(args) -> int:
 def _run_spectrum(args) -> int:
     config = _config(args)
     sig = _read_input(args, config, need=MIN_TAPER_SAMPLES)[1]
-    est = _multitaper(multitaper_joint_spectrum, sig, config)
+    est = _multitaper(multitaper_joint_spectrum, sig, config, config.pad_factor)
     norm = _trapezoid(est.values, est.freqs) / (2 * np.pi)
     summary_text = _json_text({
         "mean_freq_spectral": est.moments.mean_freq,
@@ -692,9 +700,6 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
                    help="taper time-bandwidth product")
     p.add_argument("--tapers", dest="n_tapers", type=int, default=argparse.SUPPRESS,
                    help="number of tapers, from 1 to floor(2 * --taper-p - 1)")
-    p.add_argument("--pad", dest="pad_factor", type=int, default=argparse.SUPPRESS,
-                   help="spectrum zero-pad factor, at least 1: the grid has at least "
-                        "pad*n points, rounded up to a 5-smooth length")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -735,6 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pq = sub.add_parser("spectrum", help="multitaper joint-spectrum estimate")
     _add_io_args(pq)
+    pq.add_argument("--pad", dest="pad_factor", type=int, default=argparse.SUPPRESS,
+                    help="spectrum zero-pad factor, at least 1: the grid has at least "
+                         "pad*n points, rounded up to a 5-smooth length")
     pq.add_argument("--precision", type=int, default=argparse.SUPPRESS)
     pq.add_argument("--out", default="triellipse_out", help="output directory")
     pq.set_defaults(func=_run_spectrum)

@@ -116,9 +116,10 @@ class RunConfig:
 
     ``bearing`` (degrees, finite) rotates the horizontal frame before the
     analysis, so that the first channel points along it.  ``taper_p``, the
-    taper time-bandwidth product, is finite and positive.  The multitaper
-    grid has at least ``pad_factor`` (at least 1) times the record length
-    in points, rounded up to a 5-smooth length.  ``trim`` is the
+    taper time-bandwidth product, is finite and positive.  The grid of
+    ``spectrum`` has at least ``pad_factor`` (at least 1) times the record
+    length in points, rounded up to a 5-smooth length; ``analyze``'s
+    multitaper moments are exact, and take no pad factor.  ``trim`` is the
     edge fraction excluded from summary statistics (the fixed wrap-around
     edge flag applies regardless); ``precision`` (at least 0) sets the
     digits after the point of every ``%e`` value in emitted tables, making

@@ -8,22 +8,28 @@ exact Rayleigh quotient against the sinc Toeplitz kernel (Slepian 1978),
 evaluated from the taper's autocorrelation.  The joint spectrum estimate
 averages the per-taper one-sided eigenspectra of each signal component,
 sums over components, applies one-sided doubling, and normalizes to unit
-integral.  No eigenspectrum is built: both routes are one call of the
-streamed padded power of :mod:`triellipse.moments`
-(``moments._padded_moments``), which transforms about ``n`` points per
-taper, component and shift, inline in one buffer, and reduces each
-shift's bins to the moments as they are made.
-:func:`multitaper_joint_spectrum` also has each shift's bins written into
-its grid; :func:`multitaper_moments`, which ``analyze`` needs, keeps
-none, in O(n) memory.
+integral.  No eigenspectrum is built: the grid is filled by the streamed
+padded power of :mod:`triellipse.moments` (``moments._padded_moments``),
+which transforms about ``n`` points per taper, component and shift,
+inline in one buffer.  The estimate's moments are exact: the mean
+frequency and second central moment of the estimate over ``[0, pi]``,
+taken by ``moments._exact_moments`` as the trapezoid over an even grid
+of at least ``2 n`` points plus the Euler-Maclaurin endpoint series.
+:func:`multitaper_joint_spectrum` takes them from the stream that fills
+its grid wherever that grid serves; :func:`multitaper_moments`, which
+``analyze`` needs, keeps no grid, in O(n) memory.
 The tridiagonal eigensolve calls LAPACK's ``dstebz`` and ``dstein``
 through scipy's compiled wrappers, loaded from their file on the first
-solve (:func:`eigh_tridiagonal`); the ``scipy.linalg`` package itself is
-imported only if that file cannot be loaded.
+solve (:func:`eigh_tridiagonal`), on one thread of scipy's bundled
+OpenBLAS, so that the tapers' bits do not follow the CPU count; the
+``scipy.linalg`` package itself is imported only if that file cannot be
+loaded.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import RealSignal3
-from .moments import GlobalMoments, _padded_length, _padded_moments
+from .moments import GlobalMoments, _exact_moments, _fft_length, _padded_length, _padded_moments
 
 __all__ = [
     "MIN_TAPER_SAMPLES",
@@ -127,6 +133,54 @@ def _stebz_stein():
         return tuple(get_lapack_funcs(("stebz", "stein"), dtype=np.float64))
 
 
+@functools.cache
+def _openblas_threads():
+    """The thread count getter and setter of scipy's bundled OpenBLAS, or None where it is not found.
+
+    The library is ``scipy.libs/libscipy_openblas*``, the one ``_flapack``
+    links against in scipy's wheels, found next to the package without
+    importing scipy and opened by ``ctypes``.  That raises the peak
+    resident memory of the process that solves by about 0.3 MB (the
+    tapers at 1e5 samples).
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        return None
+    libs = scipy.submodule_search_locations[0] + ".libs"
+    try:
+        names = sorted(os.listdir(libs))
+    except OSError:
+        return None
+    for name in names:
+        if not name.startswith("libscipy_openblas"):
+            continue
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one thread of scipy's bundled OpenBLAS, then restore its count."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
+
+
 def _check_info(info: int, routine: str, failed: str) -> None:
     """scipy's check of a LAPACK ``info`` return, with scipy's messages."""
     if info < 0:
@@ -163,15 +217,24 @@ def eigh_tridiagonal(
     private to scipy, so where it is missing or does not load, the
     routines come from scipy's public ``scipy.linalg.get_lapack_funcs``,
     with the same bits.
+
+    Both calls run on one thread of scipy's bundled OpenBLAS, whose count
+    is restored afterwards (:func:`_openblas_threads`).  ``dstein`` calls
+    level-1 BLAS there, which splits long reductions across threads, so
+    the eigenvectors' last bits would otherwise follow the CPU count (and
+    a second core would spin for nothing).  Where that library is not
+    found, as with a scipy built against a system BLAS, the solve runs
+    as that BLAS is set up, and its bits may follow the CPU count.
     """
     d = np.asarray_chkfinite(d)
     e = np.asarray_chkfinite(e)
     stebz, stein = _stebz_stein()
-    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, il + 1, iu + 1, 0.0, "B")
-    _check_info(info, "stebz", "did not converge (LAPACK info=%d)")
-    w = w[:m].copy()  # frees stebz's n-point array of eigenvalues
-    v, info = stein(d, e, w, iblock, isplit)
-    _check_info(info, "stein", "%d eigenvectors failed to converge")
+    with _one_blas_thread():
+        m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, il + 1, iu + 1, 0.0, "B")
+        _check_info(info, "stebz", "did not converge (LAPACK info=%d)")
+        w = w[:m].copy()  # frees stebz's n-point array of eigenvalues
+        v, info = stein(d, e, w, iblock, isplit)
+        _check_info(info, "stein", "%d eigenvectors failed to converge")
     order = np.argsort(w)
     return w[order], v[:, order]
 
@@ -240,8 +303,13 @@ def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | 
     )
 
 
-def _grid_length(x: RealSignal3, tapers: TaperSet, pad_factor: int) -> int:
-    """The multitaper DFT length for ``x``, after the checks both multitaper routes share."""
+def _lengths(x: RealSignal3, tapers: TaperSet, pad_factor: int) -> tuple[int, int]:
+    """The multitaper grid's length and its moments' grid length for ``x``, after the checks both multitaper routes share.
+
+    The grid has ``_fft_length(pad_factor * n)`` points.  The moments take
+    the least even 5-smooth length at or above ``max(pad_factor, 2) * n``:
+    the grid itself wherever that is even and at least ``2 n``.
+    """
     n = x.n_samples
     if tapers.tapers.shape[1] != n:
         raise ValueError(
@@ -249,7 +317,8 @@ def _grid_length(x: RealSignal3, tapers: TaperSet, pad_factor: int) -> int:
         )
     if not np.any(x.samples):
         raise ValueError("zero-energy record: spectrum is undefined")
-    return _padded_length(n, pad_factor)
+    m = _padded_length(n, pad_factor)
+    return m, 2 * _fft_length(-(-max(pad_factor, 2) * n // 2))
 
 
 def _tapered(x: RealSignal3, tapers: TaperSet):
@@ -300,25 +369,28 @@ def multitaper_joint_spectrum(
     (``pad_factor >= 1``) refines the grid without changing the
     resolution, which stays at the taper bandwidth ``2 pi p / n``.
 
-    The grid is filled one shift at a time by the call of
-    ``moments._padded_moments`` that :func:`multitaper_moments` makes,
-    given the grid: bin ``s k + r`` of every eigenspectrum is bin ``k`` of
-    an ``L``-point FFT of the modulated tapered component (``L = m / s``
-    the smallest divisor of ``m`` at least ``n``), and each shift's power,
-    summed in taper and component order, is written into ``half[r::s]``
-    and reduced to its moments as it is made.  No transform is longer than
-    ``L``, and the grid and its frequencies are the only ``O(m)`` arrays.
-    The moments are those of :func:`multitaper_moments`, bit for bit.  For
-    given tapers the result is the same for any CPU count.  The tapers
-    themselves are not: :func:`slepian_tapers` solves on OpenBLAS, whose
-    thread count follows the CPU count and sets their last bits, and so
-    those of the estimate.
+    The grid is filled one shift at a time by ``moments._padded_moments``:
+    bin ``s k + r`` of every eigenspectrum is bin ``k`` of an ``L``-point
+    FFT of the modulated tapered component (``L = m / s`` the smallest
+    divisor of ``m`` at least ``n``), and each shift's power, summed in
+    taper and component order, is written into ``half[r::s]`` as it is
+    made.  No transform is longer than ``L``, and the grid and its
+    frequencies are the only ``O(m)`` arrays.  The moments are
+    :func:`multitaper_moments`, bit for bit: where ``m`` is even and at
+    least ``2 n``, as at the default pad 8 on most lengths, the same
+    stream that fills the grid reduces them; at pad 1 and on odd grids
+    they take a stream of their own.  The result is the same for any CPU count: the transforms
+    are numpy's, and :func:`slepian_tapers` solves on one OpenBLAS thread
+    wherever scipy's bundled OpenBLAS is found (:func:`eigh_tridiagonal`).
     """
-    m = _grid_length(x, tapers, pad_factor)
+    m, m_moments = _lengths(x, tapers, pad_factor)
+    n = x.n_samples
     half = np.empty(m // 2 + 1)
-    mean, second = _padded_moments(
-        _tapered(x, tapers), x.n_samples, m, x.dt, real=True, grid=half
-    )
+    if m_moments == m:
+        mean, second = _exact_moments(_tapered(x, tapers), n, m, x.dt, real=True, grid=half)
+    else:
+        _padded_moments(_tapered(x, tapers), n, m, real=True, grid=half)
+        mean, second = _exact_moments(_tapered(x, tapers), n, m_moments, x.dt, real=True)
     half /= len(tapers.tapers)
     if m % 2 == 0:
         half[1:-1] *= 2.0
@@ -338,12 +410,20 @@ def multitaper_moments(
 ) -> GlobalMoments:
     """The moments of :func:`multitaper_joint_spectrum`, streamed instead of gridded.
 
-    Same checks and the same call of ``moments._padded_moments``, given no
-    grid: each shift's bins are dropped once reduced, so memory stays
-    O(n).  The values are
+    The exact mean frequency and second central moment of the multitaper
+    estimate over ``[0, pi / dt]``: ``moments._exact_moments`` takes the
+    trapezoid sums over the least even 5-smooth grid at or above
+    ``max(pad_factor, 2) * n`` points and adds the Euler-Maclaurin
+    endpoint series, whose lags come from one inverse transform of that
+    grid's power.  Same checks as :func:`multitaper_joint_spectrum`, and
+    no grid is kept: each shift's bins are dropped once reduced, so memory
+    stays O(n).  The values are
     ``multitaper_joint_spectrum(x, tapers, pad_factor).moments``, bit for
-    bit.
+    bit.  Being exact, they depend on ``pad_factor`` only through rounding:
+    ``analyze`` takes pad 4, whose grid takes one real and two complex
+    ``n``-point FFTs per taper and component.
     """
-    m = _grid_length(x, tapers, pad_factor)
-    mean, second = _padded_moments(_tapered(x, tapers), x.n_samples, m, x.dt, real=True)
+    n = x.n_samples
+    m = _lengths(x, tapers, pad_factor)[1]
+    mean, second = _exact_moments(_tapered(x, tapers), n, m, x.dt, real=True)
     return GlobalMoments(energy=_energy(x), mean_freq=mean, second_central=second)

@@ -342,8 +342,8 @@ def test_streamed_analyze_writes_the_tables_of_analyze_signal(
 FAILED_RUN = {
     "writer_error": (2, "input error: {out}/analysis.csv: [Errno 28] No space left on device"),
     "killed_child": (2, f"input error: worker process 1 of 2 {SUMMARY} ended by SIGKILL"),
-    "non_finite_summary": (3, "numerical failure: summary value 'second_central_multitaper' "
-                              "is not finite (inf); no output written"),
+    "non_finite_summary": (3, "numerical failure: summary value 'second_central_rel_diff' "
+                              "is not finite (nan); no output written"),
     "directory": (2, "input error: [Errno 21] Is a directory: '{out}/sphere_nhat.csv'"),
 }
 
@@ -428,7 +428,7 @@ def test_unwritable_output_directory_names_the_file(tmp_path, monkeypatch, capsy
 
 def test_analyze_traced_peak_is_the_spectral_pass(tmp_path, monkeypatch, capsys):
     # one CPU: the summary runs in this process too, before the chain; the peak
-    # is then the taper solve (12.9 MB) or the global spectral pass (10.3 MB),
+    # is then the taper solve (12.9 MB) or the global spectral pass (11.0 MB),
     # not the written columns (29.1 MB when they were built whole), and the
     # real record is freed before the pass (15.0 MB while it was kept)
     monkeypatch.setattr(_parallel, "_cpus", lambda: 1)

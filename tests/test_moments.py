@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from triellipse import (
     slepian_tapers,
 )
 from triellipse.moments import _fft_length, _padded_moments
+from triellipse.spectrum import _tapered
 
 from conftest import circular_signal, demo_series
 
@@ -95,15 +97,6 @@ def test_zero_signal_rejected():
         joint_analytic_spectrum(xp)
     with pytest.raises(ValueError, match="zero signal"):
         global_moments_spectral(xp)
-
-
-@pytest.mark.parametrize("pad", [0, -2])
-def test_global_pad_factor_below_one_rejected(pad):
-    xp = make_random_modulated(64, 0)
-    with pytest.raises(ValueError, match="pad_factor"):
-        global_moments_spectral(xp, pad_factor=pad)
-    with pytest.raises(ValueError, match="pad_factor"):
-        joint_analytic_spectrum(xp, pad_factor=pad)
 
 
 def test_decomposition_zero_for_constant_geometry():
@@ -194,19 +187,21 @@ def test_global_time_exact_bin():
     assert abs(g.mean_freq - omega0) < 1e-10
 
 
-def test_global_spectral_exact_bin_unpadded_is_exact():
-    xp, omega0 = circular_signal(n=256, k=16)
-    g = global_moments_spectral(xp, pad_factor=1)
-    assert abs(g.mean_freq - omega0) < 1e-12
-    assert abs(g.second_central) < 1e-12
-
-
 def test_global_spectral_exact_bin_padded_default():
-    # padding samples the rectangular-window kernel between the exact-bin
-    # zeros, so the mean wanders at the kernel-tail level (well under a bin)
+    # the integral sees the rectangular window's kernel between the
+    # exact-bin zeros, so the mean sits off the tone at the kernel-tail
+    # level (well under a bin)
     xp, omega0 = circular_signal(n=256, k=16)
     g = global_moments_spectral(xp)
     assert abs(g.mean_freq - omega0) < 2.0 * np.pi / 256
+
+
+def test_global_spectral_tone_at_half_nyquist_has_the_centre_as_mean():
+    # the Fejer kernel of a tone at pi / 2 is even about the middle of [0, pi]
+    xp, omega0 = circular_signal(n=256, k=64)
+    g = global_moments_spectral(xp)
+    assert omega0 == np.pi / 2
+    assert abs(g.mean_freq - omega0) < 4e-16 * omega0
 
 
 def _long_double_spectral_moments(xp):
@@ -238,11 +233,28 @@ LONG_DOUBLE_FFT = (
 
 
 @pytest.mark.skipif(not LONG_DOUBLE_FFT, reason="numpy.fft does not compute in long double here")
+def test_global_spectral_exact_bin_is_the_closed_form():
+    # on the unpadded DFT grid an exact-bin tone has its bin as mean and no
+    # spread, but the moments are the integrals over [0, pi], where the tails
+    # of its Fejer kernel spread it by about 1.2 / n.  Its power and the
+    # power's slope vanish at both ends, and the endpoint series still
+    # converges: measured within 2.7e-16 (mean) and 6.4e-17 (second central
+    # moment) of the closed form; the trapezoid alone misses the mean by 8.9e-9
+    xp, omega0 = circular_signal(n=256, k=16)
+    mean, second = _long_double_spectral_moments(xp)
+    g = global_moments_spectral(xp)
+    assert abs(g.mean_freq - mean) < 1e-15 * mean
+    assert abs(g.second_central - second) < 1e-14 * second
+
+
+@pytest.mark.skipif(not LONG_DOUBLE_FFT, reason="numpy.fft does not compute in long double here")
 def test_global_spectral_moments_match_long_double_reference():
-    # at n = 1e5 the extrapolated 8x grid misses the second central moment
-    # by 1.6e-11 and the plain 16x trapezoid by 1.3e-10; moments from the
-    # same lags in double precision miss it by 1.7e-8.  n = 99 999 =
-    # 3^2 * 41 * 271 pads to the 5-smooth 800 000
+    # at n = 1e5 the exact form misses the second central moment by 3.4e-11,
+    # the extrapolated 8x grid by 1.6e-11 and the plain 16x trapezoid by
+    # 1.3e-10, all within this reference's own error there (see
+    # test_extrapolated_moments_beat_the_16x_trapezoid); the closed form over
+    # the same lags in double precision misses it by 1.7e-8.  n = 99 999 =
+    # 3^2 * 41 * 271 pads to the 5-smooth 400 000
     for n in (100_000, 99_999):
         xp = analytic_transform(RealSignal3(make_random_modulated(n, 0).samples.real))
         mean, second = _long_double_spectral_moments(xp)
@@ -253,19 +265,24 @@ def test_global_spectral_moments_match_long_double_reference():
 
 def _plain_trapezoid_moments(xp, pad):
     """The plain trapezoid moments over the ``pad``-times padded grid, streamed."""
-    n = xp.n_samples
+    n, m = xp.n_samples, _fft_length(pad * xp.n_samples)
     columns = lambda _: (xp.samples[:, c] for c in range(3))
-    return _padded_moments(columns, n, _fft_length(pad * n), xp.dt, real=False)
+    total, mean, second = _padded_moments(columns, n, m, real=False)
+    unit = 2.0 * np.pi / (m * xp.dt)
+    return mean * unit, second / total * unit**2
 
 
 @pytest.mark.skipif(not LONG_DOUBLE_FFT, reason="numpy.fft does not compute in long double here")
 @pytest.mark.parametrize("n, bound", [(100_000, 6e-11), (99_999, 6e-11), (10_369, 8e-12), (7_531, 3e-11)])
 def test_extrapolated_moments_beat_the_16x_trapezoid(n, bound):
-    # measured on seeds 0-5, the worst relative error of the second central
-    # moment against the plain 16x trapezoid's: 4.2e-11 and 1.3e-10 (1e5),
-    # 3.8e-11 and 6.9e-11 (99 999), 4.0e-12 and 3.1e-11 (10 369), 1.6e-11
-    # and 1.2e-10 (7 531); the mean's is at most 4.1e-16.  _fft_length(8 n)
-    # is odd at 10 369 and 2 mod 4 at 7 531: the grid is the next multiple of 4
+    # the exact form on the 4x grid.  Measured on seeds 0-5, the worst relative
+    # error of the second central moment against the plain 16x trapezoid's:
+    # 4.0e-11 and 1.3e-10 (1e5), 3.6e-11 and 6.9e-11 (99 999), 4.4e-13 and
+    # 3.1e-11 (10 369), 3.6e-13 and 1.2e-10 (7 531); the mean's is at most
+    # 4.1e-16.  At 1e5 that is the limit of the long-double closed form
+    # itself: on seeds 0 and 1, quadratures of the same power in long double
+    # over 4x and 8x grids miss it by 3.4e-11 and 1.9e-11, and the exact form
+    # is within 6.4e-13 of them (Simpson's rule over 8x read 4.2e-11)
     worst, worst_16 = 0.0, 0.0
     for seed in range(6):
         xp = analytic_transform(RealSignal3(make_random_modulated(n, seed).samples.real))
@@ -282,16 +299,53 @@ def test_extrapolated_moments_beat_the_16x_trapezoid(n, bound):
 @pytest.mark.parametrize("mode", MODES)
 def test_extrapolated_moments_of_low_frequency_modes(mode):
     # n = 800 at the default omega_bar, four bins above 0, where the spectrum
-    # is large near the grid's end and the h^4 term dominates.  Measured
-    # relative errors: mean 1.2e-7 to 2.1e-7 (the plain 16x trapezoid's
-    # 2.2e-9 to 1.3e-7), second central moment 2.6e-8 to 5.0e-7 (16x: 3.9e-9
-    # to 4.5e-6); these bounds pin them
+    # is large near the grid's end.  Measured relative errors of the exact
+    # form: mean 9.8e-18 to 9.2e-17, second central moment 3.9e-17 to 4.7e-16
+    # (Simpson's rule over the 8x grid: 1.2e-7 to 2.1e-7 and 2.6e-8 to
+    # 5.0e-7; the plain 16x trapezoid: 2.2e-9 to 1.3e-7 and 3.9e-9 to 4.5e-6)
     x = make_reference_signal(SynthSpec(n_samples=800, mode=mode)).signal.samples.real
     xp = analytic_transform(RealSignal3(x))
     mean, second = _long_double_spectral_moments(xp)
     g = global_moments_spectral(xp)
-    assert abs(g.mean_freq - mean) < 2.5e-7 * mean
-    assert abs(g.second_central - second) < 6e-7 * second
+    assert abs(g.mean_freq - mean) < 1e-15 * mean
+    assert abs(g.second_central - second) < 5e-15 * second
+
+
+@pytest.mark.skipif(not LONG_DOUBLE_FFT, reason="numpy.fft does not compute in long double here")
+@pytest.mark.parametrize("n", [64, 100, 101, 127, 1000, 1001, 4096, 4099])
+def test_global_spectral_tones_near_0_and_pi_are_exact(n):
+    # even, odd and prime lengths; tones 0.3 and 0.7 bins above 0 and below
+    # pi, where the grid's ends carry most of the spectrum.  Measured: mean
+    # within 3.4e-16 and second central moment within 3.6e-15 of the closed
+    # form; Simpson's rule over the 8x grid missed them by up to 2.4e-5 and
+    # 4.4e-5
+    t = np.arange(n)[:, None]
+    for w in (0.3, 0.7, n / 2 - 0.7, n / 2 - 0.3):
+        x = np.cos(2 * np.pi * w / n * t + [0.0, 1.0, 2.0])
+        xp = analytic_transform(RealSignal3(x))
+        mean, second = _long_double_spectral_moments(xp)
+        g = global_moments_spectral(xp)
+        assert abs(g.mean_freq - mean) < 1e-15 * mean, w
+        assert abs(g.second_central - second) < 2e-14 * second, w
+
+
+@pytest.mark.skipif(not LONG_DOUBLE_FFT, reason="numpy.fft does not compute in long double here")
+@pytest.mark.parametrize("pad", [4, 8])
+def test_multitaper_moments_match_long_double_reference(pad):
+    # the multitaper estimate's moments are those of the tapered columns' joint
+    # spectrum, whose closed form is the reference.  Measured on seeds 0-2 at
+    # n = 1e4: mean within 9.9e-17, second central moment within 2.9e-13 at
+    # both pads; the plain trapezoid over the 8x grid missed the second by up
+    # to 5.4e-11 and the mean by up to 1.5e-15
+    n = 10_000
+    tapers = slepian_tapers(n, 2.0, 3)
+    for seed in range(3):
+        x = RealSignal3(make_random_modulated(n, seed).samples.real)
+        columns = np.column_stack([col.copy() for col in _tapered(x, tapers)(np.empty(n))])
+        mean, second = _long_double_spectral_moments(SimpleNamespace(samples=columns, n_samples=n, dt=x.dt))
+        g = multitaper_moments(x, tapers, pad_factor=pad)
+        assert abs(g.mean_freq - mean) < 1e-15 * mean, seed
+        assert abs(g.second_central - second) < 1e-12 * second, seed
 
 
 def _short_records(n, rng):
@@ -308,9 +362,8 @@ def _short_records(n, rng):
 
 @pytest.mark.parametrize("n", [64, 65, 100, 128, 256, 800, 1001])
 def test_extrapolated_second_moment_on_short_records(n, rng):
-    # measured: the worst ratio to the plain 16x trapezoid is 0.99929 (a tone
-    # 0.2 bins below pi at n = 1001); against the exact one-sided integral the
-    # extrapolated moment is off by at most 4.4e-5 there, the 16x grid by 6.7e-4
+    # the exact form against the plain 16x trapezoid, which is off by up to
+    # 6.7e-4 on a tone 0.2 bins below pi at n = 1001
     for x in _short_records(n, rng):
         xp = analytic_transform(RealSignal3(x))
         got = global_moments_spectral(xp).second_central
@@ -371,59 +424,43 @@ def _trapezoid_moments(freqs, values):
     return mean, np.trapezoid((freqs - mean) ** 2 * values, freqs) / z
 
 
-def _extrapolated_moments(freqs, values):
-    """The same moments by Richardson's ``(4 I_h - I_2h) / 3`` on the full grid and its even bins.
-
-    Each integral is taken about the full grid's mean, so the central
-    moment does not cancel.  The even bins end at the grid's last bin.
-    """
-    centre, _ = _trapezoid_moments(freqs, values)
-    fine, coarse = (
-        [np.trapezoid((f - centre) ** k * v, f) for k in range(3)]
-        for f, v in ((freqs, values), (freqs[::2], values[::2]))
-    )
-    z, first, second = ((4.0 * a - b) / 3.0 for a, b in zip(fine, coarse))
-    shift = first / z
-    return centre + shift, second / z - shift**2
-
-
 @pytest.mark.parametrize("n", [64, 800, 6_001, 99_999, 100_003])
 def test_streamed_moments_match_full_grid(n):
-    # the accumulator against sums over the full grid, complex input
-    # (global) and real input (multitaper), at dt != 1; 6 001 pads to odd m
-    # at pad 1 and 3 for the multitaper grid, so bin m // 2 has a mirror
-    # there; pad 3 splits into an odd number of shifts; and 6 001, 99 999
-    # and 100 003 take shifted FFTs longer than the record.  The global
-    # moments extrapolate the grid and its even bins at every pad of at
-    # least 2, and are the plain trapezoid at pad 1; the multitaper moments
-    # are always plain
+    # the stream's trapezoid sums against those over the full grid, complex
+    # input (global, on its 4x grid) and real input (the multitaper power,
+    # without its one-sided doubling, at every pad), at dt != 1; 6 001 pads to odd m at pad 1 and 3 for the
+    # multitaper grid, so bin m // 2 has a mirror there; pad 3 splits into an
+    # odd number of shifts; and 6 001, 99 999 and 100 003 take shifted FFTs
+    # longer than the record
     x = RealSignal3(make_random_modulated(n, 5).samples.real, dt=0.37)
     xp = analytic_transform(x)
     tapers = slepian_tapers(n, 2.0, 3)
+    analytic = lambda _: (xp.samples[:, c] for c in range(3))
+    grids = [(analytic, 4 * _fft_length(n), False, joint_analytic_spectrum(xp))]
     for pad in (1, 3, 8, 16):
-        grid = joint_analytic_spectrum(xp, pad)
-        mean, second = (_extrapolated_moments if pad >= 2 else _trapezoid_moments)(*grid)
-        g = global_moments_spectral(xp, pad)
-        assert abs(g.mean_freq - mean) <= 1e-12 * mean, pad
-        assert abs(g.second_central - second) <= 1e-12 * second, pad
-        est = multitaper_joint_spectrum(x, tapers, pad)
-        mean, second = _trapezoid_moments(est.freqs, est.values)
-        for got in (est.moments, multitaper_moments(x, tapers, pad)):
-            assert abs(got.mean_freq - mean) <= 1e-12 * mean, pad
-            assert abs(got.second_central - second) <= 1e-12 * second, pad
-            assert got.energy == est.moments.energy
+        est, m = multitaper_joint_spectrum(x, tapers, pad), _fft_length(pad * n)
+        power = est.values.copy()
+        power[1:m // 2 + m % 2] /= 2.0  # the one-sided doubling undone
+        grids.append((_tapered(x, tapers), m, True, (est.freqs, power)))
+    for columns, m, real, (freqs, values) in grids:
+        total, mean, second = _padded_moments(columns, n, m, real)
+        unit = 2.0 * np.pi / (m * x.dt)
+        want_mean, want_second = _trapezoid_moments(freqs, values)
+        assert abs(mean * unit - want_mean) <= 1e-12 * want_mean, (m, real)
+        assert abs(second / total * unit**2 - want_second) <= 1e-12 * want_second, (m, real)
 
 
 def test_streamed_passes_stay_o_n_and_start_no_thread(monkeypatch):
-    # at n = 1e5 the 8x grid alone is 8e5 complex points (12.8 MB);
-    # no FFT may be longer than the shifted one, and no thread may start
+    # at n = 1e5 the 4x grid alone is 4e5 complex points (6.4 MB); no
+    # forward FFT may be longer than the shifted one, the lags take one
+    # inverse of the grid's even bins, and no thread may start
     n = 100_000
     x = RealSignal3(make_random_modulated(n, 0).samples.real)
     xp = analytic_transform(x)
     tapers = slepian_tapers(n, 2.0, 3)
     threads = threading.active_count()
     points = []
-    for name in ("fft", "rfft"):
+    for name in ("fft", "rfft", "irfft"):
         original = getattr(np.fft, name)
 
         def counted(*args, _fn=original, **kwargs):
@@ -433,8 +470,8 @@ def test_streamed_passes_stay_o_n_and_start_no_thread(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     # each pass's traced peak stays below the analytic signal's size (4.8 MB):
-    # 4.0 and 4.3 MB, where an n-point twiddle per shift and a new array per
-    # tapered column made them 6.3 and 7.6 MB; 64 MB through the full grid
+    # 4.7 and 4.3 MB, where an n-point twiddle per shift and a new array per
+    # tapered column made them 6.3 and 7.6 MB; 64 MB through the full 8x grid
     tracemalloc.start()
     try:
         global_moments_spectral(xp)
@@ -442,15 +479,18 @@ def test_streamed_passes_stay_o_n_and_start_no_thread(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < xp.samples.nbytes
-    assert points == [n] * 8 * 3  # m = 8 n: one n-point FFT per shift and component
+    # m = 4 n: one n-point FFT per shift and component, 24 on the 8x grid, then
+    # the inverse of the 2n even bins, which keeps lags 0 .. n
+    assert points == [n] * 4 * 3 + [n + 1]
     points.clear()
     tracemalloc.start()
     try:
-        multitaper_moments(x, tapers, pad_factor=8)
+        multitaper_moments(x, tapers, pad_factor=4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < xp.samples.nbytes
-    # shift 0 as a real FFT, shifts 1 .. 4 as complex ones that also serve 7 .. 5
-    assert points == ([n // 2 + 1] * 9) + [n] * 4 * 9
+    # analyze's 4x grid: shift 0 as a real FFT, shifts 1 and 2 as complex ones,
+    # 1 also serving 3 (9 + 36 on the 8x grid), then the inverse of the even bins
+    assert points == [n // 2 + 1] * 9 + [n] * 2 * 9 + [2 * n]
     assert threading.active_count() == threads

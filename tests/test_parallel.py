@@ -12,7 +12,7 @@ from triellipse import (
     slepian_tapers,
 )
 from triellipse import _parallel
-from triellipse.moments import _fft_length, _padded_moments, _simpson_length, joint_analytic_spectrum
+from triellipse.moments import _exact_moments, _fft_length, joint_analytic_spectrum
 
 from conftest import run_python
 
@@ -23,7 +23,7 @@ def test_spectra_match_batched_reference(n, pad):
     xp = analytic_transform(x)
 
     # the joint spectrum as one batched complex FFT over the three components
-    m = _simpson_length(n, 8)
+    m = 4 * _fft_length(n)
     spec = np.fft.fft(xp.samples, n=m, axis=0)
     raw = np.sum(np.abs(spec[: m // 2 + 1]) ** 2, axis=1)
     freqs = 2.0 * np.pi * np.arange(m // 2 + 1) / (m * xp.dt)
@@ -36,7 +36,8 @@ def test_spectra_match_batched_reference(n, pad):
     m = _fft_length(pad * n)
     columns = lambda scratch: (taper * x.samples[:, c] for taper in ts.tapers for c in range(3))
     half = np.empty(m // 2 + 1)
-    mean, second = _padded_moments(columns, n, m, x.dt, real=True, grid=half)
+    assert m % 2 == 0  # the grid is the moments' grid: one stream fills it and takes them
+    mean, second = _exact_moments(columns, n, m, x.dt, real=True, grid=half)
     half /= len(ts.tapers)
     if m % 2 == 0:
         half[1:-1] *= 2.0

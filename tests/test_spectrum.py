@@ -69,17 +69,22 @@ def _dpss_tridiagonal(n, p):
 
 @pytest.fixture
 def fresh_loader():
-    """Load the LAPACK routines again in the test, and once more after it."""
-    spectrum._stebz_stein.cache_clear()
+    """Load the LAPACK routines and find OpenBLAS again in the test, and once more after it."""
+    for cached in (spectrum._stebz_stein, spectrum._openblas_threads):
+        cached.cache_clear()
     yield
-    spectrum._stebz_stein.cache_clear()
+    for cached in (spectrum._stebz_stein, spectrum._openblas_threads):
+        cached.cache_clear()
 
 
 def _assert_scipy_bits(solves):
+    # scipy's solve on the one OpenBLAS thread that eigh_tridiagonal pins: on
+    # more, dstein's BLAS reductions split across threads and set its last bits
     for (n, p, k), (w, v) in zip(DPSS_SOLVES, solves):
-        ref_w, ref_v = scipy.linalg.eigh_tridiagonal(
-            *_dpss_tridiagonal(n, p), select="i", select_range=(n - k, n - 1)
-        )
+        with spectrum._one_blas_thread():
+            ref_w, ref_v = scipy.linalg.eigh_tridiagonal(
+                *_dpss_tridiagonal(n, p), select="i", select_range=(n - k, n - 1)
+            )
         assert np.array_equal(w, ref_w), (n, p, k)
         assert np.array_equal(v, ref_v), (n, p, k)
 
@@ -350,7 +355,8 @@ def test_fft_work_is_pinned(rng, monkeypatch):
     # one rfft/irfft pair of length 2n per taper for its concentration, then, per
     # taper and component, one L-point FFT per shift of the pad*n grid
     # (L = n, s = 8 shifts here): shift 0 real, shifts 1 .. 4 complex,
-    # shifts 5 .. 7 read from 3 .. 1 reversed; no pad*n-point transform
+    # shifts 5 .. 7 read from 3 .. 1 reversed; no pad*n-point transform.  The
+    # exact moments add one irfft of 2n points, the lags from every 4th bin
     points = []
     for name in ("fft", "ifft", "rfft", "irfft"):
         original = getattr(np.fft, name)
@@ -366,7 +372,9 @@ def test_fft_work_is_pinned(rng, monkeypatch):
     multitaper_joint_spectrum(RealSignal3(rng.normal(size=(n, 3))), ts, pad_factor=pad)
     size, complex_shifts = n, pad // 2
     concentrations = [n + 1, 2 * n] * k
-    assert points == concentrations + [size // 2 + 1] * k * 3 + [size] * k * 3 * complex_shifts
+    assert points == (
+        concentrations + [size // 2 + 1] * k * 3 + [size] * k * 3 * complex_shifts + [2 * n]
+    )
 
 
 @pytest.mark.parametrize("n", [64, 801, 99_999, 100_000])

@@ -27,14 +27,12 @@ leaves the directory as it was.  The renames run one file at a time, and
 one that fails names its file.  No command imports the ``scipy.linalg``
 package: the taper solve loads only scipy's compiled LAPACK wrappers
 (:func:`triellipse.spectrum.eigh_tridiagonal`).  On one host class (CPU
-features and BLAS) the outputs are the same for any CPU count, except the
-multitaper values (two fields of ``summary.json`` and all that
-``spectrum`` writes): the last bits of the Slepian tapers follow the
-thread count of scipy's OpenBLAS, and so the CPU count.  Another host
-class can write other last digits: numpy's SIMD loops follow the CPU's
-features (see the README's CPUs section).  A child that fails is reported
-like the same failure in this process; one that a signal ends is an
-input error (exit 2) naming what it was doing.
+features and BLAS) the outputs are byte-identical for any CPU count
+wherever scipy's bundled OpenBLAS is found: the taper solve runs on one
+of its threads.  Another host class can write other last digits: numpy's
+SIMD loops follow the CPU's features (see the README's CPUs section).  A
+child that fails is reported like the same failure in this process; one
+that a signal ends is an input error (exit 2) naming what it was doing.
 
 Input CSV (the grammar is :func:`read_dataset`'s): UTF-8 with an optional
 byte-order mark; RFC 4180 fields, stripped of whitespace; records whose first
@@ -742,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(pq)
     pq.add_argument("--pad", dest="pad_factor", type=int, default=argparse.SUPPRESS,
                     help="spectrum zero-pad factor, at least 1: the grid has at least "
-                         "pad*n points, rounded up to a 5-smooth length")
+                         "max(pad, 2)*n points, rounded up to an even 5-smooth length")
     pq.add_argument("--precision", type=int, default=argparse.SUPPRESS)
     pq.add_argument("--out", default="triellipse_out", help="output directory")
     pq.set_defaults(func=_run_spectrum)

@@ -136,13 +136,6 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def _padded_length(n: int, pad_factor: int) -> int:
-    """``_fft_length(pad_factor * n)``, once ``pad_factor`` is checked to be at least 1."""
-    if pad_factor < 1:
-        raise ValueError(f"pad_factor must be at least 1, got {pad_factor}")
-    return _fft_length(int(pad_factor) * n)
-
-
 def _per_power(x: np.ndarray, power: np.ndarray) -> np.ndarray:
     """``x / power`` where ``power`` is positive, 0 elsewhere."""
     return np.where(power > 0, x / np.where(power > 0, power, 1.0), 0.0)

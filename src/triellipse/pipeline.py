@@ -117,13 +117,13 @@ class RunConfig:
     ``bearing`` (degrees, finite) rotates the horizontal frame before the
     analysis, so that the first channel points along it.  ``taper_p``, the
     taper time-bandwidth product, is finite and positive.  The grid of
-    ``spectrum`` has at least ``pad_factor`` (at least 1) times the record
-    length in points, rounded up to a 5-smooth length; ``analyze``'s
-    multitaper moments are exact, and take no pad factor.  ``trim`` is the
-    edge fraction excluded from summary statistics (the fixed wrap-around
-    edge flag applies regardless); ``precision`` (at least 0) sets the
-    digits after the point of every ``%e`` value in emitted tables, making
-    repeated runs byte-identical.
+    ``spectrum`` has at least ``max(pad_factor, 2)`` times the record
+    length in points (``pad_factor`` at least 1), rounded up to an even
+    5-smooth length; ``analyze``'s multitaper moments are exact, and take
+    no pad factor.  ``trim`` is the edge fraction excluded from summary
+    statistics (the fixed wrap-around edge flag applies regardless);
+    ``precision`` (at least 0) sets the digits after the point of every
+    ``%e`` value in emitted tables, making repeated runs byte-identical.
     """
 
     scheme: str = "central4"

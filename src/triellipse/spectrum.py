@@ -11,13 +11,14 @@ sums over components, applies one-sided doubling, and normalizes to unit
 integral.  No eigenspectrum is built: the grid is filled by the streamed
 padded power of :mod:`triellipse.moments` (``moments._padded_moments``),
 which transforms about ``n`` points per taper, component and shift,
-inline in one buffer.  The estimate's moments are exact: the mean
-frequency and second central moment of the estimate over ``[0, pi]``,
-taken by ``moments._exact_moments`` as the trapezoid over an even grid
-of at least ``2 n`` points plus the Euler-Maclaurin endpoint series.
-:func:`multitaper_joint_spectrum` takes them from the stream that fills
-its grid wherever that grid serves; :func:`multitaper_moments`, which
-``analyze`` needs, keeps no grid, in O(n) memory.
+inline in one buffer.  The grid is the least even 5-smooth length at or
+above ``max(pad, 2) n``, so it ends on ``pi``, and the estimate's moments
+are exact there: the mean frequency and second central moment of the
+estimate over ``[0, pi]``, taken by ``moments._exact_moments`` as the
+trapezoid over that grid plus the Euler-Maclaurin endpoint series.
+:func:`multitaper_joint_spectrum` takes them from the one stream that
+fills its grid; :func:`multitaper_moments`, which ``analyze`` needs,
+keeps no grid, in O(n) memory.
 The tridiagonal eigensolve calls LAPACK's ``dstebz`` and ``dstein``
 through scipy's compiled wrappers, loaded from their file on the first
 solve (:func:`eigh_tridiagonal`), on one thread of scipy's bundled
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import RealSignal3
-from .moments import GlobalMoments, _exact_moments, _fft_length, _padded_length, _padded_moments
+from .moments import GlobalMoments, _exact_moments, _fft_length
 
 __all__ = [
     "MIN_TAPER_SAMPLES",
@@ -96,7 +97,7 @@ def _concentrations(tapers: np.ndarray, half_bandwidth: float) -> np.ndarray:
     (k, n) block of lags, and one matrix-vector product weighs them all.
     """
     n = tapers.shape[1]
-    m = _padded_length(n, 2)
+    m = _fft_length(2 * n)
     acf = np.empty(tapers.shape)
     for row, taper in zip(acf, tapers):
         row[:] = np.fft.irfft(np.abs(np.fft.rfft(taper, n=m)) ** 2, n=m)[:n]
@@ -303,12 +304,12 @@ def slepian_tapers(n_samples: int, time_bandwidth: float = 2.0, n_tapers: int | 
     )
 
 
-def _lengths(x: RealSignal3, tapers: TaperSet, pad_factor: int) -> tuple[int, int]:
-    """The multitaper grid's length and its moments' grid length for ``x``, after the checks both multitaper routes share.
+def _grid_length(x: RealSignal3, tapers: TaperSet, pad_factor: int) -> int:
+    """The multitaper grid's length for ``x``, after the checks both multitaper routes share.
 
-    The grid has ``_fft_length(pad_factor * n)`` points.  The moments take
-    the least even 5-smooth length at or above ``max(pad_factor, 2) * n``:
-    the grid itself wherever that is even and at least ``2 n``.
+    The least even 5-smooth length at or above ``max(pad_factor, 2) * n``:
+    even and at least ``2 n``, so that the trapezoid plus the endpoint
+    series gives the exact moments on it, and its last bin is ``pi / dt``.
     """
     n = x.n_samples
     if tapers.tapers.shape[1] != n:
@@ -317,8 +318,9 @@ def _lengths(x: RealSignal3, tapers: TaperSet, pad_factor: int) -> tuple[int, in
         )
     if not np.any(x.samples):
         raise ValueError("zero-energy record: spectrum is undefined")
-    m = _padded_length(n, pad_factor)
-    return m, 2 * _fft_length(-(-max(pad_factor, 2) * n // 2))
+    if pad_factor < 1:
+        raise ValueError(f"pad_factor must be at least 1, got {pad_factor}")
+    return 2 * _fft_length(-(-max(pad_factor, 2) * n // 2))
 
 
 def _tapered(x: RealSignal3, tapers: TaperSet):
@@ -361,11 +363,13 @@ def multitaper_joint_spectrum(
 
     For each taper and each component, an eigenspectrum is the squared
     magnitude of the zero-padded one-sided real DFT of the tapered
-    component.  Its length is at least ``pad_factor * n``, rounded up to a
-    5-smooth length ``m`` (``moments._padded_length``) so that no record
-    length sends the transforms down pocketfft's slow path.  The estimate averages
-    eigenspectra over tapers, sums over components, applies one-sided
-    doubling, and normalizes to unit integral.  Padding
+    component.  Its length ``m`` is the least even 5-smooth length at or
+    above ``max(pad_factor, 2) * n``: 5-smooth so that no record length
+    sends the transforms down pocketfft's slow path, even so that the last
+    bin is ``pi / dt``, and at least ``2 n`` so that the grid's moments are
+    exact.  So pad 1 grids like pad 2.  The estimate averages eigenspectra
+    over tapers, sums over components, applies one-sided doubling, and
+    normalizes to unit integral over ``[0, pi / dt]``.  Padding
     (``pad_factor >= 1``) refines the grid without changing the
     resolution, which stays at the taper bandwidth ``2 pi p / n``.
 
@@ -375,27 +379,17 @@ def multitaper_joint_spectrum(
     divisor of ``m`` at least ``n``), and each shift's power, summed in
     taper and component order, is written into ``half[r::s]`` as it is
     made.  No transform is longer than ``L``, and the grid and its
-    frequencies are the only ``O(m)`` arrays.  The moments are
-    :func:`multitaper_moments`, bit for bit: where ``m`` is even and at
-    least ``2 n``, as at the default pad 8 on most lengths, the same
-    stream that fills the grid reduces them; at pad 1 and on odd grids
-    they take a stream of their own.  The result is the same for any CPU count: the transforms
-    are numpy's, and :func:`slepian_tapers` solves on one OpenBLAS thread
-    wherever scipy's bundled OpenBLAS is found (:func:`eigh_tridiagonal`).
+    frequencies are the only ``O(m)`` arrays.  The same stream reduces the
+    moments, which are :func:`multitaper_moments`, bit for bit.  The
+    result is the same for any CPU count: the transforms are numpy's, and
+    :func:`slepian_tapers` solves on one OpenBLAS thread wherever scipy's
+    bundled OpenBLAS is found (:func:`eigh_tridiagonal`).
     """
-    m, m_moments = _lengths(x, tapers, pad_factor)
-    n = x.n_samples
+    m = _grid_length(x, tapers, pad_factor)
     half = np.empty(m // 2 + 1)
-    if m_moments == m:
-        mean, second = _exact_moments(_tapered(x, tapers), n, m, x.dt, real=True, grid=half)
-    else:
-        _padded_moments(_tapered(x, tapers), n, m, real=True, grid=half)
-        mean, second = _exact_moments(_tapered(x, tapers), n, m_moments, x.dt, real=True)
+    mean, second = _exact_moments(_tapered(x, tapers), x.n_samples, m, x.dt, real=True, grid=half)
     half /= len(tapers.tapers)
-    if m % 2 == 0:
-        half[1:-1] *= 2.0
-    else:
-        half[1:] *= 2.0
+    half[1:-1] *= 2.0
     freqs = 2.0 * np.pi * np.arange(half.size) / (m * x.dt)
     half /= _trapezoid(half, freqs) / (2.0 * np.pi)
     return JointSpectrum(
@@ -412,18 +406,17 @@ def multitaper_moments(
 
     The exact mean frequency and second central moment of the multitaper
     estimate over ``[0, pi / dt]``: ``moments._exact_moments`` takes the
-    trapezoid sums over the least even 5-smooth grid at or above
-    ``max(pad_factor, 2) * n`` points and adds the Euler-Maclaurin
-    endpoint series, whose lags come from one inverse transform of that
-    grid's power.  Same checks as :func:`multitaper_joint_spectrum`, and
-    no grid is kept: each shift's bins are dropped once reduced, so memory
-    stays O(n).  The values are
+    trapezoid sums over the grid of :func:`multitaper_joint_spectrum`,
+    the least even 5-smooth length at or above ``max(pad_factor, 2) * n``,
+    and adds the Euler-Maclaurin endpoint series, whose lags come from one
+    inverse transform of that grid's power.  Same checks as
+    :func:`multitaper_joint_spectrum`, and no grid is kept: each shift's
+    bins are dropped once reduced, so memory stays O(n).  The values are
     ``multitaper_joint_spectrum(x, tapers, pad_factor).moments``, bit for
     bit.  Being exact, they depend on ``pad_factor`` only through rounding:
     ``analyze`` takes pad 4, whose grid takes one real and two complex
     ``n``-point FFTs per taper and component.
     """
-    n = x.n_samples
-    m = _lengths(x, tapers, pad_factor)[1]
-    mean, second = _exact_moments(_tapered(x, tapers), n, m, x.dt, real=True)
+    m = _grid_length(x, tapers, pad_factor)
+    mean, second = _exact_moments(_tapered(x, tapers), x.n_samples, m, x.dt, real=True)
     return GlobalMoments(energy=_energy(x), mean_freq=mean, second_central=second)

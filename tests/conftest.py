@@ -37,6 +37,20 @@ def circular_signal(n=256, k=16):
     return ellipse_synthesize(series), omega
 
 
+def multitaper_grid_length(n, pad):
+    """The least even 5-smooth integer at or above ``max(pad, 2) * n``, by search."""
+    m = max(pad, 2) * n
+    m += m % 2
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 2
+
+
 def run_python(code):
     """Standard output of ``code`` run by a fresh interpreter that imports this checkout."""
     env = dict(os.environ, PYTHONPATH=str(Path(triellipse.__file__).parents[1]))

@@ -105,6 +105,22 @@ def test_spectrum_command(reference_csv, tmp_path):
     assert abs(peak - np.pi * 1e-2) < 2 * np.pi * 2.0 / 800
 
 
+def test_spectrum_grid_is_even_and_at_least_2n(reference_csv, tmp_path):
+    # --pad 1 grids like --pad 2, and every grid ends on pi / dt: at 136
+    # samples, pad 8 rounds 1 088 up to the even 1 152, not the odd 1 125
+    for pad in ("1", "2"):
+        assert run("spectrum", reference_csv, "--pad", pad, "--out", tmp_path / pad) == 0
+    assert (tmp_path / "1" / "spectrum.csv").read_bytes() == (
+        tmp_path / "2" / "spectrum.csv").read_bytes()
+    f, dt = tmp_path / "short.csv", 0.5
+    write_csv(f, dt * np.arange(136), np.random.default_rng(0).normal(size=(136, 3)))
+    assert run("spectrum", f, "--out", tmp_path / "short") == 0
+    table = np.genfromtxt(tmp_path / "short" / "spectrum.csv", delimiter=",", names=True)
+    assert table.size == 1152 // 2 + 1
+    assert abs(table["freq_rad"][-1] / (np.pi / dt) - 1.0) < 1e-12
+    assert table["freq_cycles"][-1] == 0.5
+
+
 def test_empty_file_is_input_error(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -30,7 +30,7 @@ from triellipse import (
 from triellipse.moments import _fft_length, _padded_moments
 from triellipse.spectrum import _tapered
 
-from conftest import circular_signal, demo_series
+from conftest import circular_signal, demo_series, multitaper_grid_length
 
 
 def test_omega_constant_for_fixed_ellipse():
@@ -428,19 +428,19 @@ def _trapezoid_moments(freqs, values):
 def test_streamed_moments_match_full_grid(n):
     # the stream's trapezoid sums against those over the full grid, complex
     # input (global, on its 4x grid) and real input (the multitaper power,
-    # without its one-sided doubling, at every pad), at dt != 1; 6 001 pads to odd m at pad 1 and 3 for the
-    # multitaper grid, so bin m // 2 has a mirror there; pad 3 splits into an
-    # odd number of shifts; and 6 001, 99 999 and 100 003 take shifted FFTs
-    # longer than the record
+    # without its one-sided doubling, at every pad), at dt != 1; pad 1
+    # grids like pad 2; at 6 001, pad 3 rounds 18 003 up to 18 432, which
+    # splits into an odd number of shifts (3); and 6 001, 99 999 and
+    # 100 003 take shifted FFTs longer than the record
     x = RealSignal3(make_random_modulated(n, 5).samples.real, dt=0.37)
     xp = analytic_transform(x)
     tapers = slepian_tapers(n, 2.0, 3)
     analytic = lambda _: (xp.samples[:, c] for c in range(3))
     grids = [(analytic, 4 * _fft_length(n), False, joint_analytic_spectrum(xp))]
     for pad in (1, 3, 8, 16):
-        est, m = multitaper_joint_spectrum(x, tapers, pad), _fft_length(pad * n)
+        est, m = multitaper_joint_spectrum(x, tapers, pad), multitaper_grid_length(n, pad)
         power = est.values.copy()
-        power[1:m // 2 + m % 2] /= 2.0  # the one-sided doubling undone
+        power[1:-1] /= 2.0  # the one-sided doubling undone
         grids.append((_tapered(x, tapers), m, True, (est.freqs, power)))
     for columns, m, real, (freqs, values) in grids:
         total, mean, second = _padded_moments(columns, n, m, real)

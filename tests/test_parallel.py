@@ -14,7 +14,7 @@ from triellipse import (
 from triellipse import _parallel
 from triellipse.moments import _exact_moments, _fft_length, joint_analytic_spectrum
 
-from conftest import run_python
+from conftest import multitaper_grid_length, run_python
 
 
 @pytest.mark.parametrize("n, pad", [(16384, 8), (16385, 9)])
@@ -33,16 +33,12 @@ def test_spectra_match_batched_reference(n, pad):
 
     # the multitaper grid from the streamed power, normalised by hand
     ts = slepian_tapers(n, 2.0, 3)
-    m = _fft_length(pad * n)
+    m = multitaper_grid_length(n, pad)
     columns = lambda scratch: (taper * x.samples[:, c] for taper in ts.tapers for c in range(3))
     half = np.empty(m // 2 + 1)
-    assert m % 2 == 0  # the grid is the moments' grid: one stream fills it and takes them
     mean, second = _exact_moments(columns, n, m, x.dt, real=True, grid=half)
     half /= len(ts.tapers)
-    if m % 2 == 0:
-        half[1:-1] *= 2.0
-    else:
-        half[1:] *= 2.0
+    half[1:-1] *= 2.0
     freqs = 2.0 * np.pi * np.arange(half.size) / (m * x.dt)
     values = half / (np.trapezoid(half, freqs) / (2.0 * np.pi))
     est = multitaper_joint_spectrum(x, ts, pad_factor=pad)

@@ -21,7 +21,7 @@ from triellipse import (
 from triellipse import spectrum
 from triellipse.moments import _fft_length
 
-from conftest import random_rotation, run_python
+from conftest import multitaper_grid_length, random_rotation, run_python
 
 
 def test_tapers_orthonormal_and_concentrated():
@@ -248,14 +248,11 @@ def test_pad_factor_below_one_rejected(rng):
 
 def _full_fft_reference(x, ts, pad):
     """The estimate's grid and values, from every taper's and component's m-point FFT at once."""
-    m = _fft_length(pad * x.n_samples)
+    m = multitaper_grid_length(x.n_samples, pad)
     spec = np.fft.fft(ts.tapers[:, :, None] * x.samples[None, :, :], n=m, axis=1)
     raw = np.mean(np.sum(np.abs(spec) ** 2, axis=2), axis=0)
     half = raw[: m // 2 + 1].copy()
-    if m % 2 == 0:
-        half[1:-1] *= 2.0
-    else:
-        half[1:] *= 2.0
+    half[1:-1] *= 2.0
     freqs = 2.0 * np.pi * np.arange(half.size) / (m * x.dt)
     return freqs, half / (np.trapezoid(half, freqs) / (2.0 * np.pi))
 
@@ -278,8 +275,8 @@ def test_multitaper_matches_full_fft_reference(rng, n, pad):
     seed=st.integers(0, 2**16),
 )
 def test_streamed_grid_matches_full_fft_reference(n, pad, dt, seed):
-    # odd, even and prime lengths, odd and even grids, one shift (pad 1
-    # on a 5-smooth n) up to many, against the unshifted transforms
+    # odd, even and prime lengths, grids whose pad * n is odd, two shifts
+    # (pad 1 or 2 on a 5-smooth n) up to many, against the unshifted transforms
     rng = np.random.default_rng(seed)
     x = RealSignal3(rng.normal(size=(n, 3)) + np.cos(0.2 * np.arange(n))[:, None], dt=dt)
     ts = slepian_tapers(n, 2.0, 3)
@@ -352,11 +349,13 @@ def test_taper_traced_peak():
 
 
 def test_fft_work_is_pinned(rng, monkeypatch):
-    # one rfft/irfft pair of length 2n per taper for its concentration, then, per
-    # taper and component, one L-point FFT per shift of the pad*n grid
-    # (L = n, s = 8 shifts here): shift 0 real, shifts 1 .. 4 complex,
-    # shifts 5 .. 7 read from 3 .. 1 reversed; no pad*n-point transform.  The
-    # exact moments add one irfft of 2n points, the lags from every 4th bin
+    # one rfft/irfft pair of the 5-smooth length at or above 2n per taper for
+    # its concentration, then, per taper and component, one L-point FFT per
+    # shift of the grid, s shifts in all: shift 0 real, shifts 1 .. s/2
+    # complex, the rest read from those reversed; no grid-length transform.
+    # The exact moments add one irfft of at least 2n - 1 points for the
+    # lags, and no second stream: not at pad 1, whose grid is pad 2's, nor
+    # where pad * n rounds up to an odd 5-smooth length (1 088 to 1 125)
     points = []
     for name in ("fft", "ifft", "rfft", "irfft"):
         original = getattr(np.fft, name)
@@ -367,14 +366,20 @@ def test_fft_work_is_pinned(rng, monkeypatch):
             return out
 
         monkeypatch.setattr(np.fft, name, counted)
-    n, k, pad = 1000, 3, 8
-    ts = slepian_tapers(n, 2.0, k)
-    multitaper_joint_spectrum(RealSignal3(rng.normal(size=(n, 3))), ts, pad_factor=pad)
-    size, complex_shifts = n, pad // 2
-    concentrations = [n + 1, 2 * n] * k
-    assert points == (
-        concentrations + [size // 2 + 1] * k * 3 + [size] * k * 3 * complex_shifts + [2 * n]
-    )
+    k = 3
+    # record length, pad; concentration length, L, s, lags' inverse length
+    for n, pad, acf, size, shifts, lags in [
+        (1000, 8, 2000, 1000, 8, 2000),  # the 8n grid
+        (1000, 1, 2000, 1000, 2, 2000),  # the 2n grid
+        (136, 8, 288, 144, 8, 288),  # the grid of 1 152 points
+    ]:
+        points.clear()
+        ts = slepian_tapers(n, 2.0, k)
+        multitaper_joint_spectrum(RealSignal3(rng.normal(size=(n, 3))), ts, pad_factor=pad)
+        concentrations = [acf // 2 + 1, acf] * k
+        assert points == (
+            concentrations + [size // 2 + 1] * k * 3 + [size] * k * 3 * (shifts // 2) + [lags]
+        ), (n, pad)
 
 
 @pytest.mark.parametrize("n", [64, 801, 99_999, 100_000])

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import sys
 import tracemalloc
@@ -67,6 +68,22 @@ def _dpss_tridiagonal(n, p):
     return d, np.arange(1, n) * np.arange(n - 1, 0, -1) / 2.0
 
 
+@functools.cache
+def _value_range(n, p, k):
+    """(vl, vu] about the k largest eigenvalues: from midway to the next one down, to 1 above the top."""
+    w = scipy.linalg.eigh_tridiagonal(
+        *_dpss_tridiagonal(n, p), eigvals_only=True, select="i", select_range=(n - k - 1, n - 1)
+    )
+    return float((w[0] + w[1]) / 2.0), float(w[-1] + 1.0)
+
+
+def _selections():
+    """Each DPSS solve taken by index and by value: (n, p, k, select, select_range)."""
+    return [(n, p, k, "i", (n - k, n - 1)) for n, p, k in DPSS_SOLVES] + [
+        (n, p, k, "v", _value_range(n, p, k)) for n, p, k in DPSS_SOLVES
+    ]
+
+
 @pytest.fixture
 def fresh_loader():
     """Load the LAPACK routines and find OpenBLAS again in the test, and once more after it."""
@@ -80,25 +97,30 @@ def fresh_loader():
 def _assert_scipy_bits(solves):
     # scipy's solve on the one OpenBLAS thread that eigh_tridiagonal pins: on
     # more, dstein's BLAS reductions split across threads and set its last bits
-    for (n, p, k), (w, v) in zip(DPSS_SOLVES, solves):
+    selections = _selections()
+    assert len(solves) == len(selections)
+    for (n, p, k, select, select_range), (w, v) in zip(selections, solves):
         with spectrum._one_blas_thread():
             ref_w, ref_v = scipy.linalg.eigh_tridiagonal(
-                *_dpss_tridiagonal(n, p), select="i", select_range=(n - k, n - 1)
+                *_dpss_tridiagonal(n, p), select=select, select_range=select_range
             )
-        assert np.array_equal(w, ref_w), (n, p, k)
-        assert np.array_equal(v, ref_v), (n, p, k)
+        assert w.size == k, (n, p, k, select)
+        assert np.array_equal(w, ref_w), (n, p, k, select)
+        assert np.array_equal(v, ref_v), (n, p, k, select)
 
 
 def _solves():
     return [
-        spectrum.eigh_tridiagonal(*_dpss_tridiagonal(n, p), n - k, n - 1) for n, p, k in DPSS_SOLVES
+        spectrum.eigh_tridiagonal(*_dpss_tridiagonal(n, p), select, select_range)
+        for n, p, _, select, select_range in _selections()
     ]
 
 
 def test_eigensolve_has_the_bits_of_scipy_before_scipy_linalg_loads(tmp_path):
     cases, solves = tmp_path / "cases.npz", tmp_path / "solves.npz"
+    selections = _selections()
     arrays = {}
-    for j, (n, p, _) in enumerate(DPSS_SOLVES):
+    for j, (n, p, *_) in enumerate(selections):
         arrays[f"d{j}"], arrays[f"e{j}"] = _dpss_tridiagonal(n, p)
     np.savez(cases, **arrays)
     out = run_python(
@@ -106,15 +128,15 @@ def test_eigensolve_has_the_bits_of_scipy_before_scipy_linalg_loads(tmp_path):
         "import numpy as np\n"
         "from triellipse import spectrum\n"
         f"cases, out = np.load({str(cases)!r}), {{}}\n"
-        f"for j, (n, _, k) in enumerate({DPSS_SOLVES!r}):\n"
+        f"for j, (*_, select, select_range) in enumerate({selections!r}):\n"
         "    out[f'w{j}'], out[f'v{j}'] = spectrum.eigh_tridiagonal(\n"
-        "        cases[f'd{j}'], cases[f'e{j}'], n - k, n - 1)\n"
+        "        cases[f'd{j}'], cases[f'e{j}'], select, select_range)\n"
         f"np.savez({str(solves)!r}, **out)\n"
         "print('scipy.linalg' in sys.modules)\n"
     )
     assert out.splitlines()[-1] == "False"
     got = np.load(solves)
-    _assert_scipy_bits([(got[f"w{j}"], got[f"v{j}"]) for j in range(len(DPSS_SOLVES))])
+    _assert_scipy_bits([(got[f"w{j}"], got[f"v{j}"]) for j in range(len(selections))])
 
 
 def test_eigensolve_has_the_bits_of_scipy_after_scipy_linalg_loads(fresh_loader):
@@ -151,7 +173,12 @@ def test_eigensolve_rejects_non_finite_input(bad, where):
     arrays = _dpss_tridiagonal(64, 2)
     arrays[where][5] = bad
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-        spectrum.eigh_tridiagonal(*arrays, 61, 63)
+        spectrum.eigh_tridiagonal(*arrays, "i", (61, 63))
+
+
+def test_eigensolve_rejects_an_unknown_selection():
+    with pytest.raises(ValueError, match="select must be 'i' or 'v'"):
+        spectrum.eigh_tridiagonal(*_dpss_tridiagonal(64, 2), "a", (61, 63))
 
 
 def test_taper_argument_validation():
@@ -159,6 +186,131 @@ def test_taper_argument_validation():
         slepian_tapers(800, 2.0, 4)  # K > 2P-1
     with pytest.raises(ValueError):
         slepian_tapers(32, 2.0, 3)  # too short
+
+
+PARITY_CASES = [
+    (n, p, k) for n in (64, 65, 800, 801, 99_999, 100_000) for p, k in ((2, 3), (4, 7), (2.5, 4))
+]
+
+
+@functools.cache
+def _full_solve(n, p, k):
+    """The k tapers and eigenvalues of the full n-point operator (scipy, one OpenBLAS thread), descending, first nonzero element positive."""
+    with spectrum._one_blas_thread():
+        w, v = scipy.linalg.eigh_tridiagonal(
+            *_dpss_tridiagonal(n, p), select="i", select_range=(n - k, n - 1)
+        )
+    tapers = v[:, ::-1].T.copy()
+    for row in tapers:
+        if row[np.flatnonzero(row)[0]] < 0:
+            row *= -1.0
+    return w[::-1], tapers
+
+
+@pytest.mark.parametrize("n, p, k", PARITY_CASES)
+def test_tapers_have_exact_parity(n, p, k):
+    # taper j has the parity (-1)^j to the bit, and an odd antisymmetric
+    # taper's middle sample is zero; the full solve breaks parity by up to
+    # 5.9e-11 at 99 999 samples
+    ts = slepian_tapers(n, p, k)
+    for j, row in enumerate(ts.tapers):
+        assert np.array_equal(row[::-1], row if j % 2 == 0 else -row), (n, p, k, j)
+        if n % 2 and j % 2:
+            assert row[n // 2] == 0.0
+
+
+@pytest.mark.parametrize("n, p, k", PARITY_CASES)
+def test_tapers_are_orthonormal_eigenvectors(n, p, k):
+    ts = slepian_tapers(n, p, k)
+    t = ts.tapers
+    # largest |gram - I| measured: 2.4e-15 (n = 65, p = 2)
+    assert np.abs(t @ t.T - np.eye(k)).max() < 5e-15
+    # max |T v - lam v| / lam measured: 1.2e-15 (n = 99 999, p = 2.5), with
+    # lam the Rayleigh quotient; the full solve's eigenvalues agree with it
+    # to 1.3e-14 relative
+    d, e = _dpss_tridiagonal(n, p)
+    tv = d * t
+    tv[:, :-1] += e * t[:, 1:]
+    tv[:, 1:] += e * t[:, :-1]
+    lam = np.einsum("ij,ij->i", t, tv)
+    assert (np.abs(tv - lam[:, None] * t).max(axis=1) / lam).max() < 3e-15
+    full_w, _ = _full_solve(n, p, k)
+    assert np.abs(lam - full_w).max() < 5e-14 * full_w[0]
+
+
+# largest |parity solve - full solve| over the three (p, k) measured: 8.0e-16
+# (64, 65), 4.3e-14 (800, 801), 4.7e-11 (99 999) and 3.7e-11 (100 000); the
+# full solve's own parity error is as large: 1.4e-15, 8.2e-14 and 5.9e-11
+FULL_SOLVE_AGREEMENT = {64: 2e-15, 65: 2e-15, 800: 1e-13, 801: 1e-13, 99_999: 1e-10, 100_000: 1e-10}
+
+
+@pytest.mark.parametrize("n, p, k", PARITY_CASES)
+def test_tapers_agree_with_the_full_solve(n, p, k):
+    ts = slepian_tapers(n, p, k)
+    _, full = _full_solve(n, p, k)
+    assert np.abs(ts.tapers - full).max() < FULL_SOLVE_AGREEMENT[n]
+    # the concentrations differ by at most 1.1e-15 (n = 99 999, p = 2.5)
+    full_concentrations = spectrum._concentrations(full, p / n)
+    assert np.abs(ts.concentrations - full_concentrations).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [800, 801])
+def test_taper_solves_are_half_size(monkeypatch, n):
+    # the symmetric block by index, then the antisymmetric block by value
+    # between the smallest and largest symmetric eigenvalues it returned
+    calls = []
+    solve = spectrum.eigh_tridiagonal
+
+    def recorded(d, e, select, select_range):
+        w, v = solve(d, e, select, select_range)
+        calls.append((d.size, e.size, select, select_range, w))
+        return w, v
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", recorded)
+    slepian_tapers(n, 4.0, 7)
+    (size_s, off_s, select_s, range_s, w_s), (size_a, off_a, select_a, range_a, w_a) = calls
+    half, size = n // 2, n // 2 + n % 2  # an odd record's symmetric block has the middle row
+    assert (size_s, off_s, select_s, range_s) == (size, size - 1, "i", (size - 4, size - 1))
+    assert (size_a, off_a, select_a, range_a) == (half, half - 1, "v", (w_s[0], w_s[-1]))
+    assert w_a.size == 3
+    assert (w_s[:-1] < w_a).all() and (w_a < w_s[1:]).all()  # the parities interleave
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+def test_taper_solve_checks_the_antisymmetric_count(monkeypatch, change):
+    solve = spectrum.eigh_tridiagonal
+
+    def wrong_count(d, e, select, select_range):
+        w, v = solve(d, e, select, select_range)
+        if select == "v":
+            keep = [*range(w.size - 1)] if change == "drop" else [0, *range(w.size)]
+            w, v = w[keep], v[:, keep]
+        return w, v
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", wrong_count)
+    with pytest.raises(np.linalg.LinAlgError, match="antisymmetric taper block"):
+        slepian_tapers(800, 4.0, 7)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(n_samples=100.5), "n_samples"),
+    (dict(n_samples=800.0), "n_samples"),
+    (dict(n_samples="800"), "n_samples"),
+    (dict(n_samples=800, n_tapers=2.5), "n_tapers"),
+    (dict(n_samples=800, n_tapers=3.0), "n_tapers"),
+])
+def test_taper_arguments_must_be_integers(kwargs, name):
+    # 100.5 samples gave 101-sample tapers whose concentrations (0.938,
+    # 0.294, 0.904) did not decrease, and 2.5 tapers gave 3
+    with pytest.raises(TypeError, match=name):
+        slepian_tapers(time_bandwidth=2.0, **{"n_tapers": 3, **kwargs})
+
+
+def test_taper_arguments_take_numpy_integers():
+    ts = slepian_tapers(np.int64(801), 2.5, np.int32(4))
+    ref = slepian_tapers(801, 2.5, 4)
+    assert np.array_equal(ts.tapers, ref.tapers)
+    assert np.array_equal(ts.concentrations, ref.concentrations)
 
 
 @pytest.mark.parametrize("p, k", [(1.25, 1), (1.75, 2), (2.25, 3), (3.25, 5)])
@@ -244,6 +396,22 @@ def test_pad_factor_below_one_rejected(rng):
     for pad in (0, -2):
         with pytest.raises(ValueError, match="pad_factor"):
             multitaper_joint_spectrum(x, ts, pad_factor=pad)
+
+
+@pytest.mark.parametrize("estimate", [multitaper_joint_spectrum, multitaper_moments])
+def test_pad_factor_must_be_an_integer(rng, estimate):
+    ts = slepian_tapers(256, 2.0, 3)
+    x = RealSignal3(rng.normal(size=(256, 3)))
+    for pad in (2.5, 2.0):
+        with pytest.raises(TypeError, match="pad_factor"):
+            estimate(x, ts, pad_factor=pad)
+    got, ref = estimate(x, ts, pad_factor=np.int64(2)), estimate(x, ts, pad_factor=2)
+    if estimate is multitaper_moments:
+        assert got == ref
+    else:
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.freqs.tobytes() == ref.freqs.tobytes()
+        assert got.moments == ref.moments
 
 
 def _full_fft_reference(x, ts, pad):
@@ -335,8 +503,9 @@ def test_trapezoid_holds_one_array_of_terms(rng):
 
 
 def test_taper_traced_peak():
-    # the matrix and stebz's n eigenvalues are freed once the solve is done:
-    # 9.2 MB at 1e5, 11.2 MB while they were held through the concentrations
+    # the parity blocks and their eigenvectors are freed once the tapers are
+    # unfolded: 8.8 MB at 1e5 (9.2 MB with the full-size solve, 11.2 MB while
+    # its matrix was held through the concentrations)
     n = 100_000
     slepian_tapers(64)  # LAPACK's wrappers loaded outside the trace
     tracemalloc.start()
